@@ -84,9 +84,6 @@ class Ring:
         except KeyError:
             raise KeyError(f"variable {name!r} not in ring") from None
 
-    def has(self, name: str) -> bool:
-        return name in self._index
-
     def var(self, name: str) -> "Poly":
         exps = [0] * len(self.vars)
         exps[self.index(name)] = 1

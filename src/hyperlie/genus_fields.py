@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import reference
 from .derivation import BracketRelation, Derivation, combination, ladder_complete
-from .exactpoly import Poly, PolyMap, PolyMatrix, Ring
+from .exactpoly import Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion
 from .lambda_space import CurveModel, build_T
 from .param_map import PARAM_NAMES, JacobiMap, build_p, jacobi_map, x_name
 
@@ -120,9 +120,6 @@ class FieldCatalog:
     @property
     def names(self) -> list[str]:
         return field_names(self.genus)
-
-    def field(self, name: str) -> Derivation:
-        return self.fields[name]
 
     def odd_fields(self) -> list[Derivation]:
         return [self.fields[f"L{s}"] for s in range(1, 2 * self.genus, 2)]
@@ -383,6 +380,11 @@ def resolved_table(cat: FieldCatalog) -> dict[tuple[str, str], dict[str, Poly]]:
 # -- action matrix and determinant factor ---------------------------------------
 
 
+def _coordinates(cat: FieldCatalog) -> list[str]:
+    """The generator coordinates in ring order: the columns of Tcal."""
+    return [v.name for v in cat.ring.vars if v.name not in PARAM_NAMES]
+
+
 def build_Tcal(cat: FieldCatalog) -> PolyMatrix:
     """The 3g x 3g matrix of field actions.
 
@@ -390,7 +392,7 @@ def build_Tcal(cat: FieldCatalog) -> PolyMatrix:
     generator coordinates in ring order.  This row order reproduces the
     stated determinant factors 4, -16, -64.
     """
-    cols = [v.name for v in cat.ring.vars if v.name not in PARAM_NAMES]
+    cols = _coordinates(cat)
     rows = [
         [cat.fields[name].on(c) for c in cols] for name in cat.names
     ]
@@ -402,6 +404,64 @@ def pullback_T(cat: FieldCatalog) -> PolyMatrix:
     model = CurveModel(cat.genus)
     T = build_T(model)
     return T.map(lambda p: cat.pmap.pullback(p))
+
+
+def _parity(order: list[int]) -> int:
+    """Sign of the permutation listing ``order``."""
+    inversions = sum(
+        a > b for i, a in enumerate(order) for b in order[i + 1:]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def block_sign(cat: FieldCatalog) -> int:
+    """sigma * epsilon of ``det_factor_residuals``: the parities of the row
+    order with odd fields first and of the column order with K moved last."""
+    g = cat.genus
+    names = cat.names
+    odd = [i for i, n in enumerate(names) if int(n[1:]) % 2]
+    even = [i for i, n in enumerate(names) if not int(n[1:]) % 2]
+    return _parity(odd + even) * _parity(list(range(g, 3 * g)) + list(range(g)))
+
+
+def det_factor_residuals(
+    cat: FieldCatalog, Tcal: PolyMatrix, Tp: PolyMatrix, factor
+) -> tuple[dict[str, Poly], Poly]:
+    """Reduce det Tcal = factor * det(T o p) to small exact checks.
+
+    J_p is the Jacobian of the map over the Tcal columns and E_K the unit
+    columns of K = the first g coordinates.  Projectability makes the odd
+    rows of Tcal . [J_p^T | E_K] equal [0 | A] (A: odd-field actions on K)
+    and the even rows [T o p | *], so
+    det Tcal * epsilon * det J_minor = sigma * det A * det(T o p), with
+    J_minor = J_p on the other 2g columns.  Given det J_minor != 0, the claim
+    is then det A = sigma * epsilon * factor * det J_minor.
+
+    Returns (residuals, det J_minor): every residual must vanish, and
+    det J_minor must not.
+    """
+    g = cat.genus
+    ring = cat.ring
+    comps = list(cat.pmap.components.items())  # l4, l6, ...: the T columns
+    jac = [[comp.partial(c) for c in _coordinates(cat)] for _, comp in comps]
+    residuals = {}
+    odd_rows = []
+    tp_rows = iter(Tp.rows)  # T o p rows follow the even fields in order
+    for name, row in zip(cat.names, Tcal.rows):
+        if int(name[1:]) % 2:
+            odd_rows.append(row)
+            targets = [ring.zero] * len(comps)
+        else:
+            targets = next(tp_rows)
+        for (lname, _), jrow, want in zip(comps, jac, targets):
+            entry = sum((a * b for a, b in zip(row, jrow) if a and b), ring.zero)
+            residuals[f"(Tcal.J_p^T)[{name},{lname}] - target"] = entry - want
+    A = PolyMatrix(ring, [row[:g] for row in odd_rows])
+    minor = det_minor_expansion(PolyMatrix(ring, [r[g:] for r in jac]))
+    residuals["det A - sign * factor * det J_minor"] = (
+        det_minor_expansion(A) - minor * (block_sign(cat) * factor)
+    )
+    return residuals, minor
 
 
 # -- genus-2 normalization -------------------------------------------------------

@@ -7,6 +7,14 @@ uniform point of [-B, B]^n with probability at most d/(2B+1) per trial), and
 replaces the heavy symbolic determinants with numeric determinants of the
 evaluated matrices.
 
+Exact mode proves ``detTcal_factor`` (det Tcal = c * det(T o p)) on small
+matrices: projectability makes Tcal . [J_p^T | E_K] block-triangular, so
+det Tcal * eps * det J_minor = sigma * det A * det(T o p)
+(``genus_fields.det_factor_residuals``).  The entry checks the block
+product, det J_minor != 0 (else the equation says nothing about det Tcal)
+and det A = sigma * eps * c * det J_minor; the ring has no zero divisors, so
+the identity follows.
+
 Entries execute on a thread pool (capped by HYPERLIE_WORKERS); the report is
 assembled serially and ordered by entry id.  Per-entry RNG streams are
 derived from the seed and the entry id, so results are independent of worker
@@ -38,6 +46,7 @@ from .genus_fields import (
     build_even_by_ladder,
     build_Tcal,
     catalog,
+    det_factor_residuals,
     euler_relations,
     parse_coeff,
     pullback_T,
@@ -213,16 +222,8 @@ class SuiteContext:
         return self._get("Tcal", lambda: build_Tcal(self.cat_zero))
 
     @property
-    def det_Tcal(self) -> Poly:
-        return self._get("det_Tcal", lambda: det_minor_expansion(self.Tcal))
-
-    @property
     def Tp(self) -> PolyMatrix:
         return self._get("Tp", lambda: pullback_T(self.cat_zero))
-
-    @property
-    def det_Tp(self) -> Poly:
-        return self._get("det_Tp", lambda: det_minor_expansion(self.Tp))
 
     @property
     def sylvester(self) -> PolyMatrix:
@@ -457,7 +458,6 @@ def _params_entries(g: int):
     )
 
     if g == 3:
-        model = CurveModel(3)
         for i, j in [(r[0], r[1]) for r in _m_pairs()]:
             def m_row(ctx, mode, pit, rng, i=i, j=j):
                 rows = m_relation_rows(ctx.model, ctx.lam_fields)
@@ -738,18 +738,17 @@ def _field_entries(g: int):
     def dettcal_factor(ctx, mode, pit, rng):
         c = reference.DET_TCAL_FACTOR[g]
         if mode == "exact":
+            residuals, minor = det_factor_residuals(ctx.cat_zero, ctx.Tcal, ctx.Tp, c)
+            if minor.is_zero():
+                return False, "det J_minor = 0: the block product proves nothing"
             return _zero_polys(
-                [ctx.det_Tcal - c * ctx.det_Tp], "exact", pit, rng,
-                ["det Tcal - c * det(T o p)"],
+                residuals.values(), "exact", pit, rng, list(residuals)
             )
         for _ in range(pit.sample_count):
             point = _sample_point(ctx.cat_zero.ring, rng, pit.coordinate_bound)
             lhs = fraction_det(eval_matrix(ctx.Tcal, point))
             lam_point = ctx.cat_zero.pmap.evaluate(point)
-            tnum = [
-                [p.evaluate(lam_point) for p in row] for row in build_T(ctx.model).rows
-            ]
-            rhs = c * fraction_det(tnum)
+            rhs = c * fraction_det(eval_matrix(ctx.T, lam_point))
             if lhs != rhs:
                 return False, _truncate(f"{lhs} != {rhs} at {point}")
         return True, None
@@ -793,13 +792,13 @@ def _field_entries(g: int):
     def jacobi(ctx, mode, pit, rng):
         cat = ctx.cat
         names = cat.names
-        pair = {}  # inner brackets shared across the triple scan
-        for a in range(len(names)):
-            for b in range(len(names)):
-                if a != b:
-                    pair[(a, b)] = cat.fields[names[a]].bracket(
-                        cat.fields[names[b]]
-                    )
+        # inner brackets shared across the triple scan; only a < b is built,
+        # since [C, A] = -[A, C] by the definition of the commutator
+        pair = {
+            (a, b): cat.fields[names[a]].bracket(cat.fields[names[b]])
+            for a in range(len(names))
+            for b in range(a + 1, len(names))
+        }
         for a in range(len(names)):
             for b in range(a + 1, len(names)):
                 for c in range(b + 1, len(names)):
@@ -808,7 +807,7 @@ def _field_entries(g: int):
                     C = cat.fields[names[c]]
                     res = (
                         A.bracket(pair[(b, c)])
-                        + B.bracket(pair[(c, a)])
+                        - B.bracket(pair[(a, c)])
                         + C.bracket(pair[(a, b)])
                     )
                     ok, witness = _zero_derivation(

@@ -3,10 +3,12 @@
 import pytest
 
 from hyperlie import det_minor_expansion
-from hyperlie import reference
+from hyperlie import reference, suite
 from hyperlie.classical import SymbolDictionary, compare_tables, translate_table
 from hyperlie.derivation import verify_bracket_relation, verify_pushforward
+from hyperlie.exactpoly import PolyMatrix
 from hyperlie.genus_fields import (
+    block_sign,
     build_Tcal,
     build_even_by_ladder,
     euler_relations,
@@ -16,6 +18,7 @@ from hyperlie.genus_fields import (
     specialize_params,
     table_relations,
 )
+from hyperlie.suite import PitConfig, SuiteContext, _entry_rng, suite_entries
 
 
 # -- Euler and depth-1 fields ----------------------------------------------------
@@ -209,6 +212,48 @@ def test_detTcal_factor_small(catalogs_zero, g):
     lhs = det_minor_expansion(build_Tcal(cat))
     rhs = det_minor_expansion(pullback_T(cat))
     assert lhs == reference.DET_TCAL_FACTOR[g] * rhs
+
+
+@pytest.mark.parametrize("g, sign", [(1, -1), (2, -1), (3, 1)])
+def test_block_sign(catalogs_zero, g, sign):
+    # sigma (odd fields first) times epsilon (K columns last)
+    assert block_sign(catalogs_zero[g]) == sign
+
+
+def _dettcal_entry(g, mode):
+    entry_id = f"g{g}.fields.detTcal_factor"
+    fn = next(fn for eid, _, fn in suite_entries(g) if eid == entry_id)
+    return fn(SuiteContext(g), mode, PitConfig(seed=1), _entry_rng(1, entry_id))
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("g", [1, 2])
+def test_detTcal_factor_entry_fails_on_wrong_factor(monkeypatch, g, mode):
+    assert _dettcal_entry(g, mode) == (True, None)
+    monkeypatch.setitem(
+        reference.DET_TCAL_FACTOR, g, 2 * reference.DET_TCAL_FACTOR[g]
+    )
+    ok, witness = _dettcal_entry(g, mode)
+    assert not ok
+    if mode == "exact":
+        assert witness.startswith("det A - sign * factor * det J_minor")
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("g", [1, 2])
+def test_detTcal_factor_entry_fails_on_perturbed_odd_row(monkeypatch, g, mode):
+    def perturbed(cat):
+        rows = [list(r) for r in build_Tcal(cat).rows]
+        # the L1 action on the last coordinate, outside K: only the block
+        # product sees it in exact mode
+        rows[1][-1] = rows[1][-1] + cat.ring.one
+        return PolyMatrix(cat.ring, rows)
+
+    monkeypatch.setattr(suite, "build_Tcal", perturbed)
+    ok, witness = _dettcal_entry(g, mode)
+    assert not ok
+    if mode == "exact":
+        assert witness.startswith("(Tcal.J_p^T)[L1,l")
 
 
 def test_pullback_det_equals_det_pullback(catalogs_zero, detTs):
