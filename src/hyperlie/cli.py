@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pit-mode coordinate bound (must be >= twice the max identity degree)",
     )
     v.add_argument("--report", choices=["text", "json"], default="text")
-    v.add_argument("--workers", type=int, default=None, help="worker pool cap")
 
     e = sub.add_parser("export", help="render constructed objects")
     e.add_argument(
@@ -53,7 +52,7 @@ def main(argv=None) -> int:
             sample_count=args.samples, coordinate_bound=args.bound, seed=args.seed
         )
         try:
-            report = run_suite(genus, mode=args.mode, pit=pit, workers=args.workers)
+            report = run_suite(genus, mode=args.mode, pit=pit)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -876,9 +876,9 @@ def sylvester_matrix(f: Poly, h: Poly, var) -> PolyMatrix:
     return PolyMatrix(ring, rows)
 
 
-def resultant(f: Poly, h: Poly, var, method: str = "bareiss") -> Poly:
+def resultant(f: Poly, h: Poly, var) -> Poly:
     """Resultant of f and h with respect to var (Sylvester determinant)."""
-    return determinant(sylvester_matrix(f, h, var), method=method)
+    return det_bareiss(sylvester_matrix(f, h, var))
 
 
 # -- named polynomial maps ----------------------------------------------------

@@ -51,10 +51,10 @@ def build_f(model: CurveModel) -> Poly:
     return f
 
 
-def discriminant_R(model: CurveModel, method: str = "bareiss") -> Poly:
+def discriminant_R(model: CurveModel) -> Poly:
     """Resultant of f and df/dX, eliminating X; cut out by the singular locus."""
     f = build_f(model)
-    r = resultant(f, f.partial("X"), "X", method=method)
+    r = resultant(f, f.partial("X"), "X")
     return cast(r, model.ring)
 
 

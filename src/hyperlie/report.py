@@ -44,10 +44,6 @@ class VerificationReport:
             raise ValueError(f"duplicate report entry id {entry.id!r}")
         self.entries.append(entry)
 
-    def extend(self, entries):
-        for e in entries:
-            self.add(e)
-
     def sort(self):
         self.entries.sort(key=lambda e: e.id)
 

@@ -15,26 +15,28 @@ product, det J_minor != 0 (else the equation says nothing about det Tcal)
 and det A = sigma * eps * c * det J_minor; the ring has no zero divisors, so
 the identity follows.
 
-Entries execute on a thread pool (capped by HYPERLIE_WORKERS); the report is
-assembled serially and ordered by entry id.  Per-entry RNG streams are
-derived from the seed and the entry id, so results are independent of worker
-count and scheduling.
+Entries run serially on the calling thread, in ``suite_entries`` order,
+with one shared ``SuiteContext`` per genus; the report is ordered by entry
+id.  The work is pure-Python arithmetic that holds the interpreter lock, so
+threads cannot speed it up.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import reference
 from .classical import compare_tables
-from .derivation import BracketRelation, Derivation, verify_pushforward
+from .derivation import (
+    BracketRelation,
+    Derivation,
+    ladder_complete,
+    verify_pushforward,
+)
 from .exactpoly import (
     Poly,
     PolyMatrix,
@@ -43,20 +45,31 @@ from .exactpoly import (
     sylvester_matrix,
 )
 from .genus_fields import (
+    _ladder_steps,
     build_even_by_ladder,
     build_Tcal,
     catalog,
     det_factor_residuals,
     euler_relations,
+    field_names,
     parse_coeff,
     pullback_T,
     solve_genus2_normalization,
     table_relations,
 )
-from .lambda_space import CurveModel, all_L, build_f, build_T, m_relation_rows
+from .lambda_space import (
+    M_PAIRS,
+    CurveModel,
+    all_L,
+    build_f,
+    build_T,
+    discriminant_R,
+    m_relation_rows,
+)
 from .param_map import (
     generate_relations,
     jacobi_map,
+    verify_relations_vanish,
     w_name,
     x_name,
 )
@@ -100,6 +113,8 @@ def max_identity_degree(genus: int) -> int:
 
 
 def _entry_rng(seed: int, entry_id: str) -> random.Random:
+    """RNG stream keyed by entry id, so an entry's pit result does not depend
+    on which genera are selected or which entries ran before it."""
     digest = hashlib.sha256(f"{seed}:{entry_id}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -165,19 +180,16 @@ def eval_matrix(m: PolyMatrix, point: dict):
 
 
 class SuiteContext:
-    """Shared lazily-built objects for one genus, safe for pooled entries."""
+    """Shared lazily-built objects for one genus, each built on first use."""
 
     def __init__(self, genus: int):
         self.genus = genus
-        # reentrant: builders freely read other lazy properties
-        self._lock = threading.RLock()
         self._memo = {}
 
     def _get(self, key, builder):
-        with self._lock:
-            if key not in self._memo:
-                self._memo[key] = builder()
-            return self._memo[key]
+        if key not in self._memo:
+            self._memo[key] = builder()
+        return self._memo[key]
 
     @property
     def model(self) -> CurveModel:
@@ -185,8 +197,6 @@ class SuiteContext:
 
     @property
     def R(self) -> Poly:
-        from .lambda_space import discriminant_R
-
         return self._get("R", lambda: discriminant_R(self.model))
 
     @property
@@ -458,7 +468,7 @@ def _params_entries(g: int):
     )
 
     if g == 3:
-        for i, j in [(r[0], r[1]) for r in _m_pairs()]:
+        for i, j in M_PAIRS:
             def m_row(ctx, mode, pit, rng, i=i, j=j):
                 rows = m_relation_rows(ctx.model, ctx.lam_fields)
                 rel = next(
@@ -471,12 +481,6 @@ def _params_entries(g: int):
                  f"[L{i},L{j}] expands in the structure matrix", m_row)
             )
     return entries
-
-
-def _m_pairs():
-    from .lambda_space import M_PAIRS
-
-    return M_PAIRS
 
 
 def _map_entries(g: int):
@@ -532,8 +536,6 @@ def _map_entries(g: int):
     )
 
     def relations_vanish(ctx, mode, pit, rng):
-        from .param_map import verify_relations_vanish
-
         if mode == "exact":
             bad = verify_relations_vanish(ctx.rels, ctx.jm)
             if bad:
@@ -611,9 +613,6 @@ def _field_entries(g: int):
     def odd_ladder_agrees(ctx, mode, pit, rng):
         cat = ctx.cat
         zero_rhs = Derivation("zero", cat.ring, {})
-        from .derivation import ladder_complete
-        from .genus_fields import _ladder_steps
-
         for s in range(3, 2 * g, 2):
             direct = cat.fields[f"L{s}"]
             seeds = {
@@ -671,7 +670,7 @@ def _field_entries(g: int):
              "auxiliary polynomials equal their displayed forms", aux_match)
         )
 
-    for name in _catalog_names(g):
+    for name in field_names(g):
 
         def projectable(ctx, mode, pit, rng, name=name):
             cat = ctx.cat
@@ -824,26 +823,13 @@ def _field_entries(g: int):
     return entries
 
 
-def _catalog_names(g: int) -> list[str]:
-    from .genus_fields import field_names
-
-    return field_names(g)
-
-
 def suite_entries(genus: int):
     """All report entries for one genus, in dependency order."""
     return _params_entries(genus) + _map_entries(genus) + _field_entries(genus)
 
 
-def _worker_cap() -> int:
-    env = os.environ.get("HYPERLIE_WORKERS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def run_suite(
-    genus, mode: str = "exact", pit: PitConfig | None = None, workers: int | None = None
+    genus, mode: str = "exact", pit: PitConfig | None = None
 ) -> VerificationReport:
     """Run the verification suite; failures become report entries, not raises."""
     if mode not in ("exact", "pit"):
@@ -858,38 +844,26 @@ def run_suite(
     report = VerificationReport(
         mode=mode, genus=genera, seed=pit.seed if mode == "pit" else None
     )
-    workers = workers or _worker_cap()
-
-    jobs = []
     for g in genera:
         ctx = SuiteContext(g)
         for entry_id, anchor, fn in suite_entries(g):
-            jobs.append((entry_id, anchor, fn, ctx))
-
-    def run_one(job):
-        entry_id, anchor, fn, ctx = job
-        rng = _entry_rng(pit.seed, entry_id)
-        start = time.perf_counter()
-        try:
-            ok, residual = fn(ctx, mode, pit, rng)
-        except Exception as exc:  # defect in construction: report, don't crash
-            ok, residual = False, _truncate(f"exception: {exc!r}")
-        elapsed = time.perf_counter() - start
-        if not ok and not residual:
-            residual = "failed without witness detail"
-        return ReportEntry(
-            id=entry_id,
-            anchor=anchor,
-            status="pass" if ok else "fail",
-            residual=residual if not ok else None,
-            wall_time=round(elapsed, 6),
-        )
-
-    if workers <= 1:
-        results = [run_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    report.extend(results)
+            rng = _entry_rng(pit.seed, entry_id)
+            start = time.perf_counter()
+            try:
+                ok, residual = fn(ctx, mode, pit, rng)
+            except Exception as exc:  # defect in construction: report, don't crash
+                ok, residual = False, _truncate(f"exception: {exc!r}")
+            elapsed = time.perf_counter() - start
+            if not ok and not residual:
+                residual = "failed without witness detail"
+            report.add(
+                ReportEntry(
+                    id=entry_id,
+                    anchor=anchor,
+                    status="pass" if ok else "fail",
+                    residual=residual if not ok else None,
+                    wall_time=round(elapsed, 6),
+                )
+            )
     report.sort()
     return report

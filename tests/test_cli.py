@@ -1,10 +1,17 @@
 """Suite orchestration and command-line surface."""
 
+import ast
 import json
+import sys
+import threading
+import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hyperlie
+from hyperlie import suite
 from hyperlie.cli import main
 from hyperlie.derivation import BracketRelation, verify_bracket_relation
 from hyperlie.export import export
@@ -95,10 +102,43 @@ def test_run_suite_rejects_bad_arguments():
         run_suite(1, "fuzzy")
 
 
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv("HYPERLIE_WORKERS", "1")
+def test_run_suite_is_serial_and_entry_times_are_honest(monkeypatch):
+    calls = []
+
+    def recording_entries(genus):
+        def record(entry_id, fn):
+            def check(*args):
+                calls.append((threading.get_ident(), entry_id))
+                return fn(*args)
+
+            return check
+
+        return [(eid, anchor, record(eid, fn)) for eid, anchor, fn in suite_entries(genus)]
+
+    monkeypatch.setattr(suite, "suite_entries", recording_entries)
+    start = time.perf_counter()
     rep = run_suite(1, "exact")
+    elapsed = time.perf_counter() - start
     assert rep.passed
+    here = threading.get_ident()
+    assert calls == [(here, eid) for eid, _, _ in suite_entries(1)]
+    assert sum(e.wall_time for e in rep.entries) <= elapsed
+
+
+def test_runtime_imports_stdlib_only():
+    for path in sorted(Path(hyperlie.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "hyperlie", (
+                    f"{path.name}:{node.lineno} imports {name}"
+                )
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -123,9 +163,10 @@ def test_cli_verify_json_validates_schema(capsys):
 
 
 def test_cli_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--genus", "9"])
-    assert exc.value.code == 2
+    for argv in (["verify", "--genus", "9"], ["verify", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_failure_exits_1(monkeypatch, capsys):
