@@ -24,7 +24,6 @@ from .exactpoly import (
     det_bareiss,
     det_cofactor,
     det_minor_expansion,
-    determinant,
     divexact,
     resultant,
     sylvester_matrix,
@@ -46,7 +45,6 @@ __all__ = [
     "det_bareiss",
     "det_cofactor",
     "det_minor_expansion",
-    "determinant",
     "divexact",
     "ladder_complete",
     "resultant",

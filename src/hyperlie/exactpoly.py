@@ -663,6 +663,9 @@ class PolyMatrix:
             for j in range(i + 1, self.ncols)
         )
 
+    def evaluate(self, point: Mapping) -> list[list]:
+        return [[p.evaluate(point) for p in row] for row in self.rows]
+
     def map(self, fn) -> "PolyMatrix":
         rows = [[fn(p) for p in row] for row in self.rows]
         ring = rows[0][0].ring if rows and rows[0] else self.ring
@@ -725,16 +728,14 @@ def det_bareiss(matrix: PolyMatrix) -> Poly:
     return det * Fraction(sign, math.prod(scales))
 
 
-_PACK_BITS = 16
-
-
 def det_minor_expansion(matrix: PolyMatrix) -> Poly:
     """Division-free determinant by dynamic programming over column subsets.
 
     Intermediate minors never require polynomial division, which keeps the
     cost dominated by small-entry-times-minor products.  Monomials are packed
-    into single integers during the sweep (16 bits per variable; exponents in
-    any minor stay far below that bound here).
+    into single integers during the sweep, one bit field per variable, wide
+    enough for that variable's exponent in any minor: the sum over rows of
+    the row's largest exponent.  So no field carries into the next.
     """
     if not matrix.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -743,14 +744,18 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
     if n == 0:
         return ring.one
     scaled, scales = _row_scaled_int_terms(matrix)
-    nvars = len(ring.vars)
+    bounds = [
+        sum(max((m[i] for t in row for m in t), default=0) for row in scaled)
+        for i in range(len(ring.vars))
+    ]
+    fields = []  # (shift, mask) per variable
+    shift = 0
+    for b in bounds:
+        fields.append((shift, (1 << b.bit_length()) - 1))
+        shift += b.bit_length()
 
     def pack(m):
-        acc = 0
-        for i, e in enumerate(m):
-            if e:
-                acc |= e << (i * _PACK_BITS)
-        return acc
+        return sum(e << s for e, (s, _) in zip(m, fields))
 
     ents = [[{pack(m): c for m, c in t.items()} for t in row] for row in scaled]
 
@@ -792,16 +797,10 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
         prev_level = cur_level
 
     packed = prev_level[(1 << n) - 1]
-    mask_bits = (1 << _PACK_BITS) - 1
-    out = {}
-    for key, c in packed.items():
-        exps = [0] * nvars
-        i = 0
-        while key:
-            exps[i] = key & mask_bits
-            key >>= _PACK_BITS
-            i += 1
-        out[tuple(exps)] = c
+    out = {
+        tuple((key >> s) & field_mask for s, field_mask in fields): c
+        for key, c in packed.items()
+    }
     poly = Poly(ring, out, _normalized=True)
     return poly * Fraction(1, math.prod(scales))
 
@@ -830,17 +829,6 @@ def det_cofactor(matrix: PolyMatrix) -> Poly:
         return total
 
     return rec([list(r) for r in matrix.rows])
-
-
-def determinant(matrix: PolyMatrix, method: str = "bareiss") -> Poly:
-    """Exact determinant; identical result for every method."""
-    if method == "bareiss":
-        return det_bareiss(matrix)
-    if method == "minors":
-        return det_minor_expansion(matrix)
-    if method == "cofactor":
-        return det_cofactor(matrix)
-    raise ValueError(f"unknown determinant method {method!r}")
 
 
 def sylvester_matrix(f: Poly, h: Poly, var) -> PolyMatrix:

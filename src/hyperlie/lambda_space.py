@@ -12,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .derivation import BracketRelation, Derivation
-from .exactpoly import Poly, PolyMatrix, Ring, cast, divexact, resultant
+from .exactpoly import (
+    Poly, PolyMatrix, Ring, cast, det_bareiss, divexact, sylvester_matrix,
+)
 
 
 def lambda_indices(genus: int) -> list[int]:
@@ -51,11 +53,15 @@ def build_f(model: CurveModel) -> Poly:
     return f
 
 
+def sylvester_f(model: CurveModel) -> PolyMatrix:
+    """The Sylvester matrix of f and df/dX in X: its determinant is R."""
+    f = build_f(model)
+    return sylvester_matrix(f, f.partial("X"), "X")
+
+
 def discriminant_R(model: CurveModel) -> Poly:
     """Resultant of f and df/dX, eliminating X; cut out by the singular locus."""
-    f = build_f(model)
-    r = resultant(f, f.partial("X"), "X")
-    return cast(r, model.ring)
+    return cast(det_bareiss(sylvester_f(model)), model.ring)
 
 
 def t_entry(model: CurveModel, k: int, m: int) -> Poly:

@@ -1,19 +1,19 @@
 """Verification suites: every identity as a report entry, exact or randomized.
 
-Exact mode proves each identity by structural polynomial equality.  Pit mode
-replaces the zero-tests with evaluation at random rational points
-(Schwartz-Zippel: a nonzero polynomial of total degree d vanishes at a
-uniform point of [-B, B]^n with probability at most d/(2B+1) per trial), and
-replaces the heavy symbolic determinants with numeric determinants of the
-evaluated matrices.
-
-Exact mode proves ``detTcal_factor`` (det Tcal = c * det(T o p)) on small
-matrices: projectability makes Tcal . [J_p^T | E_K] block-triangular, so
-det Tcal * eps * det J_minor = sigma * det A * det(T o p)
-(``genus_fields.det_factor_residuals``).  The entry checks the block
-product, det J_minor != 0 (else the equation says nothing about det Tcal)
-and det A = sigma * eps * c * det J_minor; the ring has no zero divisors, so
-the identity follows.
+Each entry is a claim: a generator ``claim(ctx, mode, pit, rng, *key)`` of
+``(label, residual)`` items.  A residual is a ``Poly`` that must be zero; a
+``Derivation`` that must be zero on every variable (its components labelled
+``label.v``, in sorted variable order); a number that must be 0; or a
+problem string, which always fails.  One runner, ``_decide``, returns
+``(ok, witness)`` with the witness of the first failing item.  Exact mode
+tests a ``Poly`` for structural zero (``label: poly``).  Pit mode evaluates
+a nonzero ``Poly`` at ``sample_count`` random points of [-B, B]^n
+(``label at {point} -> value``); by Schwartz-Zippel it vanishes at one with
+probability at most d/(2B+1), d its total degree.  A number fails as
+``label -> value``, a problem as ``label: problem``.  Four claims branch on
+the mode, as their pit forms evaluate matrices numerically and expand
+nothing: ``detT_eq_cR``, ``tangency``, ``relations_vanish``,
+``detTcal_factor``.
 
 Entries run serially on the calling thread, in ``suite_entries`` order,
 with one shared ``SuiteContext`` per genus; the report is ordered by entry
@@ -28,22 +28,13 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 from . import reference
 from .classical import compare_tables
-from .derivation import (
-    BracketRelation,
-    Derivation,
-    ladder_complete,
-    verify_pushforward,
-)
-from .exactpoly import (
-    Poly,
-    PolyMatrix,
-    det_minor_expansion,
-    divexact,
-    sylvester_matrix,
-)
+from .derivation import Derivation, ladder_complete, verify_pushforward
+from .exactpoly import Poly, det_minor_expansion, divexact
 from .genus_fields import (
     _ladder_steps,
     build_even_by_ladder,
@@ -65,6 +56,7 @@ from .lambda_space import (
     build_T,
     discriminant_R,
     m_relation_rows,
+    sylvester_f,
 )
 from .param_map import (
     generate_relations,
@@ -125,12 +117,11 @@ def _truncate(text: str) -> str:
     return text
 
 
-def _poly_witness(label: str, p: Poly) -> str:
-    return _truncate(f"{label}: {p.to_text()}")
-
-
-def _sample_point(ring, rng: random.Random, bound: int) -> dict:
-    return {v.name: rng.randint(-bound, bound) for v in ring.vars}
+def _points(ring, pit: PitConfig, rng: random.Random):
+    """``pit.sample_count`` random points of [-B, B]^n, B the coordinate bound."""
+    bound = pit.coordinate_bound
+    for _ in range(pit.sample_count):
+        yield {v.name: rng.randint(-bound, bound) for v in ring.vars}
 
 
 # -- numeric linear algebra for pit mode ---------------------------------------
@@ -157,30 +148,12 @@ def fraction_det(rows) -> Fraction:
     return det
 
 
-def fraction_adjugate(rows) -> list[list[Fraction]]:
-    """Adjugate of a numeric matrix via cofactor determinants."""
-    n = len(rows)
-    adj = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * fraction_det(minor)
-    return adj
-
-
-def eval_matrix(m: PolyMatrix, point: dict):
-    return [[p.evaluate(point) for p in row] for row in m.rows]
-
-
 # -- suite context --------------------------------------------------------------
 
 
 class SuiteContext:
-    """Shared lazily-built objects for one genus, each built on first use."""
+    """Shared lazily-built objects for one genus: ``ctx.key`` is
+    ``_BUILDS[key](ctx)``, built on first use."""
 
     def __init__(self, genus: int):
         self.genus = genus
@@ -191,641 +164,407 @@ class SuiteContext:
             self._memo[key] = builder()
         return self._memo[key]
 
-    @property
-    def model(self) -> CurveModel:
-        return self._get("model", lambda: CurveModel(self.genus))
-
-    @property
-    def R(self) -> Poly:
-        return self._get("R", lambda: discriminant_R(self.model))
-
-    @property
-    def T(self) -> PolyMatrix:
-        return self._get("T", lambda: build_T(self.model))
-
-    @property
-    def detT(self) -> Poly:
-        return self._get("detT", lambda: det_minor_expansion(self.T))
-
-    @property
-    def lam_fields(self):
-        return self._get("lam_fields", lambda: all_L(self.model))
-
-    @property
-    def rels(self):
-        return self._get("rels", lambda: generate_relations(self.genus))
-
-    @property
-    def jm(self):
-        return self._get("jm", lambda: jacobi_map(self.genus))
-
-    @property
-    def cat(self):
-        return self._get("cat", lambda: catalog(self.genus, params="symbolic"))
-
-    @property
-    def cat_zero(self):
-        return self._get("cat_zero", lambda: catalog(self.genus, params="zero"))
-
-    @property
-    def Tcal(self) -> PolyMatrix:
-        return self._get("Tcal", lambda: build_Tcal(self.cat_zero))
-
-    @property
-    def Tp(self) -> PolyMatrix:
-        return self._get("Tp", lambda: pullback_T(self.cat_zero))
-
-    @property
-    def sylvester(self) -> PolyMatrix:
-        def build():
-            f = build_f(self.model)
-            return sylvester_matrix(f, f.partial("X"), "X")
-
-        return self._get("sylvester", build)
-
-    @property
-    def table_rels(self) -> dict:
-        return self._get(
-            "table_rels",
-            lambda: {r.label: r for r in table_relations(self.cat)},
-        )
+    def __getattr__(self, key):
+        if key not in _BUILDS:
+            raise AttributeError(key)
+        return self._get(key, lambda: _BUILDS[key](self))
 
 
-# -- check helpers ---------------------------------------------------------------
+_BUILDS = {
+    "model": lambda ctx: CurveModel(ctx.genus),
+    "R": lambda ctx: discriminant_R(ctx.model),
+    "T": lambda ctx: build_T(ctx.model),
+    "detT": lambda ctx: det_minor_expansion(ctx.T),
+    "lam_fields": lambda ctx: all_L(ctx.model),
+    "rels": lambda ctx: generate_relations(ctx.genus),
+    "jm": lambda ctx: jacobi_map(ctx.genus),
+    "cat": lambda ctx: catalog(ctx.genus, params="symbolic"),
+    "cat_zero": lambda ctx: catalog(ctx.genus, params="zero"),
+    "Tcal": lambda ctx: build_Tcal(ctx.cat_zero),
+    "Tp": lambda ctx: pullback_T(ctx.cat_zero),
+    "sylvester": lambda ctx: sylvester_f(ctx.model),
+    # the catalog the displayed tables describe: zero parameters for g = 2
+    "base": lambda ctx: ctx.cat_zero if ctx.genus == 2 else ctx.cat,
+    "table_rels": lambda ctx: {r.label: r for r in table_relations(ctx.cat)},
+    "m_rels": lambda ctx: {
+        r.label: r for r in m_relation_rows(ctx.model, ctx.lam_fields)
+    },
+}
 
 
-def _zero_polys(polys, mode, pit: PitConfig, rng, labels=None):
-    """Common zero-test: exact structural equality or pointwise evaluation."""
-    polys = list(polys)
-    labels = labels or [f"#{i}" for i in range(len(polys))]
-    if mode == "exact":
-        for label, p in zip(labels, polys):
-            if not p.is_zero():
-                return False, _poly_witness(label, p)
-        return True, None
-    for _ in range(pit.sample_count):
-        for label, p in zip(labels, polys):
-            if p.is_zero():
+# -- claims and their runner ---------------------------------------------------------
+
+# The registration table, in run order: (id, genera, anchor, claim, members).
+_CLAIMS = []
+
+
+def _claim(entry_id, anchor, genera=(1, 2, 3), members=None):
+    """Register the decorated claim as the next row of ``_CLAIMS``.  Each
+    key of a family's ``members(g)`` is formatted into the id and anchor and
+    passed to the claim after (ctx, mode, pit, rng)."""
+
+    def register(claim):
+        _CLAIMS.append((entry_id, genera, anchor, claim, members))
+        return claim
+
+    return register
+
+
+def _decide(claim, key, ctx, mode, pit, rng):
+    """The runner: (True, None) when every residual the claim yields
+    vanishes, else (False, witness of the first that does not)."""
+    for label, residual in claim(ctx, mode, pit, rng, *key):
+        if isinstance(residual, Derivation):
+            items = [(f"{label}.{v}", p) for v, p in sorted(residual.action.items())]
+        else:
+            items = [(label, residual)]
+        for label, r in items:
+            if isinstance(r, str):
+                return False, _truncate(f"{label}: {r}")
+            if not isinstance(r, Poly):
+                if r != 0:
+                    return False, _truncate(f"{label} -> {r}")
+            elif r.is_zero():
                 continue
-            point = _sample_point(p.ring, rng, pit.coordinate_bound)
-            val = p.evaluate(point)
-            if val != 0:
-                return False, _truncate(f"{label} at {point} -> {val}")
+            elif mode == "exact":
+                return False, _truncate(f"{label}: {r.to_text()}")
+            else:
+                for point in _points(r.ring, pit, rng):
+                    value = r.evaluate(point)
+                    if value != 0:
+                        return False, _truncate(f"{label} at {point} -> {value}")
     return True, None
 
 
-def _zero_derivation(d: Derivation, mode, pit, rng, label="residual"):
-    labels = [f"{label}.{v}" for v in sorted(d.action)]
-    polys = [d.action[v] for v in sorted(d.action)]
-    return _zero_polys(polys, mode, pit, rng, labels)
+@_claim("params.curve_poly", "curve polynomial shape")
+def _curve_poly(ctx, mode, pit, rng):
+    g = ctx.genus
+    f = build_f(ctx.model)
+    cx = f.coeffs_in("X")
+    deg = max(cx)
+    if deg != 2 * g + 1:
+        yield "f", f"degree {deg}"
+    if cx[deg] != ctx.model.fring.one:
+        yield "f", "not monic"
+    if 2 * g in cx:
+        yield "f", "has X^(2g) term"
+    if not f.is_homogeneous_of(4 * g + 2):
+        yield "f", "not homogeneous"
 
 
-def _relation_check(rel: BracketRelation, mode, pit, rng):
-    return _zero_derivation(rel.residual(), mode, pit, rng, label=rel.label)
+@_claim("params.R_weight", "discriminant resultant homogeneous of weight {r_weight}")
+def _r_weight(ctx, mode, pit, rng):
+    if not ctx.R.is_homogeneous_of(reference.r_weight(ctx.genus)) or ctx.R.is_zero():
+        yield "R", f"weight_check -> {ctx.R.weight_check()}"
 
 
-# -- entry construction -----------------------------------------------------------
+@_claim("params.R_value", "R = 4 l4^3 + 27 l6^2", genera=(1,))
+def _r_value(ctx, mode, pit, rng):
+    yield "R - expected", ctx.R - ctx.model.ring.parse("4*l4^3 + 27*l6^2")
 
-# An entry is (id, anchor, fn(ctx, mode, pit, rng) -> (ok, residual|None)).
+
+@_claim("params.T_symmetric", "T matrix symmetry")
+def _t_symmetric(ctx, mode, pit, rng):
+    if not ctx.T.is_symmetric():
+        yield "T", "not symmetric"
 
 
-def _params_entries(g: int):
-    entries = []
+@_claim("params.T_weights", "T entries homogeneous of weight 2k+2m")
+def _t_weights(ctx, mode, pit, rng):
+    for k in range(1, 2 * ctx.genus + 1):
+        for m in range(1, 2 * ctx.genus + 1):
+            if not ctx.T.entry(k - 1, m - 1).is_homogeneous_of(2 * k + 2 * m):
+                yield f"T({k},{m})", f"not homogeneous of weight {2 * k + 2 * m}"
 
-    def curve_poly(ctx, mode, pit, rng):
-        f = build_f(ctx.model)
-        cx = f.coeffs_in("X")
-        deg = max(cx)
-        problems = []
-        if deg != 2 * g + 1:
-            problems.append(f"degree {deg}")
-        if cx[deg] != ctx.model.fring.one:
-            problems.append("not monic")
-        if 2 * g in cx:
-            problems.append("has X^(2g) term")
-        if not f.is_homogeneous_of(4 * g + 2):
-            problems.append("not homogeneous")
-        return not problems, ", ".join(problems) or None
 
-    entries.append(
-        (f"g{g}.params.curve_poly", "curve polynomial shape", curve_poly)
-    )
+@_claim("params.T_display", "T matches its displayed form")
+def _t_display(ctx, mode, pit, rng):
+    for i, row in enumerate(reference.T_MATRIX[ctx.genus]):
+        for j, text in enumerate(row):
+            yield f"T({i + 1},{j + 1})", ctx.T.entry(i, j) - ctx.model.ring.parse(text)
 
-    def r_weight(ctx, mode, pit, rng):
-        w = reference.r_weight(g)
-        ok = ctx.R.is_homogeneous_of(w) and not ctx.R.is_zero()
-        return ok, None if ok else f"weight_check -> {ctx.R.weight_check()}"
 
-    entries.append(
-        (
-            f"g{g}.params.R_weight",
-            f"discriminant resultant homogeneous of weight {reference.r_weight(g)}",
-            r_weight,
-        )
-    )
+@_claim("params.euler_eigen", "L0 multiplies l_s by s")
+def _euler_eigen(ctx, mode, pit, rng):
+    for s in ctx.model.indices:
+        lam = ctx.model.lam(s)
+        yield f"L0(l{s})", ctx.lam_fields[0].apply(lam) - s * lam
 
-    if g == 1:
 
-        def r_value(ctx, mode, pit, rng):
-            expected = ctx.model.ring.parse("4*l4^3 + 27*l6^2")
-            return _zero_polys([ctx.R - expected], mode, pit, rng, ["R - expected"])
+@_claim("params.euler_brackets", "[L0, Lk] = k Lk on parameter space")
+def _euler_brackets(ctx, mode, pit, rng):
+    for k, L in ctx.lam_fields.items():
+        yield f"[L0,L{k}]", ctx.lam_fields[0].bracket(L) - L.scale(k)
 
-        entries.append(
-            (f"g{g}.params.R_value", "R = 4 l4^3 + 27 l6^2", r_value)
-        )
 
-    def t_symmetric(ctx, mode, pit, rng):
-        ok = ctx.T.is_symmetric()
-        return ok, None if ok else "T is not symmetric"
+@_claim("params.cross_actions", "pairwise field actions commute across indices")
+def _cross_actions(ctx, mode, pit, rng):
+    # L_{2k}(l_{2s+4}) = L_{2s}(l_{2k+4}), equivalent to T symmetry;
+    # check both independently.
+    fields, lam = ctx.lam_fields, ctx.model.lam
+    for a in fields:
+        for b in fields:
+            sa, sb = a + 4, b + 4
+            if sa in ctx.model.indices and sb in ctx.model.indices:
+                yield (f"L{a}(l{sb}) - L{b}(l{sa})",
+                       fields[a].apply(lam(sb)) - fields[b].apply(lam(sa)))
+    if not ctx.T.is_symmetric():
+        yield "T", "not symmetric"
 
-    entries.append((f"g{g}.params.T_symmetric", "T matrix symmetry", t_symmetric))
 
-    def t_weights(ctx, mode, pit, rng):
-        for k in range(1, 2 * g + 1):
-            for m in range(1, 2 * g + 1):
-                if not ctx.T.entry(k - 1, m - 1).is_homogeneous_of(2 * k + 2 * m):
-                    return False, f"entry ({k},{m}) weight"
-        return True, None
+@_claim("params.detT_eq_cR", "det T = ({dett_c}) * R")
+def _dett_eq_cr(ctx, mode, pit, rng):
+    c = reference.DETT_R_CONSTANT[ctx.genus]
+    if mode == "exact":
+        yield "detT - c*R", ctx.detT - ctx.R * c
+        return
+    for point in _points(ctx.model.ring, pit, rng):
+        point["X"] = 0  # unused column variable of the Sylvester ring
+        dt = fraction_det(ctx.T.evaluate(point))
+        rv = fraction_det(ctx.sylvester.evaluate(point))
+        yield f"detT - c*R at {point}", dt - c * rv
 
-    entries.append(
-        (f"g{g}.params.T_weights", "T entries homogeneous of weight 2k+2m", t_weights)
-    )
 
-    def t_display(ctx, mode, pit, rng):
-        grid = reference.T_MATRIX[g]
-        diffs = []
-        for i, row in enumerate(grid):
-            for j, text in enumerate(row):
-                d = ctx.T.entry(i, j) - ctx.model.ring.parse(text)
-                if not d.is_zero():
-                    diffs.append(f"({i + 1},{j + 1})")
-        return not diffs, (", ".join(diffs) or None)
-
-    entries.append(
-        (f"g{g}.params.T_display", "T matches its displayed form", t_display)
-    )
-
-    def euler_eigen(ctx, mode, pit, rng):
-        L0 = ctx.lam_fields[0]
-        polys = []
-        labels = []
-        for s in ctx.model.indices:
-            lam = ctx.model.lam(s)
-            polys.append(L0.apply(lam) - s * lam)
-            labels.append(f"L0(l{s})")
-        return _zero_polys(polys, mode, pit, rng, labels)
-
-    entries.append(
-        (f"g{g}.params.euler_eigen", "L0 multiplies l_s by s", euler_eigen)
-    )
-
-    def euler_brackets(ctx, mode, pit, rng):
-        for k, L in ctx.lam_fields.items():
-            res = ctx.lam_fields[0].bracket(L) - L.scale(k)
-            ok, witness = _zero_derivation(res, mode, pit, rng, f"[L0,L{k}]")
-            if not ok:
-                return ok, witness
-        return True, None
-
-    entries.append(
-        (f"g{g}.params.euler_brackets", "[L0, Lk] = k Lk on parameter space",
-         euler_brackets)
-    )
-
-    def cross_actions(ctx, mode, pit, rng):
-        # L_{2k}(l_{2s+4}) = L_{2s}(l_{2k+4}), equivalent to T symmetry;
-        # check both independently.
-        fields = ctx.lam_fields
-        polys, labels = [], []
-        for a in fields:
-            for b in fields:
-                sa, sb = a + 4, b + 4
-                if sa in ctx.model.indices and sb in ctx.model.indices:
-                    polys.append(
-                        fields[a].apply(ctx.model.lam(sb))
-                        - fields[b].apply(ctx.model.lam(sa))
-                    )
-                    labels.append(f"L{a}(l{sb}) - L{b}(l{sa})")
-        ok, witness = _zero_polys(polys, mode, pit, rng, labels)
-        if ok != ctx.T.is_symmetric():
-            return False, "cross-action check disagrees with T symmetry"
-        return ok, witness
-
-    entries.append(
-        (f"g{g}.params.cross_actions",
-         "pairwise field actions commute across indices", cross_actions)
-    )
-
-    def dett_eq_cr(ctx, mode, pit, rng):
-        c = reference.DETT_R_CONSTANT[g]
-        if mode == "exact":
-            return _zero_polys(
-                [ctx.detT - ctx.R * c], "exact", pit, rng, ["detT - c*R"]
+@_claim("params.tangency", "fields rescale det T by the stated multipliers")
+def _tangency(ctx, mode, pit, rng):
+    mults = [ctx.model.ring.parse(t) for t in reference.TANGENCY_MULTIPLIERS[ctx.genus]]
+    fields = [ctx.lam_fields[k] for k in sorted(ctx.lam_fields)]
+    if mode == "exact":
+        for L, m in zip(fields, mults):
+            yield f"{L.name} multiplier", divexact(L.apply(ctx.detT), ctx.detT) - m
+        return
+    for point in _points(ctx.model.ring, pit, rng):
+        tnum = ctx.T.evaluate(point)
+        dt = fraction_det(tnum)
+        for L, m in zip(fields, mults):
+            lt = ctx.T.map(L.apply).evaluate(point)
+            # L(det T) = sum over rows i of det T with row i replaced by L(row i)
+            ldet = sum(
+                fraction_det(tnum[:i] + [row] + tnum[i + 1:])
+                for i, row in enumerate(lt)
             )
-        for _ in range(pit.sample_count):
-            point = _sample_point(ctx.model.ring, rng, pit.coordinate_bound)
-            point["X"] = 0  # unused column variable of the Sylvester ring
-            dt = fraction_det(eval_matrix(ctx.T, point))
-            rv = fraction_det(eval_matrix(ctx.sylvester, point))
-            if dt != c * rv:
-                return False, _truncate(f"detT={dt}, c*R={c * rv} at {point}")
-        return True, None
-
-    entries.append(
-        (f"g{g}.params.detT_eq_cR",
-         f"det T = ({reference.DETT_R_CONSTANT[g]}) * R", dett_eq_cr)
-    )
-
-    def tangency(ctx, mode, pit, rng):
-        mults = [ctx.model.ring.parse(t) for t in reference.TANGENCY_MULTIPLIERS[g]]
-        fields = [ctx.lam_fields[k] for k in sorted(ctx.lam_fields)]
-        if mode == "exact":
-            for L, m in zip(fields, mults):
-                got = divexact(L.apply(ctx.detT), ctx.detT)
-                if got != m:
-                    return False, _truncate(
-                        f"{L.name}: multiplier {got.to_text()} != {m.to_text()}"
-                    )
-            return True, None
-        for _ in range(pit.sample_count):
-            point = _sample_point(ctx.model.ring, rng, pit.coordinate_bound)
-            tnum = eval_matrix(ctx.T, point)
-            adj = fraction_adjugate(tnum)
-            dt = fraction_det(tnum)
-            for L, m in zip(fields, mults):
-                lt = eval_matrix(ctx.T.map(L.apply), point)
-                # Jacobi's formula: L(det T) = tr(adj(T) . L(T))
-                ldet = sum(
-                    adj[i][j] * lt[j][i] for i in range(len(adj)) for j in range(len(adj))
-                )
-                if ldet != m.evaluate(point) * dt:
-                    return False, _truncate(f"{L.name} tangency fails at {point}")
-        return True, None
-
-    entries.append(
-        (f"g{g}.params.tangency",
-         "fields rescale det T by the stated multipliers", tangency)
-    )
-
-    if g == 3:
-        for i, j in M_PAIRS:
-            def m_row(ctx, mode, pit, rng, i=i, j=j):
-                rows = m_relation_rows(ctx.model, ctx.lam_fields)
-                rel = next(
-                    r for r in rows if r.label == f"[L{i},L{j}]"
-                )
-                return _relation_check(rel, mode, pit, rng)
-
-            entries.append(
-                (f"g{g}.params.structure.L{i}_L{j}",
-                 f"[L{i},L{j}] expands in the structure matrix", m_row)
-            )
-    return entries
+            yield f"{L.name} tangency at {point}", ldet - m.evaluate(point) * dt
 
 
-def _map_entries(g: int):
-    entries = []
+@_claim("params.structure.{1}_{2}", "[{1},{2}] expands in the structure matrix",
+        genera=(3,),
+        members=lambda g: [("m_rels", f"L{i}", f"L{j}") for i, j in M_PAIRS])
+def _relation(ctx, mode, pit, rng, memo, left, right):
+    rel = getattr(ctx, memo)[f"[{left},{right}]"]
+    yield rel.label, rel.residual()
 
-    def relation_count(ctx, mode, pit, rng):
-        n = len(ctx.rels)
-        want = g * (g + 3) // 2
-        return n == want, None if n == want else f"{n} != {want}"
 
-    entries.append(
-        (f"g{g}.map.relation_count", "relation count g(g+3)/2", relation_count)
-    )
+@_claim("map.relation_count", "relation count g(g+3)/2")
+def _relation_count(ctx, mode, pit, rng):
+    n, want = len(ctx.rels), ctx.genus * (ctx.genus + 3) // 2
+    if n != want:
+        yield "relations", f"{n} != {want}"
 
-    def relations_homogeneous(ctx, mode, pit, rng):
-        bad = [r.label for r in ctx.rels.relations if r.poly.weight_check() is None]
-        return not bad, ", ".join(bad) or None
 
-    entries.append(
-        (f"g{g}.map.relations_homogeneous", "every relation homogeneous",
-         relations_homogeneous)
-    )
+@_claim("map.relations_homogeneous", "every relation homogeneous")
+def _relations_homogeneous(ctx, mode, pit, rng):
+    for r in ctx.rels.relations:
+        if r.poly.weight_check() is None:
+            yield r.label, "not homogeneous"
 
-    def components_match(ctx, mode, pit, rng):
-        ring = ctx.jm.ring
-        polys, labels = [], []
-        for s, text in reference.MAP[g].items():
-            polys.append(ctx.jm.lambda_exprs[int(s[1:])] - ring.parse(text))
-            labels.append(s)
-        for kl, text in reference.W_EXPRS.get(g, {}).items():
-            polys.append(ctx.jm.w_exprs[kl] - ring.parse(text))
-            labels.append(w_name(g, *kl))
-        return _zero_polys(polys, mode, pit, rng, labels)
 
-    entries.append(
-        (f"g{g}.map.components_match",
-         "eliminated expressions equal their displayed forms", components_match)
-    )
+@_claim("map.components_match", "eliminated expressions equal their displayed forms")
+def _components_match(ctx, mode, pit, rng):
+    g, ring = ctx.genus, ctx.jm.ring
+    for s, text in reference.MAP[g].items():
+        yield s, ctx.jm.lambda_exprs[int(s[1:])] - ring.parse(text)
+    for kl, text in reference.W_EXPRS.get(g, {}).items():
+        yield w_name(g, *kl), ctx.jm.w_exprs[kl] - ring.parse(text)
 
-    def components_homogeneous(ctx, mode, pit, rng):
-        bad = []
+
+@_claim("map.components_homogeneous", "map components homogeneous of their weights")
+def _components_homogeneous(ctx, mode, pit, rng):
+    for s, p in ctx.jm.lambda_exprs.items():
+        if not p.is_homogeneous_of(s):
+            yield f"l{s}", f"not homogeneous of weight {s}"
+    for (k, l), p in ctx.jm.w_exprs.items():
+        if not p.is_homogeneous_of(k + l):
+            yield w_name(ctx.genus, k, l), f"not homogeneous of weight {k + l}"
+
+
+@_claim("map.relations_vanish", "all relations vanish after substitution")
+def _relations_vanish(ctx, mode, pit, rng):
+    if mode == "exact":
+        yield from sorted(verify_relations_vanish(ctx.rels, ctx.jm).items())
+        return
+    # evaluate each relation at the image of a random x-point
+    for point in _points(ctx.jm.ring, pit, rng):
+        values = dict(point)
         for s, p in ctx.jm.lambda_exprs.items():
-            if not p.is_homogeneous_of(s):
-                bad.append(f"l{s}")
-        for (k, l), p in ctx.jm.w_exprs.items():
-            if not p.is_homogeneous_of(k + l):
-                bad.append(w_name(g, k, l))
-        return not bad, ", ".join(bad) or None
-
-    entries.append(
-        (f"g{g}.map.components_homogeneous",
-         "map components homogeneous of their weights", components_homogeneous)
-    )
-
-    def relations_vanish(ctx, mode, pit, rng):
-        if mode == "exact":
-            bad = verify_relations_vanish(ctx.rels, ctx.jm)
-            if bad:
-                label, p = sorted(bad.items())[0]
-                return False, _poly_witness(label, p)
-            return True, None
-        # evaluate each relation at the image of a random x-point
-        ring = ctx.jm.ring
-        for _ in range(pit.sample_count):
-            point = _sample_point(ring, rng, pit.coordinate_bound)
-            values = dict(point)
-            for s, p in ctx.jm.lambda_exprs.items():
-                values[f"l{s}"] = p.evaluate(point)
-            for kl, p in ctx.jm.w_exprs.items():
-                values[w_name(g, *kl)] = p.evaluate(point)
-            for rel in ctx.rels.relations:
-                val = rel.poly.evaluate(values)
-                if val != 0:
-                    return False, _truncate(f"{rel.label} -> {val}")
-        return True, None
-
-    entries.append(
-        (f"g{g}.map.relations_vanish",
-         "all relations vanish after substitution", relations_vanish)
-    )
-    return entries
+            values[f"l{s}"] = p.evaluate(point)
+        for kl, p in ctx.jm.w_exprs.items():
+            values[w_name(ctx.genus, *kl)] = p.evaluate(point)
+        for rel in ctx.rels.relations:
+            yield f"{rel.label} at {point}", rel.poly.evaluate(values)
 
 
-def _field_entries(g: int):
-    entries = []
+def _x1_seeds(g, field):
+    return {x_name(g, 1, j): field.on(x_name(g, 1, j)) for j in range(1, 2 * g, 2)}
 
-    def homogeneous(ctx, mode, pit, rng):
-        bad = []
-        for name, d in ctx.cat.fields.items():
-            bad += [f"{name}({v})" for v in d.homogeneity_defects()]
-        return not bad, ", ".join(bad) or None
 
-    entries.append(
-        (f"g{g}.fields.homogeneous", "fields homogeneous of their weights",
-         homogeneous)
-    )
+@_claim("fields.homogeneous", "fields homogeneous of their weights")
+def _homogeneous(ctx, mode, pit, rng):
+    for name, d in ctx.cat.fields.items():
+        for v in d.homogeneity_defects():
+            yield f"{name}({v})", "not homogeneous"
 
-    def euler_rows(ctx, mode, pit, rng):
-        for rel in euler_relations(ctx.cat):
-            ok, witness = _relation_check(rel, mode, pit, rng)
-            if not ok:
-                return ok, witness
-        return True, None
 
-    entries.append(
-        (f"g{g}.fields.euler_rows", "[L0, Lk] = k Lk on generator space",
-         euler_rows)
-    )
+@_claim("fields.euler_rows", "[L0, Lk] = k Lk on generator space")
+def _euler_rows(ctx, mode, pit, rng):
+    for rel in euler_relations(ctx.cat):
+        yield rel.label, rel.residual()
 
-    def displayed_actions(ctx, mode, pit, rng):
-        # displayed grids describe the base fields: zero parameters for g=2
-        cat = ctx.cat_zero if g == 2 else ctx.cat
-        polys, labels = [], []
-        for name, grid in reference.FIELD_ACTIONS[g].items():
-            for v, text in grid.items():
-                polys.append(cat.fields[name].on(v) - parse_coeff(cat, text))
-                labels.append(f"{name}({v})")
-        if g == 3:
-            for name, grid in reference.EVEN_SEEDS_G3.items():
-                for v, text in grid.items():
-                    polys.append(cat.fields[name].on(v) - parse_coeff(cat, text))
-                    labels.append(f"{name}({v})")
-        return _zero_polys(polys, mode, pit, rng, labels)
 
-    entries.append(
-        (f"g{g}.fields.displayed_actions",
-         "field actions match every displayed coefficient", displayed_actions)
-    )
+@_claim("fields.displayed_actions", "field actions match every displayed coefficient")
+def _displayed_actions(ctx, mode, pit, rng):
+    cat, g = ctx.base, ctx.genus
+    grids = [reference.FIELD_ACTIONS[g]] + ([reference.EVEN_SEEDS_G3] if g == 3 else [])
+    for grid in grids:
+        for name, actions in grid.items():
+            for v, text in actions.items():
+                yield f"{name}({v})", cat.fields[name].on(v) - parse_coeff(cat, text)
 
-    def odd_ladder_agrees(ctx, mode, pit, rng):
-        cat = ctx.cat
-        zero_rhs = Derivation("zero", cat.ring, {})
-        for s in range(3, 2 * g, 2):
-            direct = cat.fields[f"L{s}"]
-            seeds = {
-                x_name(g, 1, j): direct.on(x_name(g, 1, j))
-                for j in range(1, 2 * g, 2)
-            }
-            laddered = ladder_complete(
-                f"L{s}", seeds, cat.fields["L1"], zero_rhs,
-                _ladder_steps(g), weight=s,
-            )
-            if laddered != direct:
-                return False, f"L{s} ladder disagrees with direct construction"
-        return True, None
 
-    entries.append(
-        (f"g{g}.fields.odd_ladder_agrees",
-         "odd fields: iterated construction equals ladder completion",
-         odd_ladder_agrees)
-    )
-
-    if g in (1, 2):
-
-        def even_ladder_agrees(ctx, mode, pit, rng):
-            cat = ctx.cat_zero if g == 2 else ctx.cat
-            for name in (["L2"] if g == 1 else ["L2", "L4", "L6"]):
-                k = int(name[1:])
-                direct = cat.fields[name]
-                seeds = {
-                    x_name(g, 1, j): direct.on(x_name(g, 1, j))
-                    for j in range(1, 2 * g, 2)
-                }
-                laddered = build_even_by_ladder(cat, k, seeds)
-                if laddered != direct:
-                    return False, f"{name} ladder disagrees with explicit actions"
-            return True, None
-
-        entries.append(
-            (f"g{g}.fields.even_ladder_agrees",
-             "even fields: ladder completion matches explicit actions",
-             even_ladder_agrees)
+@_claim("fields.odd_ladder_agrees",
+        "odd fields: iterated construction equals ladder completion")
+def _odd_ladder_agrees(ctx, mode, pit, rng):
+    g, cat = ctx.genus, ctx.cat
+    zero_rhs = Derivation("zero", cat.ring, {})
+    for s in range(3, 2 * g, 2):
+        direct = cat.fields[f"L{s}"]
+        laddered = ladder_complete(
+            f"L{s}", _x1_seeds(g, direct), cat.fields["L1"], zero_rhs,
+            _ladder_steps(g), weight=s,
         )
+        if laddered != direct:
+            yield f"L{s}", "ladder disagrees with direct construction"
 
-    if g >= 2:
 
-        def aux_match(ctx, mode, pit, rng):
-            cat = ctx.cat
-            polys, labels = [], []
-            for name, text in reference.AUX[g].items():
-                polys.append(cat.aux[name] - parse_coeff(cat, text))
-                labels.append(name)
-            return _zero_polys(polys, mode, pit, rng, labels)
+@_claim("fields.even_ladder_agrees",
+        "even fields: ladder completion matches explicit actions", genera=(1, 2))
+def _even_ladder_agrees(ctx, mode, pit, rng):
+    cat = ctx.base
+    for name in (["L2"] if ctx.genus == 1 else ["L2", "L4", "L6"]):
+        direct = cat.fields[name]
+        seeds = _x1_seeds(ctx.genus, direct)
+        laddered = build_even_by_ladder(cat, int(name[1:]), seeds)
+        if laddered != direct:
+            yield name, "ladder disagrees with explicit actions"
 
-        entries.append(
-            (f"g{g}.fields.aux_match",
-             "auxiliary polynomials equal their displayed forms", aux_match)
-        )
 
-    for name in field_names(g):
+@_claim("fields.aux_match", "auxiliary polynomials equal their displayed forms",
+        genera=(2, 3))
+def _aux_match(ctx, mode, pit, rng):
+    for name, text in reference.AUX[ctx.genus].items():
+        yield name, ctx.cat.aux[name] - parse_coeff(ctx.cat, text)
 
-        def projectable(ctx, mode, pit, rng, name=name):
-            cat = ctx.cat
-            k = int(name[1:])
-            down = None if k % 2 else ctx.lam_fields[k]
-            if mode == "exact":
-                ok, failures = verify_pushforward(cat.fields[name], cat.pmap, down)
-                if ok:
-                    return True, None
-                v, p = sorted(failures.items())[0]
-                return False, _poly_witness(f"{name} on {v}", p)
-            polys, labels = [], []
-            for vname, comp in cat.pmap.components.items():
-                lhs = cat.fields[name].apply(comp)
-                rhs = (
-                    cat.pmap.pullback(down.on(vname)) if down is not None
-                    else cat.ring.zero
-                )
-                polys.append(lhs - rhs)
-                labels.append(f"{name} on {vname}")
-            return _zero_polys(polys, "pit", pit, rng, labels)
 
-        entries.append(
-            (f"g{g}.fields.projectability.{name}",
-             f"{name} projects onto its parameter-space counterpart",
-             projectable)
-        )
+def _pushforward(label, up, pmap, down):
+    for v, diff in verify_pushforward(up, pmap, down)[1].items():
+        yield f"{label} on {v}", diff
 
-    def pushforward_hom(ctx, mode, pit, rng):
-        cat = ctx.cat
-        names = cat.names
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                na, nb = names[a], names[b]
-                ka, kb = int(na[1:]), int(nb[1:])
-                up = cat.fields[na].bracket(cat.fields[nb])
-                down = (
-                    ctx.lam_fields[ka].bracket(ctx.lam_fields[kb])
-                    if ka % 2 == 0 and kb % 2 == 0
-                    else None
-                )
-                ok, failures = verify_pushforward(up, cat.pmap, down)
-                if not ok:
-                    v, p = sorted(failures.items())[0]
-                    return False, _poly_witness(f"[{na},{nb}] on {v}", p)
-        return True, None
 
-    entries.append(
-        (f"g{g}.fields.pushforward_homomorphism",
-         "bracket commutes with the pushforward", pushforward_hom)
-    )
+@_claim("fields.projectability.{0}",
+        "{0} projects onto its parameter-space counterpart",
+        members=lambda g: [(name,) for name in field_names(g)])
+def _projectable(ctx, mode, pit, rng, name):
+    k = int(name[1:])
+    down = None if k % 2 else ctx.lam_fields[k]
+    yield from _pushforward(name, ctx.cat.fields[name], ctx.cat.pmap, down)
 
-    for left, right, _ in reference.BRACKET_TABLE[g]:
 
-        def table_row(ctx, mode, pit, rng, left=left, right=right):
-            rel = ctx.table_rels[f"[{left},{right}]"]
-            return _relation_check(rel, mode, pit, rng)
+@_claim("fields.pushforward_homomorphism", "bracket commutes with the pushforward")
+def _pushforward_homomorphism(ctx, mode, pit, rng):
+    cat = ctx.cat
+    for na, nb in combinations(cat.names, 2):
+        ka, kb = int(na[1:]), int(nb[1:])
+        up = cat.fields[na].bracket(cat.fields[nb])
+        even = ka % 2 == 0 and kb % 2 == 0
+        down = ctx.lam_fields[ka].bracket(ctx.lam_fields[kb]) if even else None
+        yield from _pushforward(f"[{na},{nb}]", up, cat.pmap, down)
 
-        entries.append(
-            (f"g{g}.fields.table.{left}_{right}",
-             f"[{left},{right}] matches its displayed expansion", table_row)
-        )
 
-    def dettcal_factor(ctx, mode, pit, rng):
-        c = reference.DET_TCAL_FACTOR[g]
-        if mode == "exact":
-            residuals, minor = det_factor_residuals(ctx.cat_zero, ctx.Tcal, ctx.Tp, c)
-            if minor.is_zero():
-                return False, "det J_minor = 0: the block product proves nothing"
-            return _zero_polys(
-                residuals.values(), "exact", pit, rng, list(residuals)
-            )
-        for _ in range(pit.sample_count):
-            point = _sample_point(ctx.cat_zero.ring, rng, pit.coordinate_bound)
-            lhs = fraction_det(eval_matrix(ctx.Tcal, point))
-            lam_point = ctx.cat_zero.pmap.evaluate(point)
-            rhs = c * fraction_det(eval_matrix(ctx.T, lam_point))
-            if lhs != rhs:
-                return False, _truncate(f"{lhs} != {rhs} at {point}")
-        return True, None
+_claim("fields.table.{1}_{2}", "[{1},{2}] matches its displayed expansion",
+       members=lambda g: [("table_rels", *r[:2]) for r in reference.BRACKET_TABLE[g]],
+       )(_relation)
 
-    entries.append(
-        (f"g{g}.fields.detTcal_factor",
-         f"det of the action matrix = {reference.DET_TCAL_FACTOR[g]} * det T o p",
-         dettcal_factor)
-    )
 
-    if g == 2:
+@_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")
+def _dettcal_factor(ctx, mode, pit, rng):
+    """Exact mode proves det Tcal = c * det(T o p) on small matrices
+    (``genus_fields.det_factor_residuals``): the block product, det J_minor
+    != 0 (else it says nothing about det Tcal) and det A = sigma * eps * c *
+    det J_minor; the ring has no zero divisors, so the identity follows."""
+    c = reference.DET_TCAL_FACTOR[ctx.genus]
+    if mode == "exact":
+        residuals, minor = det_factor_residuals(ctx.cat_zero, ctx.Tcal, ctx.Tp, c)
+        if minor.is_zero():
+            yield "det J_minor = 0", "the block product proves nothing"
+        yield from residuals.items()
+        return
+    for point in _points(ctx.cat_zero.ring, pit, rng):
+        lhs = fraction_det(ctx.Tcal.evaluate(point))
+        rhs = c * fraction_det(ctx.T.evaluate(ctx.cat_zero.pmap.evaluate(point)))
+        yield f"det Tcal - c * det(T o p) at {point}", lhs - rhs
 
-        def normalization(ctx, mode, pit, rng):
-            sol = solve_genus2_normalization(ctx.cat)
-            nonzero = {k: str(v) for k, v in sol.items() if v != 0}
-            return not nonzero, (str(nonzero) if nonzero else None)
 
-        entries.append(
-            (f"g{g}.fields.normalization",
-             "triangular depth-1 normalization forces zero parameters",
-             normalization)
-        )
+@_claim("fields.normalization",
+        "triangular depth-1 normalization forces zero parameters", genera=(2,))
+def _normalization(ctx, mode, pit, rng):
+    for param, value in solve_genus2_normalization(ctx.cat).items():
+        if value != 0:
+            yield param, f"forced to {value}, not 0"
 
-    def classical(ctx, mode, pit, rng):
-        # classical tables describe the zero-parameter member of the family
-        target = ctx.cat_zero if g == 2 else ctx.cat
-        mism = compare_tables(target, reference.CLASSICAL_TABLE[g])
-        if not mism:
-            return True, None
-        pair, diffs = sorted(mism.items())[0]
-        fname, d = sorted(diffs.items())[0]
-        text = d if isinstance(d, str) else d.to_text()
-        return False, _truncate(f"[{pair[0]},{pair[1]}] on {fname}: {text}")
 
-    entries.append(
-        (f"g{g}.fields.classical_table",
-         "classical-notation table translates onto the computed table",
-         classical)
-    )
+@_claim("fields.classical_table",
+        "classical-notation table translates onto the computed table")
+def _classical_table(ctx, mode, pit, rng):
+    mism = compare_tables(ctx.base, reference.CLASSICAL_TABLE[ctx.genus])
+    for (left, right), diffs in sorted(mism.items()):
+        for fname, d in sorted(diffs.items()):
+            yield f"[{left},{right}] on {fname}", d.to_text()
 
-    def jacobi(ctx, mode, pit, rng):
-        cat = ctx.cat
-        names = cat.names
-        # inner brackets shared across the triple scan; only a < b is built,
-        # since [C, A] = -[A, C] by the definition of the commutator
-        pair = {
-            (a, b): cat.fields[names[a]].bracket(cat.fields[names[b]])
-            for a in range(len(names))
-            for b in range(a + 1, len(names))
-        }
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                for c in range(b + 1, len(names)):
-                    A = cat.fields[names[a]]
-                    B = cat.fields[names[b]]
-                    C = cat.fields[names[c]]
-                    res = (
-                        A.bracket(pair[(b, c)])
-                        - B.bracket(pair[(a, c)])
-                        + C.bracket(pair[(a, b)])
-                    )
-                    ok, witness = _zero_derivation(
-                        res, mode, pit, rng,
-                        f"jacobi({names[a]},{names[b]},{names[c]})",
-                    )
-                    if not ok:
-                        return ok, witness
-        return True, None
 
-    entries.append(
-        (f"g{g}.fields.jacobi", "Jacobi identity over all field triples", jacobi)
-    )
-    return entries
+@_claim("fields.jacobi", "Jacobi identity over all field triples")
+def _jacobi(ctx, mode, pit, rng):
+    names = ctx.cat.names
+    fields = [ctx.cat.fields[n] for n in names]
+    # inner brackets shared across the triple scan; only a < b is built,
+    # since [C, A] = -[A, C] by the definition of the commutator
+    pair = {
+        (a, b): fields[a].bracket(fields[b])
+        for a, b in combinations(range(len(fields)), 2)
+    }
+    for a, b, c in combinations(range(len(fields)), 3):
+        A, B, C = fields[a], fields[b], fields[c]
+        res = A.bracket(pair[b, c]) - B.bracket(pair[a, c]) + C.bracket(pair[a, b])
+        yield f"jacobi({names[a]},{names[b]},{names[c]})", res
 
 
 def suite_entries(genus: int):
-    """All report entries for one genus, in dependency order."""
-    return _params_entries(genus) + _map_entries(genus) + _field_entries(genus)
+    """All report entries for one genus, in dependency order: (id, anchor,
+    fn), fn(ctx, mode, pit, rng) -> (ok, witness) running the entry's claim."""
+    constants = {
+        "r_weight": reference.r_weight(genus),
+        "dett_c": reference.DETT_R_CONSTANT[genus],
+        "tcal_c": reference.DET_TCAL_FACTOR[genus],
+    }
+    entries = []
+    for entry_id, genera, anchor, claim, members in _CLAIMS:
+        if genus not in genera:
+            continue
+        for key in members(genus) if members else [()]:
+            entries.append((
+                f"g{genus}.{entry_id.format(*key)}",
+                anchor.format(*key, **constants),
+                partial(_decide, claim, key),
+            ))
+    return entries
 
 
 def run_suite(
@@ -835,9 +574,8 @@ def run_suite(
     if mode not in ("exact", "pit"):
         raise ValueError("mode must be 'exact' or 'pit'")
     genera = [1, 2, 3] if genus == "all" else [int(genus)]
-    for g in genera:
-        if g not in (1, 2, 3):
-            raise ValueError("genus must be 1, 2, 3 or 'all'")
+    if not set(genera) <= {1, 2, 3}:
+        raise ValueError("genus must be 1, 2, 3 or 'all'")
     pit = pit or PitConfig()
     if mode == "pit":
         pit.validate_for(max(max_identity_degree(g) for g in genera))
@@ -854,16 +592,9 @@ def run_suite(
             except Exception as exc:  # defect in construction: report, don't crash
                 ok, residual = False, _truncate(f"exception: {exc!r}")
             elapsed = time.perf_counter() - start
-            if not ok and not residual:
-                residual = "failed without witness detail"
-            report.add(
-                ReportEntry(
-                    id=entry_id,
-                    anchor=anchor,
-                    status="pass" if ok else "fail",
-                    residual=residual if not ok else None,
-                    wall_time=round(elapsed, 6),
-                )
-            )
+            report.add(ReportEntry(
+                id=entry_id, anchor=anchor, status="pass" if ok else "fail",
+                residual=residual, wall_time=round(elapsed, 6),
+            ))
     report.sort()
     return report

@@ -14,7 +14,6 @@ from hyperlie import (
     det_bareiss,
     det_cofactor,
     det_minor_expansion,
-    determinant,
     divexact,
     resultant,
     sylvester_matrix,
@@ -203,13 +202,26 @@ def test_weight_check_values(xring3):
 
 def test_determinant_of_identity(lring):
     eye = PolyMatrix(lring, [[lring.one, lring.zero], [lring.zero, lring.one]])
-    assert determinant(eye) == lring.one
+    for det in (det_bareiss, det_minor_expansion, det_cofactor):
+        assert det(eye) == lring.one
 
 
 def test_determinant_requires_square(lring):
     m = PolyMatrix(lring, [[lring.one, lring.zero]])
-    with pytest.raises(ValueError):
-        determinant(m)
+    for det in (det_bareiss, det_minor_expansion, det_cofactor):
+        with pytest.raises(ValueError):
+            det(m)
+
+
+def test_minor_expansion_high_exponents_do_not_carry():
+    # x^40000 * x^40000 needs more than 16 bits for x's exponent
+    ring = Ring([("x", 1), ("y", 1)])
+    big = ring.parse("x^40000")
+    m = PolyMatrix(ring, [[big, ring.zero], [ring.zero, big]])
+    want = ring.parse("x^80000")
+    assert det_bareiss(m) == want
+    assert det_cofactor(m) == want
+    assert det_minor_expansion(m) == want
 
 
 def test_determinant_methods_agree_small():
