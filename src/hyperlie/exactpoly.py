@@ -16,6 +16,7 @@ Sylvester-matrix resultant.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -593,37 +594,63 @@ def _parse(ring: Ring, text: str) -> Poly:
 # -- exact division ----------------------------------------------------------
 
 
-def _mono_key(ring: Ring, m):
-    return (ring.monomial_weight(m), m)
-
-
 def divexact(p: Poly, d: Poly) -> Poly:
-    """Exact division p/d in the polynomial ring; raises if not divisible."""
+    """Exact division p/d in the polynomial ring; raises if not divisible.
+
+    Terms are ordered by (weight, exponent tuple), largest first.  With
+    non-negative weights this is a monomial order (1 is least, products
+    keep the order), so each step cancels the leading term of the remainder
+    and the division ends.  It raises ``ValueError`` as soon as that leading
+    term is not a multiple of d's leading term.
+
+    The leading term comes off a min-heap keyed by (-weight, negated
+    exponents).  A monomial is pushed once when it enters the remainder,
+    with its weight computed from the quotient term's weight plus a
+    precomputed offset weight(m2) - weight(lead d).  A monomial whose
+    coefficient cancels stays in the heap and is skipped when it is popped
+    (lazy deletion).  Each entry of a monomial into the remainder costs one
+    push and one pop, so a division with n entries costs O(n log n), not
+    the O(n^2) of scanning the whole remainder for its maximum at every
+    step.
+    """
     _same_ring(p, d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return p.ring.zero
     ring = p.ring
-    dm = max(d.terms, key=lambda m: _mono_key(ring, m))
-    dc = d.terms[dm]
+    weight = ring.monomial_weight
+    dm = max(d.terms, key=lambda m: (weight(m), m))
+    dc = Fraction(d.terms[dm])
+    dw = weight(dm)
+    tail = [(m2, c2, weight(m2) - dw) for m2, c2 in d.terms.items() if m2 != dm]
     rem = dict(p.terms)
+    heap = [(-weight(m), tuple(-e for e in m)) for m in rem]
+    heapq.heapify(heap)
     out = {}
-    while rem:
-        rm = max(rem, key=lambda m: _mono_key(ring, m))
-        rc = rem[rm]
+    while heap:
+        negw, negm = heapq.heappop(heap)
+        rm = tuple(-e for e in negm)
+        rc = rem.pop(rm, 0)
+        if not rc:
+            continue  # cancelled after it was pushed
         qm = tuple(a - b for a, b in zip(rm, dm))
         if any(e < 0 for e in qm):
             raise ValueError("polynomials do not divide exactly")
-        qc = _coeff(Fraction(rc) / Fraction(dc))
+        qc = _coeff(rc / dc)
         out[qm] = qc
-        for m2, c2 in d.terms.items():
+        for m2, c2, offset in tail:
             k = tuple(a + b for a, b in zip(qm, m2))
-            s = rem.get(k, 0) - qc * c2
-            if s:
-                rem[k] = s
+            prev = rem.get(k)
+            if prev is None:
+                rem[k] = -qc * c2
+                heapq.heappush(heap, (negw - offset, tuple(-e for e in k)))
             else:
-                rem.pop(k, None)
+                s = prev - qc * c2
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
     return Poly(ring, out, _normalized=True)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import sys
 import threading
 import time
@@ -11,14 +12,13 @@ import jsonschema
 import pytest
 
 import hyperlie
-from hyperlie import suite
+from hyperlie import reference, suite
 from hyperlie.cli import main
-from hyperlie.derivation import BracketRelation, verify_bracket_relation
 from hyperlie.export import export
-from hyperlie.genus_fields import catalog
 from hyperlie.report import schema_text
 from hyperlie.suite import (
     PitConfig,
+    SuiteContext,
     _entry_rng,
     max_identity_degree,
     run_suite,
@@ -69,30 +69,20 @@ def test_pit_rng_deterministic_across_processes():
     assert a == b
 
 
-def test_pit_catches_corrupted_identity():
-    # a deliberately wrong identity must fail in pit mode for several seeds
-    cat = catalog(3)
-    rel = BracketRelation(
-        cat.fields["L1"],
-        cat.fields["L2"],
-        [(cat.ring.parse("x2 + x2^2"), cat.fields["L1"]),
-         (cat.ring.const(-1), cat.fields["L3"])],
-    )
-    ok, residual = verify_bracket_relation(rel)
-    assert not ok
-    pit = PitConfig(sample_count=3, coordinate_bound=211)
+def test_pit_catches_corrupted_identity(monkeypatch):
+    # a deliberately wrong displayed identity must fail the suite's own
+    # entry in pit mode for several seeds: [L1, L2] gets L1 coefficient
+    # x2 + x2^2 instead of x2
+    row = next(r for r in reference.BRACKET_TABLE[3] if r[:2] == ("L1", "L2"))
+    monkeypatch.setitem(row[2], "L1", "x2 + x2^2")
+    entry_id = "g3.fields.table.L1_L2"
+    fn = next(fn for eid, _, fn in suite_entries(3) if eid == entry_id)
+    ctx = SuiteContext(3)
     for seed in range(1, 6):
-        rng = _entry_rng(seed, "negative-control")
-        found = False
-        for _ in range(pit.sample_count):
-            for p in residual.action.values():
-                point = {
-                    v.name: rng.randint(-pit.coordinate_bound, pit.coordinate_bound)
-                    for v in cat.ring.vars
-                }
-                if p.evaluate(point) != 0:
-                    found = True
-        assert found, f"seed {seed} missed the corruption"
+        pit = PitConfig(sample_count=3, coordinate_bound=211, seed=seed)
+        ok, witness = fn(ctx, "pit", pit, _entry_rng(seed, entry_id))
+        assert not ok, f"seed {seed} missed the corruption"
+        assert re.match(r"\[L1,L2\]\.\w+ at \{.*\} -> -?\d", witness), witness
 
 
 def test_run_suite_rejects_bad_arguments():

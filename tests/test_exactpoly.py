@@ -250,6 +250,94 @@ def test_divexact():
         divexact(p, ring.zero)
 
 
+# -- differential tests against sympy -------------------------------------------
+#
+# Hypothesis draws the inputs and sympy is the independent oracle; both are
+# test-time only and the tests skip where they are not installed.  The ring
+# has a zero-weight variable between two graded ones, so ties in weight are
+# broken by the exponent tuple.
+
+ORACLE_RING = Ring([("a", 1), ("c", 0), ("b", 2)])
+
+
+def _oracle_tools():
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hyp.strategies
+    coeff = st.builds(
+        Fraction,
+        st.integers(-6, 6).filter(bool),
+        st.integers(1, 4),
+    )
+    mono = st.tuples(*[st.integers(0, 3)] * len(ORACLE_RING.vars))
+
+    def polys(max_terms=5, nonzero=False):
+        terms = st.dictionaries(mono, coeff, min_size=int(nonzero), max_size=max_terms)
+        return terms.map(lambda t: Poly(ORACLE_RING, t))
+
+    settings = hyp.settings(max_examples=150, deadline=None, database=None)
+    return hyp, sympy, polys, settings
+
+
+def _to_sympy(sympy, p):
+    gens = sympy.symbols(ORACLE_RING.names)
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+        for m, c in p.terms.items()
+    ))
+
+
+def test_divexact_inverts_mul_differential():
+    hyp, _, polys, settings = _oracle_tools()
+
+    @settings
+    @hyp.given(polys(), polys(nonzero=True))
+    def check(p, d):
+        assert divexact(p * d, d) == p
+
+    check()
+
+
+def test_divexact_rejects_what_sympy_cannot_divide():
+    hyp, sympy, polys, settings = _oracle_tools()
+    gens = sympy.symbols(ORACLE_RING.names)
+
+    @settings
+    @hyp.given(polys(), polys(nonzero=True), polys(max_terms=3, nonzero=True))
+    def check(p, d, r):
+        n = p * d + r
+        q, rem = sympy.div(_to_sympy(sympy, n), _to_sympy(sympy, d), *gens)
+        if rem != 0:
+            with pytest.raises(ValueError):
+                divexact(n, d)
+        else:
+            assert sympy.expand(_to_sympy(sympy, divexact(n, d)) - q) == 0
+
+    check()
+
+
+def test_det_bareiss_matches_cofactor_and_sympy():
+    hyp, sympy, polys, settings = _oracle_tools()
+    st = hyp.strategies
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 3))
+        entry = polys(max_terms=2)
+        return PolyMatrix(ORACLE_RING, [[draw(entry) for _ in range(n)] for _ in range(n)])
+
+    @settings
+    @hyp.given(matrices())
+    def check(m):
+        det = det_bareiss(m)
+        assert det == det_cofactor(m)
+        oracle = sympy.Matrix([[_to_sympy(sympy, p) for p in row] for row in m.rows]).det()
+        assert sympy.expand(_to_sympy(sympy, det) - oracle) == 0
+
+    check()
+
+
 # -- resultants ---------------------------------------------------------------
 
 
