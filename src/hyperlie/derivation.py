@@ -4,6 +4,17 @@ A derivation is determined by its action on the ring variables; variables
 absent from the action map are annihilated.  Application extends by the
 Leibniz rule, and the commutator of two derivations is again a derivation.
 
+``apply`` and ``bracket`` share one fused integer loop, ``_leibniz``.  The
+argument's coefficients are put over their common denominator, and so are
+the derivation's images (memoised per derivation in ``_scaled``, since its
+action is never changed after construction).  For each term c*x^m and each
+variable x_i with e = m_i > 0, c*e times every image term is added at the
+shifted exponent m - e_i + k straight into one dict of Python ints.  The
+result is divided by the product of the two denominators once at the end,
+with coefficients normalised as ``Poly`` stores them.  The components of a
+bracket ``self(other.on(v)) - other(self.on(v))`` share the denominator
+D_self * D_other, so both halves accumulate into the same dict.
+
 ``ladder_complete`` reconstructs a field from its values on a set of seed
 variables plus a prescribed commutator with a partner field, walking a chain
 of variables v -> partner(v).
@@ -11,15 +22,52 @@ of variables v -> partner(v).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
-from .exactpoly import Poly, PolyMap, Ring, RingMismatchError
+from .exactpoly import Poly, PolyMap, Ring, RingMismatchError, _coeff
+
+
+def _int_form(p: Poly) -> tuple[int, dict]:
+    """(d, ints) with p = ints / d: d the lcm of the coefficient denominators."""
+    dens = [c.denominator for c in p.terms.values() if type(c) is not int]
+    if not dens:
+        return 1, p.terms
+    d = lcm(*dens)
+    return d, {m: c * d if type(c) is int else c.numerator * (d // c.denominator)
+               for m, c in p.terms.items()}
+
+
+def _leibniz(acc: dict, terms: Mapping, images, sign: int = 1):
+    """acc += sign * sum_i images_i * d(terms)/dx_i, in integers.
+
+    ``images`` lists (i, dec, image terms), dec the exponent tuple -e_i, so
+    m + dec + k is the exponent of a product term.
+    """
+    get = acc.get
+    for m, c in terms.items():
+        for i, dec, img in images:
+            e = m[i]
+            if e:
+                ce = sign * c * e
+                base = tuple(map(add, m, dec))
+                for k, ci in img.items():
+                    key = tuple(map(add, base, k))
+                    acc[key] = get(key, 0) + ce * ci
+
+
+def _unscaled(ring: Ring, acc: dict, d: int) -> Poly:
+    """The polynomial acc / d, zero terms dropped."""
+    terms = {m: c if d == 1 else _coeff(Fraction(c, d)) for m, c in acc.items() if c}
+    return Poly(ring, terms, _normalized=True)
 
 
 class Derivation:
     """A polynomial vector field: finite map {variable name -> Poly}."""
 
-    __slots__ = ("name", "ring", "weight", "action")
+    __slots__ = ("name", "ring", "weight", "action", "_scaled")
 
     def __init__(self, name: str, ring: Ring, action: Mapping, weight=None):
         self.name = name
@@ -36,6 +84,23 @@ class Derivation:
             if not p.is_zero():
                 clean[vname] = p
         self.action = clean
+        self._scaled = None
+
+    def _scaled_action(self):
+        """(D, {v: ints}, images): action[v] = ints / D for one common D, and
+        the ``_leibniz`` images of every acted-on variable."""
+        if self._scaled is None:
+            parts = {v: _int_form(p) for v, p in self.action.items()}
+            D = lcm(*(d for d, _ in parts.values()))
+            ints = {v: t if d == D else {m: c * (D // d) for m, c in t.items()}
+                    for v, (d, t) in parts.items()}
+            n = len(self.ring.vars)
+            images = []
+            for v, t in ints.items():
+                i = self.ring.index(v)
+                images.append((i, tuple(-(j == i) for j in range(n)), t))
+            self._scaled = (D, ints, images)
+        return self._scaled
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply(p)
@@ -44,12 +109,11 @@ class Derivation:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
         if p.ring != self.ring:
             raise RingMismatchError("argument not in the derivation's ring")
-        used = p.variables_used()
-        out = self.ring.zero
-        for vname, img in self.action.items():
-            if vname in used:
-                out = out + img * p.partial(vname)
-        return out
+        d, terms = _int_form(p)
+        D, _, images = self._scaled_action()
+        acc = {}
+        _leibniz(acc, terms, images)
+        return _unscaled(self.ring, acc, d * D)
 
     def on(self, var) -> Poly:
         """Action on a single variable (zero when absent)."""
@@ -61,9 +125,14 @@ class Derivation:
         """Commutator [self, other] as a derivation."""
         if self.ring != other.ring:
             raise RingMismatchError("bracket of derivations on different rings")
+        ds, ints_s, images_s = self._scaled_action()
+        do, ints_o, images_o = other._scaled_action()
         action = {}
         for vname in set(self.action) | set(other.action):
-            q = self.apply(other.on(vname)) - other.apply(self.on(vname))
+            acc = {}
+            _leibniz(acc, ints_o.get(vname, {}), images_s)
+            _leibniz(acc, ints_s.get(vname, {}), images_o, -1)
+            q = _unscaled(self.ring, acc, ds * do)
             if not q.is_zero():
                 action[vname] = q
         w = None

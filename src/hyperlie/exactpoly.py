@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -215,9 +216,10 @@ class Poly:
             a, b = b, a
         out = {}
         get = out.get
+        add = operator.add
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = tuple(map(add, ma, mb))
                 prev = get(m)
                 out[m] = ca * cb if prev is None else prev + ca * cb
         return Poly(

@@ -34,7 +34,7 @@ from itertools import combinations
 from . import reference
 from .classical import compare_tables
 from .derivation import Derivation, ladder_complete, verify_pushforward
-from .exactpoly import Poly, det_minor_expansion, divexact
+from .exactpoly import Poly, det_minor_expansion
 from .genus_fields import (
     _ladder_steps,
     build_even_by_ladder,
@@ -331,7 +331,7 @@ def _tangency(ctx, mode, pit, rng):
     fields = [ctx.lam_fields[k] for k in sorted(ctx.lam_fields)]
     if mode == "exact":
         for L, m in zip(fields, mults):
-            yield f"{L.name} multiplier", divexact(L.apply(ctx.detT), ctx.detT) - m
+            yield f"{L.name}(det T) - m*det T", L.apply(ctx.detT) - m * ctx.detT
         return
     for point in _points(ctx.model.ring, pit, rng):
         tnum = ctx.T.evaluate(point)

@@ -115,6 +115,39 @@ def test_run_suite_is_serial_and_entry_times_are_honest(monkeypatch):
     assert sum(e.wall_time for e in rep.entries) <= elapsed
 
 
+def test_suite_and_exports_make_no_bareiss_or_division_call(monkeypatch):
+    # The runtime computes R by minor expansion and checks tangency by
+    # products; Bareiss and exact division are kept as the tests' second
+    # algorithm.  Every module binding of the two functions is replaced by a
+    # counter, and the catalog cache is cleared so nothing built earlier
+    # hides a call.
+    from hyperlie import exactpoly, genus_fields, lambda_space
+
+    counts = {"det_bareiss": 0, "divexact": 0}
+    for name in counts:
+        original = getattr(exactpoly, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "hyperlie"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    genus_fields._catalog_cached.cache_clear()
+    for mode in ("exact", "pit"):
+        assert run_suite("all", mode).passed
+    for what in ("fields", "map", "brackets", "matrices"):
+        for genus in (1, 2, 3):
+            for fmt in ("json", "latex"):
+                export(what, genus, fmt)
+    assert counts == {"det_bareiss": 0, "divexact": 0}
+    # the counters do count: the test-only constant helper divides
+    model = lambda_space.CurveModel(1)
+    lambda_space.detT_R_constant(model, model.ring.parse("4*l4^3"), model.ring.parse("l4^3"))
+    assert counts["divexact"] == 1
+
+
 def test_runtime_imports_stdlib_only():
     for path in sorted(Path(hyperlie.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlie import Derivation, Poly, PolyMap, Ring, ladder_complete
+from hyperlie import Derivation, Poly, PolyMap, Ring, RingMismatchError, ladder_complete
 from hyperlie.derivation import (
     BracketRelation,
     LadderError,
@@ -258,3 +258,140 @@ def test_derivation_json(g1fields):
     assert obj["name"] == "L2"
     assert obj["weight"] == 2
     assert obj["action"]["x3"] == "3*x2*x3"
+
+
+# -- differential tests of the fused Leibniz kernel ----------------------------------
+# ``apply`` and ``bracket`` accumulate integers over common denominators.  The
+# reference below is the textbook sum of image * partial derivative in Poly
+# arithmetic; sympy is the independent oracle.  Hypothesis and sympy are
+# test-time only, so those tests skip where they are not installed.  The ring
+# has a zero-weight variable between two graded ones.
+
+ORACLE_RING = Ring([("a", 1), ("c", 0), ("b", 2)])
+
+
+def _reference_apply(d, p):
+    out = p.ring.zero
+    for v, img in d.action.items():
+        out = out + img * p.partial(v)
+    return out
+
+
+def _normalised(p):
+    """Coefficients as Poly stores them: int when integral, no zero terms."""
+    return all(
+        c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+        for c in p.terms.values()
+    )
+
+
+def _oracle_tools():
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hyp.strategies
+    coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    mono = st.tuples(*[st.integers(0, 3)] * len(ORACLE_RING.vars))
+    polys = st.dictionaries(mono, coeff, max_size=5).map(
+        lambda t: Poly(ORACLE_RING, t)
+    )
+    fields = st.dictionaries(st.sampled_from(ORACLE_RING.names), polys).map(
+        lambda a: Derivation("D", ORACLE_RING, a)
+    )
+    settings = hyp.settings(max_examples=150, deadline=None, database=None)
+    gens = sympy.symbols(ORACLE_RING.names)
+
+    def to_sympy(p):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+            for m, c in p.terms.items()
+        ))
+
+    def sympy_apply(d, expr):
+        return sum(
+            (to_sympy(img) * sympy.diff(expr, sympy.Symbol(v))
+             for v, img in d.action.items()),
+            sympy.Integer(0),
+        )
+
+    return hyp, sympy, polys, fields, settings, to_sympy, sympy_apply
+
+
+def test_apply_matches_reference_and_sympy():
+    hyp, sympy, polys, fields, settings, to_sympy, sympy_apply = _oracle_tools()
+
+    @settings
+    @hyp.given(fields, polys)
+    def check(d, p):
+        got = d.apply(p)
+        assert got.terms == _reference_apply(d, p).terms
+        assert _normalised(got)
+        assert sympy.expand(to_sympy(got) - sympy_apply(d, to_sympy(p))) == 0
+
+    check()
+
+
+def test_bracket_matches_reference_and_sympy():
+    hyp, sympy, polys, fields, settings, to_sympy, sympy_apply = _oracle_tools()
+
+    @settings
+    @hyp.given(fields, fields)
+    def check(d, e):
+        got = d.bracket(e)
+        for v in ORACLE_RING.names:
+            ref = _reference_apply(d, e.on(v)) - _reference_apply(e, d.on(v))
+            assert got.on(v).terms == ref.terms
+            assert _normalised(got.on(v))
+            want = sympy_apply(d, to_sympy(e.on(v))) - sympy_apply(e, to_sympy(d.on(v)))
+            assert sympy.expand(to_sympy(got.on(v)) - want) == 0
+        assert set(got.action) <= set(d.action) | set(e.action)
+
+    check()
+
+
+def test_apply_with_distinct_denominators():
+    r = ORACLE_RING
+    d = Derivation("D", r, {"a": r.parse("1/3*b"), "b": r.parse("2/5*a*c"),
+                            "c": r.parse("1/7")})
+    p = r.parse("1/2*a^2*b + 3/4*c^2")
+    assert d.apply(p) == _reference_apply(d, p)
+    assert d.apply(p) == r.parse("1/3*a*b^2 + 1/5*a^3*c + 3/14*c")
+
+
+def test_apply_and_bracket_cancel_to_zero():
+    r = ORACLE_RING
+    rot = Derivation("R", r, {"a": r.parse("1/3*b"), "b": r.parse("-1/3*a")})
+    out = rot.apply(r.parse("a^2 + b^2"))  # 2a*b/3 - 2b*a/3
+    assert out.is_zero() and out.terms == {}
+    assert rot.bracket(rot).is_zero()
+    scaled = rot.scale(Fraction(5, 2))
+    assert rot.bracket(scaled).is_zero()
+
+
+def test_zero_weight_variable_is_differentiated():
+    r = ORACLE_RING
+    d = Derivation("D", r, {"c": r.parse("a")})  # raises weight by 1
+    assert d.apply(r.parse("c^3*b")) == r.parse("3*a*b*c^2")
+    e = Derivation("E", r, {"a": r.parse("c^2")})
+    assert d.bracket(e) == Derivation("[D,E]", r, {"a": r.parse("2*a*c"),
+                                                   "c": r.parse("-c^2")})
+
+
+def test_integral_results_come_back_as_int():
+    r = ORACLE_RING
+    d = Derivation("D", r, {"a": r.parse("1/2*a"), "b": r.parse("3/4*b")})
+    out = d.apply(r.parse("2*a + 4/3*b"))  # a + b
+    assert out.terms == {(1, 0, 0): 1, (0, 0, 1): 1}
+    assert all(type(c) is int for c in out.terms.values())
+    e = Derivation("E", r, {"b": r.parse("2/3*a^2")})
+    br = d.bracket(e)  # [D,E](b) = D(2/3 a^2) - E(3/4 b) = 2/3 a^2 - 1/2 a^2
+    assert br.on("b").terms == {(2, 0, 0): Fraction(1, 6)}
+    assert all(type(c) is int for c in d.bracket(e.scale(6)).on("b").terms.values())
+
+
+def test_apply_and_bracket_reject_other_rings(g1ring, g1fields):
+    other = Ring([("x2", 2), ("x3", 3)])
+    with pytest.raises(RingMismatchError):
+        g1fields["L1"].apply(other.var("x2"))
+    with pytest.raises(RingMismatchError):
+        g1fields["L1"].bracket(Derivation("D", other, {"x2": other.var("x3")}))
