@@ -4,16 +4,23 @@ A derivation is determined by its action on the ring variables; variables
 absent from the action map are annihilated.  Application extends by the
 Leibniz rule, and the commutator of two derivations is again a derivation.
 
-``apply`` and ``bracket`` share one fused integer loop, ``_leibniz``.  The
-argument's coefficients are put over their common denominator, and so are
-the derivation's images (memoised per derivation in ``_scaled``, since its
-action is never changed after construction).  For each term c*x^m and each
-variable x_i with e = m_i > 0, c*e times every image term is added at the
-shifted exponent m - e_i + k straight into one dict of Python ints.  The
-result is divided by the product of the two denominators once at the end,
-with coefficients normalised as ``Poly`` stores them.  The components of a
-bracket ``self(other.on(v)) - other(self.on(v))`` share the denominator
-D_self * D_other, so both halves accumulate into the same dict.
+``apply`` and ``bracket_sum`` share one fused integer loop, ``_leibniz``,
+over packed monomials: one int per monomial, one bit field per variable
+(``exactpoly._layout``).  Each field is as wide as the largest argument
+exponent plus the largest image exponent of its variable, so no product
+exponent carries into the next field.  The argument's coefficients are put
+over their common denominator, and so are the derivation's images; the
+images are packed once per layout and memoised per derivation in
+``_scaled``, since its action is never changed after construction.  For
+each term c*x^m and each variable x_i with e = m_i > 0, c*e times every
+image term is added at the packed exponent m - unit_i + k straight into one
+dict of Python ints.  Only the nonzero terms of the result are unpacked and
+divided by the denominator, once.
+
+``bracket_sum`` computes sum s * [X, Y] over its terms in one such pass: it
+puts every term over the common denominator lcm(D_X * D_Y), and for each
+variable v accumulates both halves X(Y(v)) - Y(X(v)) of every term into one
+dict.  ``Derivation.bracket`` is its one-term case.
 
 ``ladder_complete`` reconstructs a field from its values on a set of seed
 variables plus a prescribed commutator with a partner field, walking a chain
@@ -25,42 +32,44 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exactpoly import Poly, PolyMap, Ring, RingMismatchError, _coeff
-
-
-def _int_form(p: Poly) -> tuple[int, dict]:
-    """(d, ints) with p = ints / d: d the lcm of the coefficient denominators."""
-    dens = [c.denominator for c in p.terms.values() if type(c) is not int]
-    if not dens:
-        return 1, p.terms
-    d = lcm(*dens)
-    return d, {m: c * d if type(c) is int else c.numerator * (d // c.denominator)
-               for m, c in p.terms.items()}
+from .exactpoly import (
+    Poly, PolyMap, Ring, RingMismatchError, _coeff, _int_form, _layout, _pack,
+    _unpack,
+)
 
 
-def _leibniz(acc: dict, terms: Mapping, images, sign: int = 1):
-    """acc += sign * sum_i images_i * d(terms)/dx_i, in integers.
+def _top(terms: Iterable, n: int) -> tuple:
+    """The largest exponent of each of the n variables over ``terms``."""
+    monos = list(terms)
+    return tuple(map(max, zip(*monos))) if monos else (0,) * n
 
-    ``images`` lists (i, dec, image terms), dec the exponent tuple -e_i, so
-    m + dec + k is the exponent of a product term.
+
+def _leibniz(acc: dict, terms: Mapping, images, f: int):
+    """acc += f * sum_i images_i * d(terms)/dx_i, on packed monomials.
+
+    ``images`` lists (shift, mask, unit, image terms) per acted-on x_i: the
+    exponent of x_i in m is (m >> shift) & mask, m - unit lowers it by one,
+    and adding an image key k multiplies by x^k.
     """
     get = acc.get
     for m, c in terms.items():
-        for i, dec, img in images:
-            e = m[i]
+        for s, mask, unit, img in images:
+            e = (m >> s) & mask
             if e:
-                ce = sign * c * e
-                base = tuple(map(add, m, dec))
+                ce = f * c * e
+                base = m - unit
                 for k, ci in img.items():
-                    key = tuple(map(add, base, k))
+                    key = base + k
                     acc[key] = get(key, 0) + ce * ci
 
 
-def _unscaled(ring: Ring, acc: dict, d: int) -> Poly:
-    """The polynomial acc / d, zero terms dropped."""
-    terms = {m: c if d == 1 else _coeff(Fraction(c, d)) for m, c in acc.items() if c}
+def _unscaled(ring: Ring, acc: dict, d: int, layout: tuple) -> Poly:
+    """The polynomial acc / d, zero terms dropped and keys unpacked."""
+    terms = _unpack(acc, layout)
+    if d != 1:
+        terms = {m: _coeff(Fraction(c, d)) for m, c in terms.items()}
     return Poly(ring, terms, _normalized=True)
 
 
@@ -87,20 +96,27 @@ class Derivation:
         self._scaled = None
 
     def _scaled_action(self):
-        """(D, {v: ints}, images): action[v] = ints / D for one common D, and
-        the ``_leibniz`` images of every acted-on variable."""
+        """(D, ints, top, packings): action[v] = ints[v] / D for one common
+        D, top the largest exponent of each variable over the images, and
+        packings the memo of ``_packed``, one entry per layout."""
         if self._scaled is None:
-            parts = {v: _int_form(p) for v, p in self.action.items()}
-            D = lcm(*(d for d, _ in parts.values()))
-            ints = {v: t if d == D else {m: c * (D // d) for m, c in t.items()}
-                    for v, (d, t) in parts.items()}
-            n = len(self.ring.vars)
-            images = []
-            for v, t in ints.items():
-                i = self.ring.index(v)
-                images.append((i, tuple(-(j == i) for j in range(n)), t))
-            self._scaled = (D, ints, images)
+            D, parts = _int_form(self.action.values())
+            top = _top((m for t in parts for m in t), len(self.ring.vars))
+            self._scaled = (D, dict(zip(self.action, parts)), top, {})
         return self._scaled
+
+    def _packed(self, layout: tuple):
+        """({v: packed ints}, images): the images times D packed in
+        ``layout``, and the ``_leibniz`` images of every acted-on variable."""
+        _, ints, _, packings = self._scaled_action()
+        if layout not in packings:
+            packed = {v: _pack(t, layout) for v, t in ints.items()}
+            images = []
+            for v, t in packed.items():
+                s, mask = layout[self.ring.index(v)]
+                images.append((s, mask, 1 << s, t))
+            packings[layout] = (packed, images)
+        return packings[layout]
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply(p)
@@ -109,11 +125,18 @@ class Derivation:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
         if p.ring != self.ring:
             raise RingMismatchError("argument not in the derivation's ring")
-        d, terms = _int_form(p)
-        D, _, images = self._scaled_action()
+        d, (terms,) = _int_form([p])
+        D, _, top, packings = self._scaled_action()
+        bounds = list(map(add, _top(terms, len(top)), top))
+        # Any memoised layout whose fields hold the bounds serves; a new one
+        # is packed only when none does.
+        layout = next((lay for lay in packings
+                       if all(b <= mask for b, (_, mask) in zip(bounds, lay))), None)
+        if layout is None:
+            layout = _layout(bounds)
         acc = {}
-        _leibniz(acc, terms, images)
-        return _unscaled(self.ring, acc, d * D)
+        _leibniz(acc, _pack(terms, layout), self._packed(layout)[1], 1)
+        return _unscaled(self.ring, acc, d * D, layout)
 
     def on(self, var) -> Poly:
         """Action on a single variable (zero when absent)."""
@@ -123,22 +146,10 @@ class Derivation:
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """Commutator [self, other] as a derivation."""
-        if self.ring != other.ring:
-            raise RingMismatchError("bracket of derivations on different rings")
-        ds, ints_s, images_s = self._scaled_action()
-        do, ints_o, images_o = other._scaled_action()
-        action = {}
-        for vname in set(self.action) | set(other.action):
-            acc = {}
-            _leibniz(acc, ints_o.get(vname, {}), images_s)
-            _leibniz(acc, ints_s.get(vname, {}), images_o, -1)
-            q = _unscaled(self.ring, acc, ds * do)
-            if not q.is_zero():
-                action[vname] = q
         w = None
         if self.weight is not None and other.weight is not None:
             w = self.weight + other.weight
-        return Derivation(f"[{self.name},{other.name}]", self.ring, action, weight=w)
+        return bracket_sum([(1, self, other)], f"[{self.name},{other.name}]", weight=w)
 
     # -- module structure --------------------------------------------------
 
@@ -153,10 +164,11 @@ class Derivation:
         return Derivation(f"({self.name}+{other.name})", self.ring, action)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
-        return self + other.scale(-1)
+        return self + (-other)
 
     def __neg__(self) -> "Derivation":
-        return self.scale(-1)
+        action = {v: -p for v, p in self.action.items()}
+        return Derivation(f"(-1)*{self.name}", self.ring, action)
 
     def scale(self, c) -> "Derivation":
         """Multiply by a polynomial (or rational) coefficient."""
@@ -205,6 +217,38 @@ class Derivation:
                 if v in self.action
             },
         }
+
+
+def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None) -> Derivation:
+    """sum s * [X, Y] over the (s, X, Y) of ``terms``, s an int, in one
+    integer pass: no intermediate bracket, sum or ``Fraction`` is built."""
+    ring = terms[0][1].ring
+    if any(X.ring != ring or Y.ring != ring for _, X, Y in terms):
+        raise RingMismatchError("bracket of derivations on different rings")
+    dens, tops = [], []
+    for _, X, Y in terms:
+        D_X, _, top_X, _ = X._scaled_action()
+        D_Y, _, top_Y, _ = Y._scaled_action()
+        dens.append(D_X * D_Y)
+        tops.append(map(add, top_X, top_Y))
+    # field i is as wide as the widest top_X[i] + top_Y[i] over the terms
+    layout = _layout(map(max, zip(*tops)))
+    L = lcm(*dens)
+    halves = [(s * (L // d), X._packed(layout), Y._packed(layout))
+              for (s, X, Y), d in zip(terms, dens) if s]
+    action = {}
+    for v in ring.names:
+        acc = {}
+        for f, (px, ix), (py, iy) in halves:
+            if v in py:
+                _leibniz(acc, py[v], ix, f)
+            if v in px:
+                _leibniz(acc, px[v], iy, -f)
+        if acc:
+            q = _unscaled(ring, acc, L, layout)
+            if not q.is_zero():
+                action[v] = q
+    return Derivation(name, ring, action, weight=weight)
 
 
 def combination(terms: Sequence, ring: Ring, name: str = "comb") -> Derivation:

@@ -701,21 +701,46 @@ class PolyMatrix:
         return PolyMatrix(ring, rows)
 
 
-def _row_scaled_int_terms(matrix: PolyMatrix):
-    """Clear denominators per row; return int-coefficient term dicts + scales."""
-    scaled = []
-    scales = []
-    for row in matrix.rows:
-        denom = 1
-        for p in row:
-            for c in p.terms.values():
-                if isinstance(c, Fraction):
-                    denom = math.lcm(denom, c.denominator)
-        scales.append(denom)
-        scaled.append(
-            [{m: int(c * denom) for m, c in p.terms.items()} for p in row]
-        )
-    return scaled, scales
+def _int_form(polys: Iterable[Poly]) -> tuple[int, list[dict]]:
+    """(d, ints): d the lcm of every coefficient denominator of ``polys`` and
+    ints[j] the terms of polys[j] times d as Python ints.  When d is 1 the
+    term dicts themselves are returned, so they must not be mutated."""
+    polys = list(polys)
+    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()
+                   if type(c) is not int))
+    if d == 1:
+        return 1, [p.terms for p in polys]
+    return d, [
+        {m: c * d if type(c) is int else c.numerator * (d // c.denominator)
+         for m, c in p.terms.items()}
+        for p in polys
+    ]
+
+
+def _layout(bounds: Iterable[int]) -> tuple:
+    """Packed-monomial layout: (shift, mask) per variable, one bit field each,
+    as wide as that variable's bound needs.  Exponent vectors whose sum stays
+    within the bounds add as packed integers and never carry from one field
+    into the next (Monagan & Pearce, CASC 2007)."""
+    fields = []
+    shift = 0
+    for b in bounds:
+        width = b.bit_length()
+        fields.append((shift, (1 << width) - 1))
+        shift += width
+    return tuple(fields)
+
+
+def _pack(terms: Mapping, layout: tuple) -> dict:
+    """``terms`` with every exponent tuple packed into one int."""
+    units = [1 << s for s, _ in layout]
+    return {sum(map(operator.mul, m, units)): c for m, c in terms.items()}
+
+
+def _unpack(packed: Mapping, layout: tuple) -> dict:
+    """The nonzero terms of ``packed`` keyed by exponent tuples again."""
+    return {tuple([(key >> s) & mask for s, mask in layout]): c
+            for key, c in packed.items() if c}
 
 
 def det_bareiss(matrix: PolyMatrix) -> Poly:
@@ -731,9 +756,9 @@ def det_bareiss(matrix: PolyMatrix) -> Poly:
     ring = matrix.ring
     if n == 0:
         return ring.one
-    scaled, scales = _row_scaled_int_terms(matrix)
+    scaled = [_int_form(row) for row in matrix.rows]
     work = [
-        [Poly(ring, t, _normalized=True) for t in row] for row in scaled
+        [Poly(ring, t, _normalized=True) for t in row] for _, row in scaled
     ]
     sign = 1
     prev = ring.one
@@ -754,7 +779,7 @@ def det_bareiss(matrix: PolyMatrix) -> Poly:
             work[i][k] = ring.zero
         prev = pivot
     det = work[n - 1][n - 1]
-    return det * Fraction(sign, math.prod(scales))
+    return det * Fraction(sign, math.prod(d for d, _ in scaled))
 
 
 def det_minor_expansion(matrix: PolyMatrix) -> Poly:
@@ -772,42 +797,42 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
     ring = matrix.ring
     if n == 0:
         return ring.one
-    scaled, scales = _row_scaled_int_terms(matrix)
-    bounds = [
-        sum(max((m[i] for t in row for m in t), default=0) for row in scaled)
+    scaled = [_int_form(row) for row in matrix.rows]
+    layout = _layout(
+        sum(max((m[i] for t in row for m in t), default=0) for _, row in scaled)
         for i in range(len(ring.vars))
-    ]
-    fields = []  # (shift, mask) per variable
-    shift = 0
-    for b in bounds:
-        fields.append((shift, (1 << b.bit_length()) - 1))
-        shift += b.bit_length()
-
-    def pack(m):
-        return sum(e << s for e, (s, _) in zip(m, fields))
-
-    ents = [[{pack(m): c for m, c in t.items()} for t in row] for row in scaled]
+    )
+    ents = [[_pack(t, layout) for t in row] for _, row in scaled]
 
     masks_by_count = [[] for _ in range(n + 1)]
     for mask in range(1, 1 << n):
         masks_by_count[bin(mask).count("1")].append(mask)
 
+    # Nonzero minors only.  Masks run in increasing order, so the last
+    # superset of a lower-level minor is the one with every higher column
+    # set: mask pops mask ^ bit for each bit above its highest unset column.
+    full = (1 << n) - 1
     prev_level = {0: {0: 1}}
     for r in range(1, n + 1):
         row = ents[r - 1]
         cur_level = {}
+        get_minor, pop_minor = prev_level.get, prev_level.pop
         row_sign = 1 if (r - 1) % 2 == 0 else -1
         for mask in masks_by_count[r]:
             acc: dict[int, int] = {}
             get = acc.get
             sign = row_sign
+            last_use = 1 << (full ^ mask).bit_length()
             rem = mask
             while rem:
                 bit = rem & -rem
                 j = bit.bit_length() - 1
                 rem ^= bit
                 e = row[j]
-                sub = prev_level[mask ^ bit]
+                if bit >= last_use:
+                    sub = pop_minor(mask ^ bit, None)
+                else:
+                    sub = get_minor(mask ^ bit) if e else None
                 if e and sub:
                     if sign > 0:
                         for me, ce in e.items():
@@ -822,16 +847,13 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
                                 v = get(k)
                                 acc[k] = -ce * cs if v is None else v - ce * cs
                 sign = -sign
-            cur_level[mask] = {k: v for k, v in acc.items() if v}
+            minor = {k: v for k, v in acc.items() if v}
+            if minor:
+                cur_level[mask] = minor
         prev_level = cur_level
 
-    packed = prev_level[(1 << n) - 1]
-    out = {
-        tuple((key >> s) & field_mask for s, field_mask in fields): c
-        for key, c in packed.items()
-    }
-    poly = Poly(ring, out, _normalized=True)
-    return poly * Fraction(1, math.prod(scales))
+    poly = Poly(ring, _unpack(prev_level.get(full, {}), layout), _normalized=True)
+    return poly * Fraction(1, math.prod(d for d, _ in scaled))
 
 
 def det_cofactor(matrix: PolyMatrix) -> Poly:

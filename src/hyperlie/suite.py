@@ -33,7 +33,7 @@ from itertools import combinations
 
 from . import reference
 from .classical import compare_tables
-from .derivation import Derivation, ladder_complete, verify_pushforward
+from .derivation import Derivation, bracket_sum, ladder_complete, verify_pushforward
 from .exactpoly import Poly, det_minor_expansion
 from .genus_fields import (
     _ladder_steps,
@@ -541,8 +541,8 @@ def _jacobi(ctx, mode, pit, rng):
         for a, b in combinations(range(len(fields)), 2)
     }
     for a, b, c in combinations(range(len(fields)), 3):
-        A, B, C = fields[a], fields[b], fields[c]
-        res = A.bracket(pair[b, c]) - B.bracket(pair[a, c]) + C.bracket(pair[a, b])
+        res = bracket_sum([(1, fields[a], pair[b, c]), (-1, fields[b], pair[a, c]),
+                           (1, fields[c], pair[a, b])])
         yield f"jacobi({names[a]},{names[b]},{names[c]})", res
 
 

@@ -9,6 +9,7 @@ from hyperlie import Derivation, Poly, PolyMap, Ring, RingMismatchError, ladder_
 from hyperlie.derivation import (
     BracketRelation,
     LadderError,
+    bracket_sum,
     combination,
     verify_bracket_relation,
     verify_pushforward,
@@ -395,3 +396,108 @@ def test_apply_and_bracket_reject_other_rings(g1ring, g1fields):
         g1fields["L1"].apply(other.var("x2"))
     with pytest.raises(RingMismatchError):
         g1fields["L1"].bracket(Derivation("D", other, {"x2": other.var("x3")}))
+
+
+def test_apply_and_bracket_high_exponents_do_not_carry():
+    # x^79999 needs 17 bits for x's exponent; a fixed 16-bit field would carry
+    ring = Ring([("x", 1), ("y", 1)])
+    D = Derivation("D", ring, {"x": ring.parse("x^40000")})
+    E = Derivation("E", ring, {"x": ring.parse("y^40000"), "y": ring.parse("x^40000")})
+    assert D.apply(ring.parse("x^40000*y^40000")) == ring.parse("40000*x^79999*y^40000")
+    assert D.bracket(E) == Derivation("[D,E]", ring, {
+        "x": ring.parse("-40000*x^39999*y^40000"),
+        "y": ring.parse("40000*x^79999"),
+    })
+    # y's field is sized for 0 + 40000 by the first call, then must hold
+    # 25536 + 40000 = 2^16: the memoised narrower layout must not serve
+    F = Derivation("F", ring, {"x": ring.parse("y^40000")})
+    assert F.apply(ring.var("x")) == ring.parse("y^40000")
+    assert F.apply(ring.parse("x*y^25536")) == ring.parse("y^65536")
+
+
+# -- sums of brackets -------------------------------------------------------------
+
+
+def _reference_bracket_sum(terms):
+    """sum s * [X, Y] in Poly arithmetic, one component per ring variable."""
+    ring = terms[0][1].ring
+    out = {v: ring.zero for v in ring.names}
+    for s, X, Y in terms:
+        for v in ring.names:
+            out[v] = out[v] + s * (_reference_apply(X, Y.on(v)) - _reference_apply(Y, X.on(v)))
+    return out
+
+
+def test_bracket_sum_matches_reference():
+    hyp, _, _, fields, settings, _, _ = _oracle_tools()
+    st = hyp.strategies
+    terms = st.lists(st.tuples(st.integers(-3, 3), fields, fields), min_size=1, max_size=3)
+
+    @settings
+    @hyp.given(terms)
+    def check(terms):
+        got = bracket_sum(terms)
+        ref = _reference_bracket_sum(terms)
+        for v in ORACLE_RING.names:
+            assert got.on(v).terms == ref[v].terms
+            assert _normalised(got.on(v))
+        assert set(got.action) == {v for v, p in ref.items() if not p.is_zero()}
+
+    check()
+
+
+def test_bracket_sum_with_distinct_denominators():
+    r = ORACLE_RING
+    X = Derivation("X", r, {"a": r.parse("1/3*b"), "c": r.parse("1/7")})
+    Y = Derivation("Y", r, {"b": r.parse("2/5*a*c"), "a": r.parse("1/2*c^2")})
+    Z = Derivation("Z", r, {"c": r.parse("3/4*a"), "b": r.parse("a^2")})
+    terms = [(2, X, Y), (-1, Y, Z), (3, Z, X)]
+    got = bracket_sum(terms)
+    assert got == X.bracket(Y).scale(2) - Y.bracket(Z) + Z.bracket(X).scale(3)
+    ref = _reference_bracket_sum(terms)
+    assert {v: p.terms for v, p in got.action.items()} == {
+        v: p.terms for v, p in ref.items() if p.terms
+    }
+
+
+def test_bracket_sum_cancels_to_zero():
+    r = ORACLE_RING
+    rng = random.Random(5)
+    A, B, C = (random_derivation(r, rng, name) for name in "ABC")
+    assert bracket_sum([(1, A, B), (1, B, A)]).action == {}
+    # Jacobi: [A,[B,C]] - [B,[A,C]] + [C,[A,B]] = 0 for any derivations
+    total = bracket_sum([(1, A, B.bracket(C)), (-1, B, A.bracket(C)), (1, C, A.bracket(B))])
+    assert total.action == {}
+    assert bracket_sum([(0, A, B)]).action == {}
+
+
+def test_bracket_sum_differentiates_zero_weight_variable():
+    r = ORACLE_RING
+    d = Derivation("D", r, {"c": r.parse("a")})
+    e = Derivation("E", r, {"a": r.parse("c^2")})
+    f = Derivation("F", r, {"c": r.parse("1/2*c*b")})
+    got = bracket_sum([(1, d, e), (-2, e, f)])
+    assert got == d.bracket(e) - e.bracket(f).scale(2)
+    assert got.on("a") == r.parse("2*a*c + 2*b*c^2")  # [D,E](a) = 2ac, [E,F](a) = -bc^2
+
+
+def test_bracket_sum_rejects_other_rings(g1fields):
+    other = Ring([("x2", 2), ("x3", 3)])
+    D = Derivation("D", other, {"x2": other.var("x3")})
+    with pytest.raises(RingMismatchError):
+        bracket_sum([(1, g1fields["L1"], g1fields["L2"]), (1, D, D)])
+
+
+def test_negation_uses_no_product(monkeypatch, g1fields):
+    L1, L2 = g1fields["L1"], g1fields["L2"]
+    want_neg, want_sub = L2.scale(-1), L1 + L2.scale(-1)
+
+    def no_product(*args):
+        raise AssertionError("negation multiplied")
+
+    monkeypatch.setattr(Poly, "__mul__", no_product)
+    monkeypatch.setattr(Poly, "__rmul__", no_product)
+    neg = -L2
+    assert neg == want_neg and neg.name == want_neg.name
+    assert L1 - L2 == want_sub
+    assert (L2 - L2).is_zero()

@@ -224,6 +224,18 @@ def test_minor_expansion_high_exponents_do_not_carry():
     assert det_minor_expansion(m) == want
 
 
+def test_minor_expansion_with_vanishing_minors():
+    # a zero column and a sparse permutation pattern make most minors zero
+    ring = Ring([("a", 1), ("b", 2)])
+    a, b, z = ring.var("a"), ring.var("b"), ring.zero
+    singular = PolyMatrix(ring, [[a, z, b], [b, z, a], [a * b, z, ring.one]])
+    assert det_minor_expansion(singular).is_zero()
+    sparse = PolyMatrix(ring, [[z, a, z, z], [z, z, z, b], [ring.one, z, z, z],
+                               [z, z, a + b, z]])
+    assert det_minor_expansion(sparse) == det_cofactor(sparse)
+    assert det_minor_expansion(sparse) == ring.parse("-a^2*b - a*b^2")
+
+
 def test_determinant_methods_agree_small():
     ring = Ring([("a", 1), ("b", 2)])
     rng = random.Random(9)

@@ -1,5 +1,7 @@
 """Parameter-space constructions: f, R, T, the fields and the structure matrix."""
 
+import hashlib
+
 import pytest
 
 from hyperlie import divexact
@@ -42,6 +44,21 @@ def test_discriminant_weight(discriminants, g):
     R = discriminants[g]
     assert not R.is_zero()
     assert R.is_homogeneous_of(reference.r_weight(g))
+
+
+# sha256 of R.to_text() as the minor sweep gave it while it still kept every
+# minor of two row levels, zero minors included; R must not change.
+R_TEXT_SHA256 = {
+    1: "96866992c5de652e77604ae8f320e7f46116aaebd865130037c04c3649cade70",
+    2: "48b70c9bd53650a5b8ddebb1f9718434bad35a68f97e689236b40bef26c819f2",
+    3: "9b699881f041f027fc2f776a485097faf4fadd02cc210475bba8889727b262f6",
+}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_discriminant_text_is_unchanged(discriminants, g):
+    text = discriminants[g].to_text().encode()
+    assert hashlib.sha256(text).hexdigest() == R_TEXT_SHA256[g]
 
 
 def test_T_matches_displayed_matrices(models):

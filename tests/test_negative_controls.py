@@ -8,11 +8,12 @@ format, while every other genus-1 and genus-2 entry still passes.
 
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from hyperlie import reference
-from hyperlie.suite import PitConfig, run_suite
+from hyperlie import Derivation, reference
+from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 
 
 def _table_row(genus, left, right):
@@ -60,3 +61,41 @@ def test_perturbed_datum_fails_only_its_entry(monkeypatch, kind, mode):
     }
     assert list(failures) == [entry_id]
     assert re.match(witness[mode], failures[entry_id], re.S), failures[entry_id]
+
+
+def _three_bracket_jacobi(ctx, mode, pit, rng):
+    """The genus's Jacobi claim stated with three brackets and two
+    derivation sums per triple, as a reference for the fused kernel."""
+    names = ctx.cat.names
+    fields = [ctx.cat.fields[n] for n in names]
+    pair = {
+        (a, b): fields[a].bracket(fields[b])
+        for a, b in combinations(range(len(fields)), 2)
+    }
+    for a, b, c in combinations(range(len(fields)), 3):
+        A, B, C = fields[a], fields[b], fields[c]
+        res = A.bracket(pair[b, c]) - B.bracket(pair[a, c]) + C.bracket(pair[a, b])
+        yield f"jacobi({names[a]},{names[b]},{names[c]})", res
+
+
+def test_perturbed_pair_bracket_fails_jacobi(monkeypatch):
+    """[L1,L2] gains x2*d/dx2; the Jacobi entry must fail in both modes, and
+    its exact witness must be the one the three-bracket form gives."""
+    bracket = Derivation.bracket
+
+    def perturbed(self, other):
+        out = bracket(self, other)
+        if (self.name, other.name) == ("L1", "L2"):
+            out = out + Derivation("E", self.ring, {"x2": self.ring.var("x2")})
+        return out
+
+    monkeypatch.setattr(Derivation, "bracket", perturbed)
+    witness = {}
+    for mode in ("exact", "pit"):
+        report = run_suite(2, mode, PitConfig(seed=1))
+        witness[mode] = {e.id: e.residual for e in report.failures()}.get("g2.fields.jacobi")
+        assert witness[mode] is not None, mode
+    assert re.match(r"jacobi\(L\d,L\d,L\d\)\.\w+ at \{.*\} -> -?\d", witness["pit"])
+    ok, want = _decide(_three_bracket_jacobi, (), SuiteContext(2), "exact", PitConfig(), None)
+    assert not ok
+    assert witness["exact"] == want
