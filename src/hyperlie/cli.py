@@ -10,8 +10,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .export import export
-from .suite import PitConfig, run_suite
+
+# Each command imports only the modules it runs: ``export`` never loads the
+# suite, and ``verify`` never loads the renderers.  The forwarders are module
+# attributes, so tests can patch ``cli.run_suite``.
+
+
+def run_suite(*args, **kwargs):
+    """:func:`hyperlie.suite.run_suite`, imported on first call."""
+    from .suite import run_suite
+
+    return run_suite(*args, **kwargs)
+
+
+def export(*args, **kwargs):
+    """:func:`hyperlie.export.export`, imported on first call."""
+    from .export import export
+
+    return export(*args, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,6 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
+        from .suite import PitConfig
+
         genus = args.genus if args.genus == "all" else int(args.genus)
         pit = PitConfig(
             sample_count=args.samples, coordinate_bound=args.bound, seed=args.seed

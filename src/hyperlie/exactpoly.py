@@ -20,9 +20,8 @@ import heapq
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 class RingMismatchError(ValueError):
     """Raised when an operation mixes polynomials from different rings."""
@@ -37,8 +36,7 @@ def _coeff(value) -> "int | Fraction":
     raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class GradedVar:
+class GradedVar(NamedTuple):
     """A named variable with a non-negative integer weight."""
 
     name: str

@@ -15,9 +15,9 @@ normalised member of the family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import reference
 from .derivation import BracketRelation, Derivation, combination, ladder_complete
@@ -104,8 +104,7 @@ def depth1_commutator_coeffs(genus: int, ring: Ring, k: int) -> list[Poly]:
     return out
 
 
-@dataclass
-class FieldCatalog:
+class FieldCatalog(NamedTuple):
     """All constructed fields for one genus, plus the shared context."""
 
     genus: int

@@ -13,8 +13,8 @@ Any indexed symbol outside its legal range denotes the zero polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactpoly import Poly, PolyMap, Ring, cast
 
@@ -106,20 +106,24 @@ class RelVars:
         return self.ring.zero
 
 
-@dataclass
 class Relation:
     """One defining relation, stored as LHS - RHS, with its solve target."""
 
-    label: str
-    poly: Poly
-    target: str  # name of the symbol this relation is solved for
+    __slots__ = ("label", "poly", "target")
+
+    def __init__(self, label: str, poly: Poly, target: str):
+        self.label = label
+        self.poly = poly
+        self.target = target  # name of the symbol this relation is solved for
 
 
-@dataclass
 class RelationSet:
-    genus: int
-    ring: Ring
-    relations: list[Relation] = field(default_factory=list)
+    __slots__ = ("genus", "ring", "relations")
+
+    def __init__(self, genus: int, ring: Ring, relations: list[Relation]):
+        self.genus = genus
+        self.ring = ring
+        self.relations = relations
 
     def __len__(self):
         return len(self.relations)
@@ -223,8 +227,7 @@ def generate_relations(genus: int) -> RelationSet:
     return RelationSet(genus, ring, rels)
 
 
-@dataclass
-class JacobiMap:
+class JacobiMap(NamedTuple):
     """Result of the elimination: every l and w expressed in x alone."""
 
     genus: int

@@ -8,14 +8,12 @@ time, and on failure a serialized residual witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+from typing import NamedTuple
 
 SCHEMA_VERSION = "1"
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     id: str
     anchor: str
     status: str  # "pass" | "fail"
@@ -32,12 +30,14 @@ class ReportEntry:
         }
 
 
-@dataclass
 class VerificationReport:
-    mode: str
-    genus: list[int]
-    seed: int | None = None
-    entries: list[ReportEntry] = field(default_factory=list)
+    __slots__ = ("mode", "genus", "seed", "entries")
+
+    def __init__(self, mode: str, genus: list[int], seed: int | None = None):
+        self.mode = mode
+        self.genus = genus
+        self.seed = seed
+        self.entries: list[ReportEntry] = []
 
     def add(self, entry: ReportEntry):
         if any(e.id == entry.id for e in self.entries):
@@ -83,6 +83,8 @@ class VerificationReport:
 
 
 def schema_text() -> str:
+    from importlib import resources
+
     return (
         resources.files("hyperlie").joinpath("schemas/report.schema.json").read_text()
     )

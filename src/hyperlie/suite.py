@@ -26,10 +26,10 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from . import reference
 from .classical import compare_tables
@@ -52,11 +52,11 @@ from .lambda_space import (
     M_PAIRS,
     CurveModel,
     all_L,
+    bezout_f,
     build_f,
     build_T,
     discriminant_R,
     m_relation_rows,
-    sylvester_f,
 )
 from .param_map import (
     generate_relations,
@@ -70,8 +70,7 @@ from .report import ReportEntry, VerificationReport
 _RESIDUAL_CAP = 1500
 
 
-@dataclass
-class PitConfig:
+class PitConfig(NamedTuple):
     """Randomized-testing parameters.
 
     ``coordinate_bound`` must be at least twice the maximal total degree of
@@ -182,7 +181,7 @@ _BUILDS = {
     "cat_zero": lambda ctx: catalog(ctx.genus, params="zero"),
     "Tcal": lambda ctx: build_Tcal(ctx.cat_zero),
     "Tp": lambda ctx: pullback_T(ctx.cat_zero),
-    "sylvester": lambda ctx: sylvester_f(ctx.model),
+    "bezout": lambda ctx: bezout_f(ctx.model),
     # the catalog the displayed tables describe: zero parameters for g = 2
     "base": lambda ctx: ctx.cat_zero if ctx.genus == 2 else ctx.cat,
     "table_rels": lambda ctx: {r.label: r for r in table_relations(ctx.cat)},
@@ -319,9 +318,8 @@ def _dett_eq_cr(ctx, mode, pit, rng):
         yield "detT - c*R", ctx.detT - ctx.R * c
         return
     for point in _points(ctx.model.ring, pit, rng):
-        point["X"] = 0  # unused column variable of the Sylvester ring
         dt = fraction_det(ctx.T.evaluate(point))
-        rv = fraction_det(ctx.sylvester.evaluate(point))
+        rv = fraction_det(ctx.bezout.evaluate(point))
         yield f"detT - c*R at {point}", dt - c * rv
 
 

@@ -3,6 +3,7 @@
 import ast
 import json
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -162,6 +163,39 @@ def test_runtime_imports_stdlib_only():
                 assert top in sys.stdlib_module_names or top == "hyperlie", (
                     f"{path.name}:{node.lineno} imports {name}"
                 )
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """Module names in sys.modules after running ``code`` in a fresh
+    interpreter.  ``-S`` keeps site-packages' start-up hooks from loading
+    modules of their own."""
+    src = str(Path(hyperlie.__file__).resolve().parent.parent)
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); {code}; "
+        "print(' '.join(sys.modules), file=sys.stderr)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    )
+    return set(out.stderr.split())
+
+
+def test_each_command_imports_only_what_it_runs():
+    exports = "; ".join(
+        f"main(['export', '--what', '{what}', '--genus', '1', '--format', 'json'])"
+        for what in ("fields", "map", "brackets", "matrices")
+    )
+    loaded = _modules_loaded_by(f"from hyperlie.cli import main; {exports}")
+    assert "hyperlie.export" in loaded
+    unused = {"hyperlie.suite", "hyperlie.report", "hyperlie.classical",
+              "dataclasses", "hashlib", "random"}
+    assert loaded & unused == set()
+    loaded = _modules_loaded_by(
+        "from hyperlie.cli import main; main(['verify', '--genus', '1'])"
+    )
+    assert "hyperlie.suite" in loaded
+    assert "hyperlie.export" not in loaded
+    assert "dataclasses" not in _modules_loaded_by("import hyperlie")
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Parameter-space constructions: f, R, T, the fields and the structure matrix."""
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
-from hyperlie import divexact
+from hyperlie import Ring, cast, det_minor_expansion, divexact, sylvester_matrix
 from hyperlie.derivation import verify_bracket_relation
 from hyperlie.lambda_space import (
+    CurveModel,
+    bezout_f,
+    bezout_matrix,
     build_L,
     build_M,
     build_T,
@@ -59,6 +64,58 @@ R_TEXT_SHA256 = {
 def test_discriminant_text_is_unchanged(discriminants, g):
     text = discriminants[g].to_text().encode()
     assert hashlib.sha256(text).hexdigest() == R_TEXT_SHA256[g]
+
+
+# -- R from the Bezout matrix, checked against the Sylvester resultant ----------
+
+
+def _sylvester_f(model):
+    f = build_f(model)
+    return sylvester_matrix(f, f.partial("X"), "X")
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_bezout_determinant_is_sylvester_resultant(models, g):
+    m = models[g]
+    want = cast(det_minor_expansion(_sylvester_f(m)), m.ring)
+    assert det_minor_expansion(bezout_f(m)) == want
+
+
+def test_bezout_R_genus4_matches_sylvester_at_points():
+    from hyperlie.suite import fraction_det
+
+    m = CurveModel(4)
+    B = bezout_f(m)
+    assert (B.nrows, B.ncols) == (9, 9)
+    R = det_minor_expansion(B)
+    syl = _sylvester_f(m)
+    assert (syl.nrows, syl.ncols) == (17, 17)
+    rng = random.Random(4)
+    for _ in range(3):
+        point = {v.name: rng.randint(-50, 50) for v in m.ring.vars}
+        assert R.evaluate(point) == fraction_det(syl.evaluate(dict(point, X=0)))
+
+
+def test_bezout_determinant_matches_sympy_resultant():
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hyp.strategies
+    ring = Ring([])
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    @hyp.settings(max_examples=100, deadline=None, database=None)
+    @hyp.given(st.integers(1, 7).flatmap(lambda n: st.lists(coeff, min_size=n, max_size=n)))
+    def check(low):
+        # monic f of degree len(low); low[i] is the coefficient of X^i
+        a = [ring.const(c) for c in low] + [ring.one]
+        det = det_minor_expansion(bezout_matrix(ring, a)).constant_value()
+        x = sympy.Symbol("x")
+        f = x ** len(low) + sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                                for i, c in enumerate(low))
+        want = sympy.resultant(f, sympy.diff(f, x), x)
+        assert sympy.Rational(det.numerator, det.denominator) == want
+
+    check()
 
 
 def test_T_matches_displayed_matrices(models):
