@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .exactpoly import Poly, Ring
-from .derivation import combination
+from .derivation import BracketRelation
 from .genus_fields import FieldCatalog
 from .param_map import x_name
 
@@ -117,12 +117,10 @@ def compare_tables(cat: FieldCatalog, classical_rows) -> dict:
     translated = translate_table(cat, classical_rows)
     mismatches = {}
     for (left, right), coeffs in translated.items():
-        bracket = cat.fields[left].bracket(cat.fields[right])
-        claimed = combination(
+        residual = BracketRelation(
+            cat.fields[left], cat.fields[right],
             [(c, cat.fields[fname]) for fname, c in sorted(coeffs.items())],
-            cat.ring,
-        )
-        residual = bracket - claimed
+        ).residual()
         if not residual.is_zero():
             mismatches[(left, right)] = dict(residual.action)
     return mismatches

@@ -17,10 +17,16 @@ image term is added at the packed exponent m - unit_i + k straight into one
 dict of Python ints.  Only the nonzero terms of the result are unpacked and
 divided by the denominator, once.
 
-``bracket_sum`` computes sum s * [X, Y] over its terms in one such pass: it
-puts every term over the common denominator lcm(D_X * D_Y), and for each
-variable v accumulates both halves X(Y(v)) - Y(X(v)) of every term into one
-dict.  ``Derivation.bracket`` is its one-term case.
+``bracket_sum`` computes a Lie relation sum s * [X, Y] + sum c * Z, s an
+int and c a polynomial, in one such pass.  Every term goes over the common
+denominator lcm(D_X * D_Y, d_c * D_Z), and one packed layout serves them
+all: field i is as wide as the largest top_X[i] + top_Y[i] and
+top_c[i] + top_Z[i] need.  For each variable v one dict accumulates both
+halves X(Y(v)) - Y(X(v)) of every bracket term and every product c * Z(v).
+No intermediate bracket, product, sum or ``Fraction`` is built.
+``Derivation.bracket`` is its one-bracket case, ``combination`` its
+linear-only case, and ``BracketRelation.residual`` the relation
+[X, Y] - sum c_k * Z_k.
 
 ``ladder_complete`` reconstructs a field from its values on a set of seed
 variables plus a prescribed commutator with a partner field, walking a chain
@@ -29,21 +35,14 @@ of variables v -> partner(v).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactpoly import (
-    Poly, PolyMap, Ring, RingMismatchError, _coeff, _int_form, _layout, _pack,
-    _unpack,
+    Poly, PolyMap, Ring, RingMismatchError, _int_form, _layout, _mul_into, _pack,
+    _top, _unscaled,
 )
-
-
-def _top(terms: Iterable, n: int) -> tuple:
-    """The largest exponent of each of the n variables over ``terms``."""
-    monos = list(terms)
-    return tuple(map(max, zip(*monos))) if monos else (0,) * n
 
 
 def _leibniz(acc: dict, terms: Mapping, images, f: int):
@@ -63,14 +62,6 @@ def _leibniz(acc: dict, terms: Mapping, images, f: int):
                 for k, ci in img.items():
                     key = base + k
                     acc[key] = get(key, 0) + ce * ci
-
-
-def _unscaled(ring: Ring, acc: dict, d: int, layout: tuple) -> Poly:
-    """The polynomial acc / d, zero terms dropped and keys unpacked."""
-    terms = _unpack(acc, layout)
-    if d != 1:
-        terms = {m: _coeff(Fraction(c, d)) for m, c in terms.items()}
-    return Poly(ring, terms, _normalized=True)
 
 
 class Derivation:
@@ -219,23 +210,38 @@ class Derivation:
         }
 
 
-def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None) -> Derivation:
-    """sum s * [X, Y] over the (s, X, Y) of ``terms``, s an int, in one
-    integer pass: no intermediate bracket, sum or ``Fraction`` is built."""
-    ring = terms[0][1].ring
-    if any(X.ring != ring or Y.ring != ring for _, X, Y in terms):
-        raise RingMismatchError("bracket of derivations on different rings")
-    dens, tops = [], []
-    for _, X, Y in terms:
+def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None,
+                linear: Sequence = (), ring: Ring | None = None) -> Derivation:
+    """sum s * [X, Y] over the (s, X, Y) of ``terms``, s an int, plus
+    sum c * Z over the (c, Z) of ``linear``, c a Poly or rational, in one
+    integer pass: no intermediate bracket, product, sum or ``Fraction`` is
+    built.  ``ring`` is needed only when both sequences are empty."""
+    if ring is None:
+        ring = terms[0][1].ring if terms else linear[0][1].ring
+    coeffs = [c if isinstance(c, Poly) else ring.const(c) for c, _ in linear]
+    if (any(X.ring != ring or Y.ring != ring for _, X, Y in terms)
+            or any(c.ring != ring or Z.ring != ring
+                   for c, (_, Z) in zip(coeffs, linear))):
+        raise RingMismatchError("relation of derivations on different rings")
+    n = len(ring.vars)
+    brackets, products, tops = [], [], [(0,) * n]
+    for s, X, Y in terms:
         D_X, _, top_X, _ = X._scaled_action()
         D_Y, _, top_Y, _ = Y._scaled_action()
-        dens.append(D_X * D_Y)
+        brackets.append((s, X, Y, D_X * D_Y))
         tops.append(map(add, top_X, top_Y))
-    # field i is as wide as the widest top_X[i] + top_Y[i] over the terms
+    for c, (_, Z) in zip(coeffs, linear):
+        d_c, (t_c,) = _int_form([c])
+        D_Z, _, top_Z, _ = Z._scaled_action()
+        products.append((t_c, Z, d_c * D_Z))
+        tops.append(map(add, _top(t_c, n), top_Z))
+    # field i is as wide as the widest of every term's two tops at i
     layout = _layout(map(max, zip(*tops)))
-    L = lcm(*dens)
+    L = lcm(*(t[-1] for t in brackets + products))
     halves = [(s * (L // d), X._packed(layout), Y._packed(layout))
-              for (s, X, Y), d in zip(terms, dens) if s]
+              for s, X, Y, d in brackets if s]
+    products = [(L // d, _pack(t_c, layout), Z._packed(layout)[0])
+                for t_c, Z, d in products if t_c]
     action = {}
     for v in ring.names:
         acc = {}
@@ -244,6 +250,9 @@ def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None) -> Deri
                 _leibniz(acc, py[v], ix, f)
             if v in px:
                 _leibniz(acc, px[v], iy, -f)
+        for f, pc, pz in products:
+            if v in pz:
+                _mul_into(acc, pc, pz[v], f)
         if acc:
             q = _unscaled(ring, acc, L, layout)
             if not q.is_zero():
@@ -253,17 +262,7 @@ def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None) -> Deri
 
 def combination(terms: Sequence, ring: Ring, name: str = "comb") -> Derivation:
     """Module combination sum(coeff * field) as a single derivation."""
-    action: dict[str, Poly] = {}
-    for coeff, field in terms:
-        if not isinstance(coeff, Poly):
-            coeff = ring.const(coeff)
-        for vname, p in field.action.items():
-            q = action.get(vname, ring.zero) + coeff * p
-            if q.is_zero():
-                action.pop(vname, None)
-            else:
-                action[vname] = q
-    return Derivation(name, ring, action)
+    return bracket_sum((), name, linear=terms, ring=ring)
 
 
 class BracketRelation:
@@ -278,9 +277,10 @@ class BracketRelation:
         self.label = label or f"[{left.name},{right.name}]"
 
     def residual(self) -> Derivation:
-        """bracket(left, right) minus the claimed expansion (zero iff it holds)."""
-        ring = self.left.ring
-        return self.left.bracket(self.right) - combination(self.expansion, ring)
+        """bracket(left, right) minus the claimed expansion (zero iff it
+        holds), in one ``bracket_sum`` pass."""
+        return bracket_sum([(1, self.left, self.right)], self.label,
+                           linear=[(-c, Z) for c, Z in self.expansion])
 
 
 def verify_bracket_relation(rel: BracketRelation):
@@ -348,7 +348,7 @@ def ladder_complete(
             raise LadderError(f"partner does not map {src} to {dst}")
         action[dst] = partner.apply(action[src]) - rhs.on(src)
     result = Derivation(name, ring, action, weight=weight)
-    residual = partner.bracket(result) - rhs
+    residual = BracketRelation(partner, result, [(1, rhs)]).residual()
     for vname in check_vars if check_vars is not None else ring.names:
         q = residual.on(vname)
         if not q.is_zero():

@@ -269,10 +269,24 @@ class Poly:
 
         Unassigned variables pass through unchanged, looked up by name in the
         target ring (the ring of the assigned values, or this ring if the
-        assignment is purely numeric).  A caller-held pow_cache lets repeated
-        substitutions of the same assignment share computed powers.
+        assignment is purely numeric).
+
+        One integer pass over packed monomials: this polynomial is put over
+        its common denominator d and each image y_i over its own d_i.  With
+        E_i the largest exponent of x_i here, every term c*x^m adds
+        c * prod_i d_i^(E_i - m_i) * y_i^m_i into one dict of ints, which is
+        divided once by d * prod_i d_i^E_i.  Target field j is as wide as
+        sum_i E_i * top_j(y_i) needs, top_j the largest exponent of that
+        variable, so no power or product carries into the next field.
+
+        ``pow_cache`` is a dict the caller keeps for one fixed assignment
+        (``PolyMap`` keeps one per map).  It memoises the packed powers
+        y_i^e, keyed (i, e), of a single layout: an argument that needs
+        wider fields empties it and starts a layout wide enough for both.
+        So it never holds more than one layout's powers, and is emptied at
+        most once per bit any field gains.
         """
-        images: dict[int, Poly] = {}
+        images = {}
         for key, val in assignment.items():
             i = self.ring.index(key)
             if isinstance(val, Poly):
@@ -280,39 +294,67 @@ class Poly:
                     target = val.ring
                 elif target != val.ring:
                     raise RingMismatchError("assignment values from different rings")
-                images[i] = val
-            else:
-                images[i] = val  # numeric; wrapped once target is known
+            images[i] = val
         if target is None:
             target = self.ring
-        for i, val in images.items():
-            if not isinstance(val, Poly):
-                images[i] = target.const(val)
-        result = target.zero
+        d, (terms,) = _int_form([self])
+        if not terms:
+            return target.zero
+        n = len(target.vars)
+        top = _top(terms, len(self.ring.vars))
+        forms = {}  # i -> (d_i, integer terms of d_i * y_i) for every x_i used
+        bounds = [0] * n
+        for i, E in enumerate(top):
+            if E:
+                y = images.get(i)
+                if y is None:
+                    y = target.var(self.ring.names[i])
+                elif not isinstance(y, Poly):
+                    y = target.const(y)
+                d_i, (t,) = _int_form([y])
+                forms[i] = (d_i, t)
+                bounds = [b + E * e for b, e in zip(bounds, _top(t, n))]
+                d *= d_i ** E
+
         if pow_cache is None:
             pow_cache = {}
-        for m, c in self.terms.items():
-            factor = target.const(c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i in images:
-                    key = (i, e)
-                    p = pow_cache.get(key)
-                    if p is None:
-                        p = images[i] ** e
-                        pow_cache[key] = p
-                    factor = factor * p
+        layout = next(iter(pow_cache), None)
+        if layout is None or any(b > mask for b, (_, mask) in zip(bounds, layout)):
+            if layout is not None:
+                bounds = map(max, bounds, (mask for _, mask in layout))
+            pow_cache.clear()
+            layout = _layout(bounds)
+            pow_cache[layout] = {}
+        powers = pow_cache[layout]
+
+        def power(i, e):
+            p = powers.get((i, e))
+            if p is None:
+                if e == 1:
+                    p = _pack(forms[i][1], layout)
                 else:
-                    name = self.ring.names[i]
-                    key = (i, e)
-                    p = pow_cache.get(key)
-                    if p is None:
-                        p = target.var(name) ** e
-                        pow_cache[key] = p
-                    factor = factor * p
-            result = result + factor
-        return result
+                    h = power(i, e >> 1)
+                    p = _mul_into({}, h, h)
+                    if e & 1:
+                        p = _mul_into({}, p, power(i, 1))
+                    p = {k: c for k, c in p.items() if c}
+                powers[i, e] = p
+            return p
+
+        dpow = {i: [d_i ** k for k in range(top[i] + 1)]
+                for i, (d_i, _) in forms.items() if d_i != 1}
+        acc = {}
+        for m, c in terms.items():
+            for i, pw in dpow.items():
+                c *= pw[top[i] - m[i]]
+            # the largest power last, so it is read once, into acc
+            *rest, last = sorted(
+                (power(i, e) for i, e in enumerate(m) if e), key=len) or [{0: 1}]
+            prod = {0: 1}
+            for p in rest:
+                prod = _mul_into({}, prod, p)
+            _mul_into(acc, prod, last, c)
+        return _unscaled(target, acc, d, layout)
 
     def evaluate(self, point: Mapping) -> "int | Fraction":
         """Evaluate at a full numeric assignment {name: rational}."""
@@ -741,6 +783,31 @@ def _unpack(packed: Mapping, layout: tuple) -> dict:
             for key, c in packed.items() if c}
 
 
+def _top(terms: Iterable, n: int) -> tuple:
+    """The largest exponent of each of the n variables over ``terms``."""
+    monos = list(terms)
+    return tuple(map(max, zip(*monos))) if monos else (0,) * n
+
+
+def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> dict:
+    """acc += f * a * b on packed terms; returns acc."""
+    get = acc.get
+    for ka, ca in a.items():
+        fa = f * ca
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + fa * cb
+    return acc
+
+
+def _unscaled(ring: Ring, acc: Mapping, d: int, layout: tuple) -> Poly:
+    """The polynomial acc / d, zero terms dropped and keys unpacked."""
+    terms = _unpack(acc, layout)
+    if d != 1:
+        terms = {m: _coeff(Fraction(c, d)) for m, c in terms.items()}
+    return Poly(ring, terms, _normalized=True)
+
+
 def det_bareiss(matrix: PolyMatrix) -> Poly:
     """Fraction-free Bareiss determinant over the polynomial ring.
 
@@ -922,7 +989,15 @@ def resultant(f: Poly, h: Poly, var) -> Poly:
 
 
 class PolyMap:
-    """A named polynomial map: ordered components {target variable: Poly}."""
+    """A named polynomial map: ordered components {target variable: Poly}.
+
+    ``_pow_cache`` is ``Poly.substitute``'s memo of the packed integer
+    powers of the components, in one layout, shared by every pullback.  It
+    lives as long as the map, because the map never changes, and is bounded:
+    it holds one entry per (component, exponent) that some pullback used,
+    plus the halving powers that built it, and starts again when a pullback
+    needs a wider layout.
+    """
 
     __slots__ = ("name", "source", "target", "components", "_pow_cache")
 
@@ -938,7 +1013,7 @@ class PolyMap:
                 raise RingMismatchError(f"component {vname} not in source ring")
             comps[vname] = p
         self.components = comps
-        self._pow_cache = {}  # shared across pullbacks; the map is immutable
+        self._pow_cache = {}
 
     def pullback(self, p: Poly) -> Poly:
         """Compose: substitute this map's components into a target-ring poly."""

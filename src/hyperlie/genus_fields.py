@@ -156,6 +156,12 @@ def parse_coeff(cat: FieldCatalog, text: str, _cache={}) -> Poly:
 
     For a zero-parameter catalog the parameter symbols are zeroed as well,
     so the parsed coefficients match the specialised fields.
+
+    ``_cache`` must outlive a ``SuiteContext``: catalog builds call this
+    before any context exists (exports have none), and the catalogs it
+    serves outlive every context in ``_catalog_cached``.  A key fixes its
+    value, since genus and parameters fix the catalog's map and auxiliary
+    polynomials, and the keys are bounded by the displayed texts.
     """
     key = (cat.genus, cat.params_mode, cat.param_values, text)
     hit = _cache.get(key)
@@ -519,11 +525,10 @@ def solve_genus2_normalization(cat: FieldCatalog | None = None) -> dict[str, Fra
     pidx = [ring.index(p) for p in PARAM_NAMES]
     rows = []
     for left, right, coeffs in reference.G2_NORMALIZATION:
-        target = combination(
+        residual = BracketRelation(
+            cat.fields[left], cat.fields[right],
             [(parse_coeff(cat, text), cat.fields[f]) for f, text in coeffs.items()],
-            ring,
-        )
-        residual = cat.fields[left].bracket(cat.fields[right]) - target
+        ).residual()
         for vname, poly in residual.action.items():
             equations: dict[tuple, list[Fraction]] = {}
             for m, c in poly.terms.items():

@@ -23,8 +23,6 @@ threads cannot speed it up.
 
 from __future__ import annotations
 
-import hashlib
-import random
 import time
 from fractions import Fraction
 from functools import partial
@@ -33,7 +31,9 @@ from typing import NamedTuple
 
 from . import reference
 from .classical import compare_tables
-from .derivation import Derivation, bracket_sum, ladder_complete, verify_pushforward
+from .derivation import (
+    BracketRelation, Derivation, bracket_sum, ladder_complete, verify_pushforward,
+)
 from .exactpoly import Poly, det_minor_expansion
 from .genus_fields import (
     _ladder_steps,
@@ -103,9 +103,13 @@ def max_identity_degree(genus: int) -> int:
     return (field_w + coord_w) // 2
 
 
-def _entry_rng(seed: int, entry_id: str) -> random.Random:
+def _entry_rng(seed: int, entry_id: str):
     """RNG stream keyed by entry id, so an entry's pit result does not depend
-    on which genera are selected or which entries ran before it."""
+    on which genera are selected or which entries ran before it.  Only pit
+    mode draws, so only pit mode imports ``hashlib`` and ``random``."""
+    import hashlib
+    import random
+
     digest = hashlib.sha256(f"{seed}:{entry_id}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -116,7 +120,7 @@ def _truncate(text: str) -> str:
     return text
 
 
-def _points(ring, pit: PitConfig, rng: random.Random):
+def _points(ring, pit: PitConfig, rng):
     """``pit.sample_count`` random points of [-B, B]^n, B the coordinate bound."""
     bound = pit.coordinate_bound
     for _ in range(pit.sample_count):
@@ -293,7 +297,7 @@ def _euler_eigen(ctx, mode, pit, rng):
 @_claim("params.euler_brackets", "[L0, Lk] = k Lk on parameter space")
 def _euler_brackets(ctx, mode, pit, rng):
     for k, L in ctx.lam_fields.items():
-        yield f"[L0,L{k}]", ctx.lam_fields[0].bracket(L) - L.scale(k)
+        yield f"[L0,L{k}]", BracketRelation(ctx.lam_fields[0], L, [(k, L)]).residual()
 
 
 @_claim("params.cross_actions", "pairwise field actions commute across indices")
@@ -583,7 +587,7 @@ def run_suite(
     for g in genera:
         ctx = SuiteContext(g)
         for entry_id, anchor, fn in suite_entries(g):
-            rng = _entry_rng(pit.seed, entry_id)
+            rng = _entry_rng(pit.seed, entry_id) if mode == "pit" else None
             start = time.perf_counter()
             try:
                 ok, residual = fn(ctx, mode, pit, rng)

@@ -191,10 +191,12 @@ def test_each_command_imports_only_what_it_runs():
               "dataclasses", "hashlib", "random"}
     assert loaded & unused == set()
     loaded = _modules_loaded_by(
-        "from hyperlie.cli import main; main(['verify', '--genus', '1'])"
+        "from hyperlie.cli import main; main(['verify', '--genus', '1', '--mode', 'exact'])"
     )
     assert "hyperlie.suite" in loaded
     assert "hyperlie.export" not in loaded
+    # exact mode draws no random numbers, so it loads no RNG or hash module
+    assert loaded & {"hashlib", "random"} == set()
     assert "dataclasses" not in _modules_loaded_by("import hyperlie")
 
 

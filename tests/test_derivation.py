@@ -501,3 +501,92 @@ def test_negation_uses_no_product(monkeypatch, g1fields):
     assert neg == want_neg and neg.name == want_neg.name
     assert L1 - L2 == want_sub
     assert (L2 - L2).is_zero()
+
+
+# -- relation residuals -------------------------------------------------------------
+
+
+def _reference_residual(X, Y, expansion):
+    """[X, Y] - sum c * Z in Poly arithmetic, one component per ring variable."""
+    ring = X.ring
+    out = {}
+    for v in ring.names:
+        q = _reference_apply(X, Y.on(v)) - _reference_apply(Y, X.on(v))
+        for c, Z in expansion:
+            q = q - Z.on(v) * c
+        out[v] = q
+    return out
+
+
+def test_residual_matches_poly_arithmetic_and_sympy():
+    hyp, sympy, polys, fields, settings, to_sympy, sympy_apply = _oracle_tools()
+    st = hyp.strategies
+    coeffs = st.one_of(polys, st.fractions(max_denominator=5).map(Fraction))
+    expansions = st.lists(st.tuples(coeffs, fields), max_size=3)
+
+    @settings
+    @hyp.given(fields, fields, expansions)
+    def check(X, Y, expansion):
+        got = BracketRelation(X, Y, expansion).residual()
+        ref = _reference_residual(X, Y, expansion)
+        for v in ORACLE_RING.names:
+            assert got.on(v).terms == ref[v].terms
+            assert _normalised(got.on(v))
+            want = sympy_apply(X, to_sympy(Y.on(v))) - sympy_apply(Y, to_sympy(X.on(v)))
+            for c, Z in expansion:
+                c = to_sympy(c) if isinstance(c, Poly) else sympy.Rational(c.numerator, c.denominator)
+                want -= c * to_sympy(Z.on(v))
+            assert sympy.expand(to_sympy(got.on(v)) - want) == 0
+        assert set(got.action) == {v for v, p in ref.items() if not p.is_zero()}
+
+    check()
+
+
+def test_combination_is_the_linear_only_case():
+    hyp, _, polys, fields, settings, _, _ = _oracle_tools()
+    st = hyp.strategies
+
+    @settings
+    @hyp.given(st.lists(st.tuples(polys, fields), max_size=3))
+    def check(terms):
+        got = combination(terms, ORACLE_RING)
+        for v in ORACLE_RING.names:
+            want = ORACLE_RING.zero
+            for c, Z in terms:
+                want = want + c * Z.on(v)
+            assert got.on(v).terms == want.terms
+            assert _normalised(got.on(v))
+
+    check()
+    assert combination([], ORACLE_RING).is_zero()
+
+
+def test_residual_with_empty_expansion_is_the_bracket(g1fields):
+    L1, L2 = g1fields["L1"], g1fields["L2"]
+    assert BracketRelation(L1, L2, []).residual() == L1.bracket(L2)
+    # [L1, L2] = x2 * L1 in genus 1, with numeric and polynomial coefficients
+    ring = L1.ring
+    assert BracketRelation(L1, L2, [(ring.var("x2"), L1)]).residual().is_zero()
+    half = [(Fraction(1, 2) * ring.var("x2"), L1), (Fraction(1, 2), L1.scale(ring.var("x2")))]
+    assert BracketRelation(L1, L2, half).residual().is_zero()
+
+
+def test_residual_rejects_coefficients_from_other_rings(g1fields):
+    other = Ring([("x2", 2), ("x3", 3)])
+    with pytest.raises(RingMismatchError):
+        BracketRelation(g1fields["L1"], g1fields["L2"],
+                        [(other.var("x2"), g1fields["L1"])]).residual()
+
+
+def test_residual_high_exponents_do_not_carry():
+    # c * Z needs 17 bits for x: 40000 + 39999, beyond any 16-bit field
+    ring = Ring([("x", 1), ("y", 1)])
+    X = Derivation("X", ring, {"y": ring.parse("x^40000")})
+    Y = Derivation("Y", ring, {"x": ring.var("y")})
+    Z = Derivation("Z", ring, {"x": ring.parse("x^39999")})
+    # [X, Y](x) = X(y) = x^40000 and [X, Y](y) = -Y(x^40000) = -40000*x^39999*y
+    rel = BracketRelation(X, Y, [(ring.var("x"), Z), (ring.parse("-40000*x^39999*y"),
+                                                        Derivation("E", ring, {"y": ring.one}))])
+    assert rel.residual().is_zero()
+    off = BracketRelation(X, Y, [(ring.parse("x^40000"), Z)]).residual()
+    assert off.on("x") == ring.parse("x^40000 - x^79999")

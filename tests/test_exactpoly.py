@@ -7,6 +7,7 @@ import pytest
 
 from hyperlie import (
     Poly,
+    PolyMap,
     PolyMatrix,
     Ring,
     RingMismatchError,
@@ -348,6 +349,109 @@ def test_det_bareiss_matches_cofactor_and_sympy():
         assert sympy.expand(_to_sympy(sympy, det) - oracle) == 0
 
     check()
+
+
+# The target of a cross-ring substitution lists the oracle ring's variables
+# in another order, plus one the source lacks.
+CROSS_RING = Ring([("u", 3), ("b", 2), ("c", 0), ("a", 1)])
+
+
+def _reference_substitute(p, assignment, target):
+    """p with the assignment substituted, in Poly arithmetic."""
+    out = target.zero
+    for m, c in p.terms.items():
+        term = target.const(c)
+        for name, e in zip(p.ring.names, m):
+            y = assignment.get(name, None)
+            if y is None:
+                y = target.var(name)
+            elif not isinstance(y, Poly):
+                y = target.const(y)
+            term = term * y**e
+        out = out + term
+    return out
+
+
+def test_substitute_matches_poly_arithmetic_and_sympy():
+    hyp, sympy, polys, settings = _oracle_tools()
+    st = hyp.strategies
+    cross_coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    cross_polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(CROSS_RING.vars)), cross_coeff, max_size=4,
+    ).map(lambda t: Poly(CROSS_RING, t))
+    numbers = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+    @st.composite
+    def cases(draw):
+        cross = draw(st.booleans())
+        images = cross_polys if cross else polys(max_terms=3)
+        # each variable: passed through, a number, or a polynomial
+        assignment = {}
+        for name in ORACLE_RING.names:
+            kind = draw(st.sampled_from(["pass", "number", "poly"]))
+            if kind != "pass":
+                assignment[name] = draw(numbers if kind == "number" else images)
+        return draw(polys()), assignment, CROSS_RING if cross else ORACLE_RING
+
+    def to_sympy(q):
+        gens = sympy.symbols(q.ring.names)
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+            for m, c in q.terms.items()
+        ))
+
+    @settings
+    @hyp.given(cases())
+    def check(case):
+        p, assignment, target = case
+        got = p.substitute(assignment, target=target)
+        assert got.ring == target
+        assert got.terms == _reference_substitute(p, assignment, target).terms
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+        subs = {
+            sympy.Symbol(name): to_sympy(y) if isinstance(y, Poly)
+            else sympy.Rational(y.numerator, y.denominator)
+            for name, y in assignment.items()
+        }
+        want = sympy.expand(to_sympy(p).xreplace(subs))
+        assert sympy.expand(to_sympy(got) - want) == 0
+
+    check()
+
+
+def test_substitute_infers_target_and_keeps_unassigned_names():
+    p = ORACLE_RING.parse("1/2*a^2*c + b")
+    got = p.substitute({"a": CROSS_RING.parse("u + 1/3*a")})
+    assert got.ring == CROSS_RING
+    assert got == CROSS_RING.parse("1/2*u^2*c + 1/3*u*a*c + 1/18*a^2*c + b")
+    assert p.substitute({"a": 2, "c": Fraction(1, 4)}) == ORACLE_RING.parse("1/2 + b")
+    assert p.substitute({"b": ORACLE_RING.zero}) == ORACLE_RING.parse("1/2*a^2*c")
+    with pytest.raises(KeyError):
+        p.substitute({"a": Ring([("u", 1)]).var("u")})  # b and c absent from target
+
+
+def test_substitute_high_exponents_do_not_carry():
+    # x^40000 * y under x -> x^2*y needs x^80000: 17 bits, beyond a 16-bit field
+    ring = Ring([("x", 1), ("y", 1)])
+    p = ring.parse("x^40000*y + 3*y^2")
+    got = p.substitute({"x": ring.parse("x^2*y")})
+    assert got.terms == {(80000, 40001): 1, (0, 2): 3}
+    assert p.substitute({"y": ring.parse("1/2*y^40000")}).terms == {
+        (40000, 40000): Fraction(1, 2), (0, 80000): Fraction(3, 4)}
+
+
+def test_pullback_cache_widens_for_larger_arguments():
+    source = Ring([("x", 1), ("y", 1)])
+    target = Ring([("s", 2), ("t", 3)])
+    pm = PolyMap("p", source, target, {"s": source.parse("x*y - 1/2*x^2"),
+                                       "t": source.parse("y^3")})
+    small, large = target.parse("s + t^2"), target.parse("s^2*t^30000 + 2/3*t")
+    for q in (small, large, small, target.parse("s^3")):
+        # a layout sized for the previous argument must not serve this one
+        assert pm.pullback(q) == q.substitute(pm.components, target=source)
+    assert len(pm._pow_cache) == 1  # one layout's powers at a time
+    assert pm.pullback(large).terms[(2, 90002)] == 1
 
 
 # -- resultants ---------------------------------------------------------------

@@ -99,3 +99,14 @@ def test_perturbed_pair_bracket_fails_jacobi(monkeypatch):
     ok, want = _decide(_three_bracket_jacobi, (), SuiteContext(2), "exact", PitConfig(), None)
     assert not ok
     assert witness["exact"] == want
+
+
+def test_corrupted_genus3_table_row_keeps_its_witness(monkeypatch):
+    """The genus-3 [L3,L4] row as the benchmark's negative control corrupts
+    it: only its table entry fails, with the witness of the first nonzero
+    residual component."""
+    monkeypatch.setitem(_table_row(3, "L3", "L4")[2], "L3", "y4 - 2*l4")  # displayed: y4 - l4
+    failures = {e.id: e.residual for e in run_suite(3, "exact").failures()}
+    assert failures == {
+        "g3.fields.table.L3_L4": "[L3,L4].x2: -3*x2^2*y5 + 1/2*x4*y5 - 2*y4*y5",
+    }
