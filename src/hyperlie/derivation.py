@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .exactpoly import (
     Poly, PolyMap, Ring, RingMismatchError, _int_form, _layout, _mul_into, _pack,
-    _top, _unscaled,
+    _same_quotient, _top, _unscaled,
 )
 
 
@@ -114,6 +114,10 @@ class Derivation:
 
     def apply(self, p: Poly) -> Poly:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
+        return _unscaled(self.ring, *self._applied(p))
+
+    def _applied(self, p: Poly) -> tuple:
+        """(acc, d, layout): ``apply(p)`` is acc / d, keys packed in layout."""
         if p.ring != self.ring:
             raise RingMismatchError("argument not in the derivation's ring")
         d, (terms,) = _int_form([p])
@@ -127,7 +131,7 @@ class Derivation:
             layout = _layout(bounds)
         acc = {}
         _leibniz(acc, _pack(terms, layout), self._packed(layout)[1], 1)
-        return _unscaled(self.ring, acc, d * D, layout)
+        return acc, d * D, layout
 
     def on(self, var) -> Poly:
         """Action on a single variable (zero when absent)."""
@@ -296,17 +300,17 @@ def verify_pushforward(d_up: Derivation, pmap: PolyMap, d_down) -> tuple[bool, d
     d_down(lambda_s).  Passing d_down=None asserts d_up annihilates every
     component.  Checking on the target generators suffices because both sides
     are derivations.
+
+    Both sides are compared as integer forms acc / d (``_same_quotient``);
+    only a failing component is turned into the polynomial difference.
     """
     failures = {}
+    ring, zero = pmap.source, ({}, 1, ())
     for vname, comp in pmap.components.items():
-        lhs = d_up.apply(comp)
-        if d_down is None:
-            rhs = pmap.source.zero
-        else:
-            rhs = pmap.pullback(d_down.on(vname))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            failures[vname] = diff
+        lhs = d_up._applied(comp)
+        rhs = zero if d_down is None else pmap._pulled_back(d_down.on(vname))
+        if not _same_quotient(lhs, rhs):
+            failures[vname] = _unscaled(ring, *lhs) - _unscaled(ring, *rhs)
     return not failures, failures
 
 

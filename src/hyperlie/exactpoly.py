@@ -286,6 +286,11 @@ class Poly:
         So it never holds more than one layout's powers, and is emptied at
         most once per bit any field gains.
         """
+        return _unscaled(*self._substituted(assignment, target, pow_cache))
+
+    def _substituted(self, assignment: Mapping, target, pow_cache) -> tuple:
+        """(target, acc, d, layout): ``substitute``'s result is acc / d in
+        ``target``, with its keys packed in ``layout``."""
         images = {}
         for key, val in assignment.items():
             i = self.ring.index(key)
@@ -299,7 +304,7 @@ class Poly:
             target = self.ring
         d, (terms,) = _int_form([self])
         if not terms:
-            return target.zero
+            return target, {}, 1, ()
         n = len(target.vars)
         top = _top(terms, len(self.ring.vars))
         forms = {}  # i -> (d_i, integer terms of d_i * y_i) for every x_i used
@@ -354,7 +359,7 @@ class Poly:
             for p in rest:
                 prod = _mul_into({}, prod, p)
             _mul_into(acc, prod, last, c)
-        return _unscaled(target, acc, d, layout)
+        return target, acc, d, layout
 
     def evaluate(self, point: Mapping) -> "int | Fraction":
         """Evaluate at a full numeric assignment {name: rational}."""
@@ -808,6 +813,17 @@ def _unscaled(ring: Ring, acc: Mapping, d: int, layout: tuple) -> Poly:
     return Poly(ring, terms, _normalized=True)
 
 
+def _same_quotient(a: tuple, b: tuple) -> bool:
+    """Whether acc_a / d_a == acc_b / d_b for two (acc, d, layout) forms,
+    whatever their layouts, decided on integers: no ``Fraction`` is built."""
+    (acc_a, d_a, layout_a), (acc_b, d_b, layout_b) = a, b
+    if not acc_b:
+        return not any(acc_a.values())
+    terms_a, terms_b = _unpack(acc_a, layout_a), _unpack(acc_b, layout_b)
+    return terms_a.keys() == terms_b.keys() and all(
+        c * d_b == terms_b[m] * d_a for m, c in terms_a.items())
+
+
 def det_bareiss(matrix: PolyMatrix) -> Poly:
     """Fraction-free Bareiss determinant over the polynomial ring.
 
@@ -1021,6 +1037,12 @@ class PolyMap:
             raise RingMismatchError("pullback argument not in target ring")
         return p.substitute(self.components, target=self.source,
                             pow_cache=self._pow_cache)
+
+    def _pulled_back(self, p: Poly) -> tuple:
+        """(acc, d, layout): ``pullback(p)`` is acc / d, keys packed in layout."""
+        if p.ring != self.target:
+            raise RingMismatchError("pullback argument not in target ring")
+        return p._substituted(self.components, self.source, self._pow_cache)[1:]
 
     def evaluate(self, point: Mapping) -> dict:
         return {v: comp.evaluate(point) for v, comp in self.components.items()}

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .exactpoly import Poly, PolyMatrix
 from .genus_fields import build_Tcal, catalog, resolved_table
 from .lambda_space import CurveModel, M_PAIRS, build_M, build_T, discriminant_R
+from .param_map import jacobi_map, w_name
 from .reference import BRACKET_TABLE
 
 _GREEK = {"alpha": r"\alpha", "beta": r"\beta", "gamma1": r"\gamma_{1}",
@@ -95,17 +96,15 @@ def export(what: str, genus: int, fmt: str) -> str:
 
 
 def _export_map(genus: int, fmt: str) -> str:
-    cat = catalog(genus)
-    comps = [(f"l{s}", cat.jm.lambda_exprs[s]) for s in sorted(cat.jm.lambda_exprs)]
+    jm = jacobi_map(genus)
+    comps = [(f"l{s}", jm.lambda_exprs[s]) for s in sorted(jm.lambda_exprs)]
     if fmt == "json":
-        from .param_map import w_name
-
         doc = {
             "genus": genus,
             "map": [{"var": v, "poly": p.to_json_obj()} for v, p in comps],
             "w": [
-                {"var": w_name(genus, k, l), "poly": cat.jm.w_exprs[(k, l)].to_json_obj()}
-                for (k, l) in sorted(cat.jm.w_exprs)
+                {"var": w_name(genus, k, l), "poly": jm.w_exprs[(k, l)].to_json_obj()}
+                for (k, l) in sorted(jm.w_exprs)
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -15,14 +15,19 @@ the mode, as their pit forms evaluate matrices numerically and expand
 nothing: ``detT_eq_cR``, ``tangency``, ``relations_vanish``,
 ``detTcal_factor``.
 
-Entries run serially on the calling thread, in ``suite_entries`` order,
-with one shared ``SuiteContext`` per genus; the report is ordered by entry
-id.  The work is pure-Python arithmetic that holds the interpreter lock, so
-threads cannot speed it up.
+Each genus has one shared ``SuiteContext``.  The entries of claims
+registered with ``apart`` builds (only ``fields.jacobi``, about half of the
+arithmetic) run in one forked child, while the calling process runs every
+other entry on its calling thread, in ``suite_entries`` order (``_beside``).
+The report is ordered by entry id.  The work is pure-Python arithmetic that
+holds the interpreter lock, so threads cannot share it out; a second
+process can.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from fractions import Fraction
 from functools import partial
@@ -188,6 +193,11 @@ _BUILDS = {
     "bezout": lambda ctx: bezout_f(ctx.model),
     # the catalog the displayed tables describe: zero parameters for g = 2
     "base": lambda ctx: ctx.cat_zero if ctx.genus == 2 else ctx.cat,
+    # every field-pair bracket [La, Lb], a before b in the catalog order
+    "pairs": lambda ctx: {
+        (a, b): ctx.cat.fields[a].bracket(ctx.cat.fields[b])
+        for a, b in combinations(ctx.cat.names, 2)
+    },
     "table_rels": lambda ctx: {r.label: r for r in table_relations(ctx.cat)},
     "m_rels": lambda ctx: {
         r.label: r for r in m_relation_rows(ctx.model, ctx.lam_fields)
@@ -197,17 +207,20 @@ _BUILDS = {
 
 # -- claims and their runner ---------------------------------------------------------
 
-# The registration table, in run order: (id, genera, anchor, claim, members).
+# The registration table, in run order:
+# (id, genera, anchor, claim, members, apart).
 _CLAIMS = []
 
 
-def _claim(entry_id, anchor, genera=(1, 2, 3), members=None):
+def _claim(entry_id, anchor, genera=(1, 2, 3), members=None, apart=()):
     """Register the decorated claim as the next row of ``_CLAIMS``.  Each
     key of a family's ``members(g)`` is formatted into the id and anchor and
-    passed to the claim after (ctx, mode, pit, rng)."""
+    passed to the claim after (ctx, mode, pit, rng).  A nonempty ``apart``
+    names the ``SuiteContext`` builds the claim reads: ``run_suite`` makes
+    them, then runs the claim's entries in the forked child."""
 
     def register(claim):
-        _CLAIMS.append((entry_id, genera, anchor, claim, members))
+        _CLAIMS.append((entry_id, genera, anchor, claim, members, apart))
         return claim
 
     return register
@@ -485,7 +498,7 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
     cat = ctx.cat
     for na, nb in combinations(cat.names, 2):
         ka, kb = int(na[1:]), int(nb[1:])
-        up = cat.fields[na].bracket(cat.fields[nb])
+        up = ctx.pairs[na, nb]
         even = ka % 2 == 0 and kb % 2 == 0
         down = ctx.lam_fields[ka].bracket(ctx.lam_fields[kb]) if even else None
         yield from _pushforward(f"[{na},{nb}]", up, cat.pmap, down)
@@ -532,41 +545,127 @@ def _classical_table(ctx, mode, pit, rng):
             yield f"[{left},{right}] on {fname}", d.to_text()
 
 
-@_claim("fields.jacobi", "Jacobi identity over all field triples")
+@_claim("fields.jacobi", "Jacobi identity over all field triples",
+        apart=("cat", "pairs"))
 def _jacobi(ctx, mode, pit, rng):
-    names = ctx.cat.names
-    fields = [ctx.cat.fields[n] for n in names]
-    # inner brackets shared across the triple scan; only a < b is built,
-    # since [C, A] = -[A, C] by the definition of the commutator
-    pair = {
-        (a, b): fields[a].bracket(fields[b])
-        for a, b in combinations(range(len(fields)), 2)
-    }
-    for a, b, c in combinations(range(len(fields)), 3):
+    # only the inner brackets [A, B] with A before B are built, since
+    # [C, A] = -[A, C] by the definition of the commutator
+    fields, pair = ctx.cat.fields, ctx.pairs
+    for a, b, c in combinations(ctx.cat.names, 3):
         res = bracket_sum([(1, fields[a], pair[b, c]), (-1, fields[b], pair[a, c]),
                            (1, fields[c], pair[a, b])])
-        yield f"jacobi({names[a]},{names[b]},{names[c]})", res
+        yield f"jacobi({a},{b},{c})", res
 
 
-def suite_entries(genus: int):
-    """All report entries for one genus, in dependency order: (id, anchor,
-    fn), fn(ctx, mode, pit, rng) -> (ok, witness) running the entry's claim."""
+def _registered(genus: int):
+    """(id, anchor, claim, key, apart) of every entry for one genus, in
+    ``_CLAIMS`` order."""
     constants = {
         "r_weight": reference.r_weight(genus),
         "dett_c": reference.DETT_R_CONSTANT[genus],
         "tcal_c": reference.DET_TCAL_FACTOR[genus],
     }
-    entries = []
-    for entry_id, genera, anchor, claim, members in _CLAIMS:
+    for entry_id, genera, anchor, claim, members, apart in _CLAIMS:
         if genus not in genera:
             continue
         for key in members(genus) if members else [()]:
-            entries.append((
-                f"g{genus}.{entry_id.format(*key)}",
-                anchor.format(*key, **constants),
-                partial(_decide, claim, key),
-            ))
+            yield (f"g{genus}.{entry_id.format(*key)}",
+                   anchor.format(*key, **constants), claim, key, apart)
+
+
+def suite_entries(genus: int):
+    """All report entries for one genus, in dependency order: (id, anchor,
+    fn), fn(ctx, mode, pit, rng) -> (ok, witness) running the entry's claim."""
+    return [(entry_id, anchor, partial(_decide, claim, key))
+            for entry_id, anchor, claim, key, _ in _registered(genus)]
+
+
+def apart_builds(genus: int) -> dict:
+    """{entry id: builds} of the entries that run in the forked child."""
+    return {entry_id: apart
+            for entry_id, _, _, _, apart in _registered(genus) if apart}
+
+
+def _run_entry(ctx, entry_id, anchor, fn, mode, pit) -> ReportEntry:
+    """Decide one entry; a claim that raises fails its entry."""
+    rng = _entry_rng(pit.seed, entry_id) if mode == "pit" else None
+    start = time.perf_counter()
+    try:
+        ok, residual = fn(ctx, mode, pit, rng)
+    except Exception as exc:  # defect in construction: report, don't crash
+        ok, residual = False, _truncate(f"exception: {exc!r}")
+    return ReportEntry(
+        id=entry_id, anchor=anchor, status="pass" if ok else "fail",
+        residual=residual, wall_time=round(time.perf_counter() - start, 6),
+    )
+
+
+def _received(data: bytes, owed) -> list | None:
+    """The child's entries, or None unless ``data`` is one well-formed row
+    (id, status, residual, wall_time) for each owed entry, in order."""
+    try:
+        rows = json.loads(data)
+    except ValueError:
+        return None
+    if not isinstance(rows, list) or len(rows) != len(owed):
+        return None
+    entries = []
+    for row, (_, entry_id, anchor, _) in zip(rows, owed):
+        if not (isinstance(row, list) and len(row) == 4 and row[0] == entry_id
+                and (row[1] == "pass" and row[2] is None
+                     or row[1] == "fail" and isinstance(row[2], str))
+                and type(row[3]) in (int, float)):
+            return None
+        entries.append(ReportEntry(entry_id, anchor, *row[1:]))
     return entries
+
+
+def _beside(own, owed, run) -> list:
+    """``run(*e)`` for every e of ``own`` and of ``owed``, the owed ones in
+    one forked child while this process runs its own.
+
+    The child inherits every build made so far copy-on-write, sends plain
+    rows back over a pipe and leaves by ``os._exit``, so no inherited
+    buffer or exit handler runs twice.  If it exits nonzero or sends a short
+    or malformed message, each entry it owed fails with a witness naming its
+    exit status.  Where ``os.fork`` is missing or raises, the owed entries
+    run here, after the others.
+    """
+    pid = None
+    if owed and hasattr(os, "fork"):
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        return [run(*e) for e in own + owed]
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            rows = [[e.id, e.status, e.residual, e.wall_time]
+                    for e in [run(*o) for o in owed]]
+            with open(write_end, "wb") as pipe:
+                pipe.write(json.dumps(rows).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        entries = [run(*e) for e in own]
+    finally:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    received = _received(data, owed) if code == 0 else None
+    if received is None:
+        problem = f"forked child exited with status {code}" + (
+            " after a malformed report" if code == 0 else "")
+        received = [ReportEntry(entry_id, anchor, "fail", problem)
+                    for _, entry_id, anchor, _ in owed]
+    return entries + received
 
 
 def run_suite(
@@ -584,19 +683,20 @@ def run_suite(
     report = VerificationReport(
         mode=mode, genus=genera, seed=pit.seed if mode == "pit" else None
     )
+    own, owed = [], []
     for g in genera:
-        ctx = SuiteContext(g)
+        ctx, apart = SuiteContext(g), apart_builds(g)
         for entry_id, anchor, fn in suite_entries(g):
-            rng = _entry_rng(pit.seed, entry_id) if mode == "pit" else None
-            start = time.perf_counter()
-            try:
-                ok, residual = fn(ctx, mode, pit, rng)
-            except Exception as exc:  # defect in construction: report, don't crash
-                ok, residual = False, _truncate(f"exception: {exc!r}")
-            elapsed = time.perf_counter() - start
-            report.add(ReportEntry(
-                id=entry_id, anchor=anchor, status="pass" if ok else "fail",
-                residual=residual, wall_time=round(elapsed, 6),
-            ))
+            if entry_id not in apart:
+                own.append((ctx, entry_id, anchor, fn))
+                continue
+            owed.append((ctx, entry_id, anchor, fn))
+            try:  # built here, so the forked child inherits them
+                for key in apart[entry_id]:
+                    getattr(ctx, key)
+            except Exception:  # the entry meets it again and reports it
+                pass
+    for entry in _beside(own, owed, partial(_run_entry, mode=mode, pit=pit)):
+        report.add(entry)
     report.sort()
     return report

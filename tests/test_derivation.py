@@ -180,6 +180,28 @@ def test_pushforward_genus1_weight2_pair(g1fields, g1ring):
     assert pmap.pullback(L2_down.on("l4")) == expected
 
 
+def test_pushforward_failures_are_the_polynomial_differences(g1fields, g1ring):
+    """The check decides on integer forms; a failing component's witness is
+    still the Poly difference of the two sides, and only failing ones show."""
+    lring = Ring([("l4", 4), ("l6", 6)])
+    pmap = PolyMap("p", g1ring, lring, {
+        "l4": g1ring.parse("-3*x2^2 + 1/2*x4"),
+        "l6": g1ring.parse("2*x2^3 + 1/4*x3^2 - 1/2*x2*x4"),
+    })
+    wrong = Derivation("L2", lring, {  # displayed l6 image: -4/3*l4^2
+        "l4": lring.parse("6*l6"), "l6": lring.parse("-5/3*l4^2")
+    }, weight=2)
+    up = g1fields["L2"]
+    ok, failures = verify_pushforward(up, pmap, wrong)
+    assert not ok
+    assert failures == {
+        "l6": up.apply(pmap.components["l6"]) - pmap.pullback(wrong.on("l6"))
+    }
+    ok, failures = verify_pushforward(up, pmap, None)
+    assert not ok
+    assert failures == {v: up.apply(c) for v, c in pmap.components.items()}
+
+
 def test_pushforward_all_genus3_pairs(catalogs, lam_fields):
     cat = catalogs[3]
     for k in (0, 2, 4, 6, 8, 10):

@@ -516,3 +516,22 @@ def test_canonical_order_is_weight_then_name(xring3):
     p = xring3.parse("z6 + x2 + x2^3 + y4")
     # ascending weight (2, 4, 6, 6); the weight-6 tie breaks by name x2 < z6
     assert p.to_text() == "x2 + y4 + x2^3 + z6"
+
+
+def test_same_quotient_compares_forms_across_layouts_and_denominators(lring):
+    from hyperlie.exactpoly import _int_form, _layout, _pack, _same_quotient
+
+    def form(poly, scale, bounds):
+        d, (terms,) = _int_form([poly])
+        layout = _layout(bounds)
+        return _pack({m: scale * c for m, c in terms.items()}, layout), scale * d, layout
+
+    p = lring.parse("1/2*l4^3 - 2/3*l6")
+    a = form(p, 1, [3, 1])
+    assert _same_quotient(a, form(p, 5, [40, 9]))
+    assert not _same_quotient(a, form(p + lring.parse("1/6*l4^3"), 1, [3, 1]))
+    assert not _same_quotient(a, form(p + lring.parse("l6^2"), 5, [40, 9]))
+    zero = ({}, 1, ())
+    cancelled = ({k: 0 for k in a[0]}, 7, a[2])
+    assert not _same_quotient(a, zero) and not _same_quotient(zero, a)
+    assert _same_quotient(cancelled, zero) and _same_quotient(zero, cancelled)
