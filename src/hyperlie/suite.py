@@ -15,31 +15,35 @@ the mode, as their pit forms evaluate matrices numerically and expand
 nothing: ``detT_eq_cR``, ``tangency``, ``relations_vanish``,
 ``detTcal_factor``.
 
-Each genus has one shared ``SuiteContext``.  The entries of claims
-registered with ``apart`` builds (only ``fields.jacobi``, about half of the
-arithmetic) run in one forked child, while the calling process runs every
-other entry on its calling thread, in ``suite_entries`` order (``_beside``).
-The report is ordered by entry id.  The work is pure-Python arithmetic that
-holds the interpreter lock, so threads cannot share it out; a second
-process can.
+Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
+entry on the calling thread, in ``suite_entries`` order, and orders the
+report by entry id.  ``fields.jacobi`` and ``fields.pushforward_homomorphism``
+read the structure functions c_ab^k of [L_a, L_b] = sum_k c_ab^k L_k
+(Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) from the displayed table
+rows, the Euler rows and antisymmetry once every one of those rows holds
+exactly; otherwise they bracket the whole fields, so a wrong displayed row
+fails its own ``fields.table`` entry only.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from math import lcm
 from typing import NamedTuple
 
 from . import reference
 from .classical import compare_tables
 from .derivation import (
-    BracketRelation, Derivation, bracket_sum, ladder_complete, verify_pushforward,
+    BracketRelation, Derivation, _leibniz, bracket_sum, ladder_complete,
+    verify_pushforward,
 )
-from .exactpoly import Poly, det_minor_expansion
+from .exactpoly import (
+    Poly, _int_form, _layout, _mul_into, _pack, _same_quotient, _top, _unscaled,
+    det_minor_expansion,
+)
 from .genus_fields import (
     _ladder_steps,
     build_even_by_ladder,
@@ -178,6 +182,23 @@ class SuiteContext:
         return self._get(key, lambda: _BUILDS[key](self))
 
 
+def _expansions(ctx):
+    """{(a, b): {k: c_ab^k}} with [La, Lb] = sum_k c_ab^k Lk, for every
+    ordered pair of distinct fields, from the table rows, the Euler rows and
+    c_ba = -c_ab; None unless every one of those rows holds exactly and
+    together they cover every pair."""
+    if not all(r.is_zero() for memo in (ctx.table_res, ctx.euler_res)
+               for r in memo.values()):
+        return None
+    out = {}
+    for rel in [*ctx.table_rels.values(), *ctx.euler_rels.values()]:
+        coeffs = {Z.name: c for c, Z in rel.expansion}
+        out[rel.left.name, rel.right.name] = coeffs
+        out[rel.right.name, rel.left.name] = {k: -c for k, c in coeffs.items()}
+    names = ctx.cat.names
+    return out if set(out) == {(a, b) for a in names for b in names if a != b} else None
+
+
 _BUILDS = {
     "model": lambda ctx: CurveModel(ctx.genus),
     "R": lambda ctx: discriminant_R(ctx.model),
@@ -193,12 +214,16 @@ _BUILDS = {
     "bezout": lambda ctx: bezout_f(ctx.model),
     # the catalog the displayed tables describe: zero parameters for g = 2
     "base": lambda ctx: ctx.cat_zero if ctx.genus == 2 else ctx.cat,
-    # every field-pair bracket [La, Lb], a before b in the catalog order
+    # every field-pair bracket [La, Lb], a before b, when expansions is None
     "pairs": lambda ctx: {
         (a, b): ctx.cat.fields[a].bracket(ctx.cat.fields[b])
         for a, b in combinations(ctx.cat.names, 2)
     },
     "table_rels": lambda ctx: {r.label: r for r in table_relations(ctx.cat)},
+    "euler_rels": lambda ctx: {r.label: r for r in euler_relations(ctx.cat)},
+    "table_res": lambda ctx: {k: r.residual() for k, r in ctx.table_rels.items()},
+    "euler_res": lambda ctx: {k: r.residual() for k, r in ctx.euler_rels.items()},
+    "expansions": _expansions,
     "m_rels": lambda ctx: {
         r.label: r for r in m_relation_rows(ctx.model, ctx.lam_fields)
     },
@@ -207,20 +232,17 @@ _BUILDS = {
 
 # -- claims and their runner ---------------------------------------------------------
 
-# The registration table, in run order:
-# (id, genera, anchor, claim, members, apart).
+# The registration table, in run order: (id, genera, anchor, claim, members).
 _CLAIMS = []
 
 
-def _claim(entry_id, anchor, genera=(1, 2, 3), members=None, apart=()):
+def _claim(entry_id, anchor, genera=(1, 2, 3), members=None):
     """Register the decorated claim as the next row of ``_CLAIMS``.  Each
     key of a family's ``members(g)`` is formatted into the id and anchor and
-    passed to the claim after (ctx, mode, pit, rng).  A nonempty ``apart``
-    names the ``SuiteContext`` builds the claim reads: ``run_suite`` makes
-    them, then runs the claim's entries in the forked child."""
+    passed to the claim after (ctx, mode, pit, rng)."""
 
     def register(claim):
-        _CLAIMS.append((entry_id, genera, anchor, claim, members, apart))
+        _CLAIMS.append((entry_id, genera, anchor, claim, members))
         return claim
 
     return register
@@ -361,11 +383,10 @@ def _tangency(ctx, mode, pit, rng):
             yield f"{L.name} tangency at {point}", ldet - m.evaluate(point) * dt
 
 
-@_claim("params.structure.{1}_{2}", "[{1},{2}] expands in the structure matrix",
-        genera=(3,),
-        members=lambda g: [("m_rels", f"L{i}", f"L{j}") for i, j in M_PAIRS])
-def _relation(ctx, mode, pit, rng, memo, left, right):
-    rel = getattr(ctx, memo)[f"[{left},{right}]"]
+@_claim("params.structure.{0}_{1}", "[{0},{1}] expands in the structure matrix",
+        genera=(3,), members=lambda g: [(f"L{i}", f"L{j}") for i, j in M_PAIRS])
+def _structure_row(ctx, mode, pit, rng, left, right):
+    rel = ctx.m_rels[f"[{left},{right}]"]
     yield rel.label, rel.residual()
 
 
@@ -431,8 +452,7 @@ def _homogeneous(ctx, mode, pit, rng):
 
 @_claim("fields.euler_rows", "[L0, Lk] = k Lk on generator space")
 def _euler_rows(ctx, mode, pit, rng):
-    for rel in euler_relations(ctx.cat):
-        yield rel.label, rel.residual()
+    yield from ctx.euler_res.items()
 
 
 @_claim("fields.displayed_actions", "field actions match every displayed coefficient")
@@ -493,20 +513,54 @@ def _projectable(ctx, mode, pit, rng, name):
     yield from _pushforward(name, ctx.cat.fields[name], ctx.cat.pmap, down)
 
 
+def _one_denominator(ring, polys, tops=()):
+    """(d, packed, layout): ``polys`` over one denominator d, packed with
+    room for the product of two of them or for the image of one under a
+    field whose image exponents reach ``tops``."""
+    d, ints = _int_form(polys)
+    top = _top([*(m for t in ints for m in t), *tops], len(ring.vars))
+    layout = _layout(2 * e for e in top)
+    return d, [_pack(t, layout) for t in ints], layout
+
+
+@_claim("fields.table.{0}_{1}", "[{0},{1}] matches its displayed expansion",
+        members=lambda g: [r[:2] for r in reference.BRACKET_TABLE[g]])
+def _table_row(ctx, mode, pit, rng, left, right):
+    yield f"[{left},{right}]", ctx.table_res[f"[{left},{right}]"]
+
+
 @_claim("fields.pushforward_homomorphism", "bracket commutes with the pushforward")
 def _pushforward_homomorphism(ctx, mode, pit, rng):
-    cat = ctx.cat
-    for na, nb in combinations(cat.names, 2):
+    """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd.  With
+    expansions the left side is sum_k c_ab^k Lk(p_j) as one integer form,
+    decided by ``_same_quotient``; only a failing side becomes a ``Poly``."""
+    cat, exp = ctx.cat, ctx.expansions
+    pairs = list(combinations(cat.names, 2))
+    if exp is not None:
+        comps = cat.pmap.components
+        keys = [(pair, k) for pair in pairs for k in exp[pair]]
+        lk = [(k, v) for k in cat.names for v in comps]
+        d, packed, layout = _one_denominator(
+            cat.ring, [exp[pair][k] for pair, k in keys]
+            + [cat.fields[k].apply(comps[v]) for k, v in lk])
+        forms, images = dict(zip(keys, packed)), dict(zip(lk, packed[len(keys):]))
+    for na, nb in pairs:
         ka, kb = int(na[1:]), int(nb[1:])
-        up = ctx.pairs[na, nb]
         even = ka % 2 == 0 and kb % 2 == 0
         down = ctx.lam_fields[ka].bracket(ctx.lam_fields[kb]) if even else None
-        yield from _pushforward(f"[{na},{nb}]", up, cat.pmap, down)
-
-
-_claim("fields.table.{1}_{2}", "[{1},{2}] matches its displayed expansion",
-       members=lambda g: [("table_rels", *r[:2]) for r in reference.BRACKET_TABLE[g]],
-       )(_relation)
+        label = f"[{na},{nb}]"
+        if exp is None:
+            yield from _pushforward(label, ctx.pairs[na, nb], cat.pmap, down)
+            continue
+        for v in comps:
+            acc = {}
+            for k in exp[na, nb]:
+                _mul_into(acc, forms[(na, nb), k], images[k, v])
+            lhs = (acc, d * d, layout)
+            rhs = ({}, 1, ()) if down is None else cat.pmap._pulled_back(down.on(v))
+            if not _same_quotient(lhs, rhs):
+                yield (f"{label} on {v}",
+                       _unscaled(cat.ring, *lhs) - _unscaled(cat.ring, *rhs))
 
 
 @_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")
@@ -545,9 +599,39 @@ def _classical_table(ctx, mode, pit, rng):
             yield f"[{left},{right}] on {fname}", d.to_text()
 
 
-@_claim("fields.jacobi", "Jacobi identity over all field triples",
-        apart=("cat", "pairs"))
+def _structure_jacobi(cat, expansions):
+    """(label, S_m) for every triple a < b < c and field m with nonzero
+    S_m = sum over cyclic (a, b, c) of La(c_bc^m) + sum_k c_bc^k c_ak^m.
+    As [La, Lb] = sum_k c_ab^k Lk, [La, [Lb, Lc]] + cyc = sum_m S_m Lm, so
+    no S_m proves the identity.  One integer pass over one denominator and
+    layout: La(c) by ``_leibniz``, the products by ``_mul_into``."""
+    ring, fields = cat.ring, cat.fields
+    keys = [(pair, k) for pair, coeffs in expansions.items() for k in coeffs]
+    d, packed, layout = _one_denominator(
+        ring, [expansions[pair][k] for pair, k in keys],
+        [f._scaled_action()[2] for f in fields.values()])
+    forms = dict(zip(keys, packed))
+    D = {name: f._scaled_action()[0] for name, f in fields.items()}
+    den = lcm(d * d, *(d * D_a for D_a in D.values()))
+    for a, b, c in combinations(cat.names, 3):
+        accs = {m: {} for m in cat.names}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            images = fields[x]._packed(layout)[1]
+            for k in expansions[y, z]:
+                t = forms[(y, z), k]
+                _leibniz(accs[k], t, images, den // (d * D[x]))
+                for m in expansions.get((x, k), ()):
+                    _mul_into(accs[m], t, forms[(x, k), m], den // (d * d))
+        for m, acc in accs.items():
+            if any(acc.values()):
+                yield f"jacobi({a},{b},{c}) on {m}", _unscaled(ring, acc, den, layout)
+
+
+@_claim("fields.jacobi", "Jacobi identity over all field triples")
 def _jacobi(ctx, mode, pit, rng):
+    if ctx.expansions is not None:
+        yield from _structure_jacobi(ctx.cat, ctx.expansions)
+        return
     # only the inner brackets [A, B] with A before B are built, since
     # [C, A] = -[A, C] by the definition of the commutator
     fields, pair = ctx.cat.fields, ctx.pairs
@@ -558,32 +642,26 @@ def _jacobi(ctx, mode, pit, rng):
 
 
 def _registered(genus: int):
-    """(id, anchor, claim, key, apart) of every entry for one genus, in
-    ``_CLAIMS`` order."""
+    """(id, anchor, claim, key) of every entry for one genus, in ``_CLAIMS``
+    order."""
     constants = {
         "r_weight": reference.r_weight(genus),
         "dett_c": reference.DETT_R_CONSTANT[genus],
         "tcal_c": reference.DET_TCAL_FACTOR[genus],
     }
-    for entry_id, genera, anchor, claim, members, apart in _CLAIMS:
+    for entry_id, genera, anchor, claim, members in _CLAIMS:
         if genus not in genera:
             continue
         for key in members(genus) if members else [()]:
             yield (f"g{genus}.{entry_id.format(*key)}",
-                   anchor.format(*key, **constants), claim, key, apart)
+                   anchor.format(*key, **constants), claim, key)
 
 
 def suite_entries(genus: int):
     """All report entries for one genus, in dependency order: (id, anchor,
     fn), fn(ctx, mode, pit, rng) -> (ok, witness) running the entry's claim."""
     return [(entry_id, anchor, partial(_decide, claim, key))
-            for entry_id, anchor, claim, key, _ in _registered(genus)]
-
-
-def apart_builds(genus: int) -> dict:
-    """{entry id: builds} of the entries that run in the forked child."""
-    return {entry_id: apart
-            for entry_id, _, _, _, apart in _registered(genus) if apart}
+            for entry_id, anchor, claim, key in _registered(genus)]
 
 
 def _run_entry(ctx, entry_id, anchor, fn, mode, pit) -> ReportEntry:
@@ -598,74 +676,6 @@ def _run_entry(ctx, entry_id, anchor, fn, mode, pit) -> ReportEntry:
         id=entry_id, anchor=anchor, status="pass" if ok else "fail",
         residual=residual, wall_time=round(time.perf_counter() - start, 6),
     )
-
-
-def _received(data: bytes, owed) -> list | None:
-    """The child's entries, or None unless ``data`` is one well-formed row
-    (id, status, residual, wall_time) for each owed entry, in order."""
-    try:
-        rows = json.loads(data)
-    except ValueError:
-        return None
-    if not isinstance(rows, list) or len(rows) != len(owed):
-        return None
-    entries = []
-    for row, (_, entry_id, anchor, _) in zip(rows, owed):
-        if not (isinstance(row, list) and len(row) == 4 and row[0] == entry_id
-                and (row[1] == "pass" and row[2] is None
-                     or row[1] == "fail" and isinstance(row[2], str))
-                and type(row[3]) in (int, float)):
-            return None
-        entries.append(ReportEntry(entry_id, anchor, *row[1:]))
-    return entries
-
-
-def _beside(own, owed, run) -> list:
-    """``run(*e)`` for every e of ``own`` and of ``owed``, the owed ones in
-    one forked child while this process runs its own.
-
-    The child inherits every build made so far copy-on-write, sends plain
-    rows back over a pipe and leaves by ``os._exit``, so no inherited
-    buffer or exit handler runs twice.  If it exits nonzero or sends a short
-    or malformed message, each entry it owed fails with a witness naming its
-    exit status.  Where ``os.fork`` is missing or raises, the owed entries
-    run here, after the others.
-    """
-    pid = None
-    if owed and hasattr(os, "fork"):
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-    if pid is None:
-        return [run(*e) for e in own + owed]
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            rows = [[e.id, e.status, e.residual, e.wall_time]
-                    for e in [run(*o) for o in owed]]
-            with open(write_end, "wb") as pipe:
-                pipe.write(json.dumps(rows).encode())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    try:
-        entries = [run(*e) for e in own]
-    finally:
-        with open(read_end, "rb") as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    received = _received(data, owed) if code == 0 else None
-    if received is None:
-        problem = f"forked child exited with status {code}" + (
-            " after a malformed report" if code == 0 else "")
-        received = [ReportEntry(entry_id, anchor, "fail", problem)
-                    for _, entry_id, anchor, _ in owed]
-    return entries + received
 
 
 def run_suite(
@@ -683,20 +693,9 @@ def run_suite(
     report = VerificationReport(
         mode=mode, genus=genera, seed=pit.seed if mode == "pit" else None
     )
-    own, owed = [], []
     for g in genera:
-        ctx, apart = SuiteContext(g), apart_builds(g)
+        ctx = SuiteContext(g)
         for entry_id, anchor, fn in suite_entries(g):
-            if entry_id not in apart:
-                own.append((ctx, entry_id, anchor, fn))
-                continue
-            owed.append((ctx, entry_id, anchor, fn))
-            try:  # built here, so the forked child inherits them
-                for key in apart[entry_id]:
-                    getattr(ctx, key)
-            except Exception:  # the entry meets it again and reports it
-                pass
-    for entry in _beside(own, owed, partial(_run_entry, mode=mode, pit=pit)):
-        report.add(entry)
+            report.add(_run_entry(ctx, entry_id, anchor, fn, mode, pit))
     report.sort()
     return report

@@ -1,9 +1,7 @@
 """Suite orchestration and command-line surface."""
 
 import ast
-import errno
 import json
-import os
 import re
 import subprocess
 import sys
@@ -18,7 +16,7 @@ import hyperlie
 from hyperlie import reference, suite
 from hyperlie.cli import main
 from hyperlie.export import export
-from hyperlie.report import ReportEntry, schema_text
+from hyperlie.report import schema_text
 from hyperlie.suite import (
     PitConfig,
     SuiteContext,
@@ -96,10 +94,9 @@ def test_run_suite_rejects_bad_arguments():
 
 
 def test_run_suite_is_serial_and_entry_times_are_honest(monkeypatch):
-    # Each process runs its entries serially: this one every entry but the
-    # forked child's, on the calling thread in suite_entries order.  The two
-    # run side by side, so each side's entry times sum to at most the
-    # elapsed time, not both together.
+    # Every entry, fields.jacobi included, runs on the calling thread in
+    # suite_entries order, one after another, so the entry times sum to at
+    # most the elapsed time.
     calls = []
 
     def recording_entries(genus):
@@ -118,102 +115,26 @@ def test_run_suite_is_serial_and_entry_times_are_honest(monkeypatch):
     elapsed = time.perf_counter() - start
     assert rep.passed
     here = threading.get_ident()
-    apart = suite.apart_builds(1)
-    assert set(apart) == {"g1.fields.jacobi"}
-    assert calls == [(here, eid) for eid, _, _ in suite_entries(1) if eid not in apart]
-    for forked in (False, True):
-        assert sum(e.wall_time for e in rep.entries if (e.id in apart) == forked) <= elapsed
+    assert calls == [(here, eid) for eid, _, _ in suite_entries(1)]
+    assert "g1.fields.jacobi" in {eid for _, eid in calls}
+    assert sum(e.wall_time for e in rep.entries) <= elapsed
 
 
 def _content(report):
     return [(e.id, e.anchor, e.status, e.residual) for e in report.entries]
 
 
-def _refuse_fork():
-    raise OSError(errno.EAGAIN, "no process slots left")
-
-
-@pytest.mark.parametrize("mode,seed,no_fork", [
-    ("exact", 0, "missing"), ("pit", 1, "raises"), ("pit", 3, "missing"),
-])
-def test_forked_and_in_process_reports_are_identical(monkeypatch, mode, seed, no_fork):
+@pytest.mark.parametrize("mode,seed", [("exact", 0), ("pit", 1), ("pit", 3)])
+def test_in_process_reports_repeat(mode, seed):
     pit = PitConfig(seed=seed)
-    forked = _content(run_suite("all", mode, pit))
-    if no_fork == "missing":
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", _refuse_fork)
-    assert _content(run_suite("all", mode, pit)) == forked
-
-
-def _replace_claim(monkeypatch, entry_id, claim):
-    """Swap the claim of one registered entry, keeping its id and builds."""
-    rows = [row[:3] + (claim,) + row[4:] if row[0] == entry_id else row
-            for row in suite._CLAIMS]
-    monkeypatch.setattr(suite, "_CLAIMS", rows)
-
-
-def test_apart_entries_run_in_one_forked_child(monkeypatch):
-    def where(ctx, mode, pit, rng):
-        yield "pid", str(os.getpid())
-
-    _replace_claim(monkeypatch, "fields.jacobi", where)
-    failures = {e.id: e.residual for e in run_suite("all", "exact").failures()}
-    assert set(failures) == {f"g{g}.fields.jacobi" for g in (1, 2, 3)}
-    pids = {witness.removeprefix("pid: ") for witness in failures.values()}
-    assert len(pids) == 1
-    assert pids != {str(os.getpid())}
-
-
-@pytest.mark.parametrize("code,witness", [
-    (3, "forked child exited with status 3"),
-    (0, "forked child exited with status 0 after a malformed report"),
-])
-def test_child_that_exits_early_fails_what_it_owed(monkeypatch, code, witness):
-    def leaves(ctx, mode, pit, rng):
-        os._exit(code)
-        yield
-
-    _replace_claim(monkeypatch, "fields.jacobi", leaves)
-    rep = run_suite(1, "exact")
-    assert [e.id for e in rep.entries] == sorted(eid for eid, _, _ in suite_entries(1))
-    assert {e.id: e.residual for e in rep.failures()} == {"g1.fields.jacobi": witness}
-
-
-def test_child_exit_status_outranks_its_report(monkeypatch):
-    real_exit = os._exit
-    monkeypatch.setattr(os, "_exit", lambda code: real_exit(7))
-    failures = {e.id: e.residual for e in run_suite(1, "exact").failures()}
-    assert failures == {"g1.fields.jacobi": "forked child exited with status 7"}
-
-
-def test_child_report_is_checked_row_by_row():
-    owed = [(None, "g1.a", "anchor a", None), (None, "g1.b", "anchor b", None)]
-    rows = [["g1.a", "pass", None, 0.5], ["g1.b", "fail", "x: 1", 2]]
-    assert suite._received(json.dumps(rows).encode(), owed) == [
-        ReportEntry("g1.a", "anchor a", "pass", None, 0.5),
-        ReportEntry("g1.b", "anchor b", "fail", "x: 1", 2),
-    ]
-    malformed = [
-        rows[:1], rows[::-1], rows + [rows[0]], {"g1.a": rows[0]}, [rows[0], None],
-        [["g1.a", "pass", "x: 1", 0.5], rows[1]],
-        [["g1.a", "fail", None, 0.5], rows[1]],
-        [["g1.a", "skip", None, 0.5], rows[1]],
-        [["g1.a", "pass", None, "0.5"], rows[1]],
-        [["g1.a", "pass", None], rows[1]],
-    ]
-    for bad in malformed:
-        assert suite._received(json.dumps(bad).encode(), owed) is None, bad
-    for data in (b"", b"\xff", json.dumps(rows).encode()[:-2]):
-        assert suite._received(data, owed) is None, data
+    assert _content(run_suite("all", mode, pit)) == _content(run_suite("all", mode, pit))
 
 
 def test_suite_and_exports_make_no_bareiss_or_division_call(monkeypatch):
     # The runtime computes R by minor expansion and checks tangency by
     # products; Bareiss and exact division are kept as the tests' second
     # algorithm.  Every module binding of the two functions is replaced by a
-    # counter that also raises, so a call made in the suite's forked child,
-    # whose counts this process never sees, fails its entry.  The catalog
+    # counter that also raises, so a call fails its entry.  The catalog
     # cache is cleared so nothing built earlier hides a call.
     from hyperlie import exactpoly, genus_fields, lambda_space
 

@@ -12,7 +12,8 @@ from itertools import combinations
 
 import pytest
 
-from hyperlie import Derivation, reference
+from hyperlie import Derivation, derivation, reference, suite
+from hyperlie.genus_fields import parse_coeff
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 
 
@@ -79,21 +80,28 @@ def _three_bracket_jacobi(ctx, mode, pit, rng):
 
 
 def test_perturbed_pair_bracket_fails_jacobi(monkeypatch):
-    """[L1,L2] gains x2*d/dx2; the Jacobi entry must fail in both modes, and
-    its exact witness must be the one the three-bracket form gives."""
-    bracket = Derivation.bracket
+    """The one-bracket ``bracket_sum`` for (L1, L2), which both
+    ``Derivation.bracket`` and ``BracketRelation.residual`` call, gains
+    x2*d/dx2.  The Jacobi entry must fail in both modes, and its exact
+    witness must be the one the three-bracket form gives.  The [L1,L2] row
+    now fails its check, so ``g2.fields.table.L1_L2`` fails as well and the
+    Jacobi entry falls back to the whole-field brackets.  The other entries
+    that bracket L1 with L2 fail too: classical_table, even_ladder_agrees,
+    normalization and pushforward_homomorphism."""
+    bracket_sum = derivation.bracket_sum
 
-    def perturbed(self, other):
-        out = bracket(self, other)
-        if (self.name, other.name) == ("L1", "L2"):
-            out = out + Derivation("E", self.ring, {"x2": self.ring.var("x2")})
+    def perturbed(terms, *args, **kwargs):
+        out = bracket_sum(terms, *args, **kwargs)
+        if [(s, X.name, Y.name) for s, X, Y in terms] == [(1, "L1", "L2")]:
+            out = out + Derivation("E", out.ring, {"x2": out.ring.var("x2")})
         return out
 
-    monkeypatch.setattr(Derivation, "bracket", perturbed)
+    monkeypatch.setattr(derivation, "bracket_sum", perturbed)
     witness = {}
     for mode in ("exact", "pit"):
-        report = run_suite(2, mode, PitConfig(seed=1))
-        witness[mode] = {e.id: e.residual for e in report.failures()}.get("g2.fields.jacobi")
+        failures = {e.id: e.residual for e in run_suite(2, mode, PitConfig(seed=1)).failures()}
+        assert "g2.fields.table.L1_L2" in failures, mode
+        witness[mode] = failures.get("g2.fields.jacobi")
         assert witness[mode] is not None, mode
     assert re.match(r"jacobi\(L\d,L\d,L\d\)\.\w+ at \{.*\} -> -?\d", witness["pit"])
     ok, want = _decide(_three_bracket_jacobi, (), SuiteContext(2), "exact", PitConfig(), None)
@@ -110,3 +118,82 @@ def test_corrupted_genus3_table_row_keeps_its_witness(monkeypatch):
     assert failures == {
         "g3.fields.table.L3_L4": "[L3,L4].x2: -3*x2^2*y5 + 1/2*x4*y5 - 2*y4*y5",
     }
+
+
+def test_clean_suite_never_builds_pairs(monkeypatch):
+    """A clean run decides Jacobi and the pushforward homomorphism on the
+    checked expansions, so the whole-field ``pairs`` build never runs; a
+    wrong displayed row brings it back for that genus."""
+    built = []
+    get = SuiteContext._get
+
+    def counting(self, key, builder):
+        if key not in self._memo:
+            built.append((self.genus, key))
+        return get(self, key, builder)
+
+    monkeypatch.setattr(SuiteContext, "_get", counting)
+    for g in (1, 2, 3):
+        for mode in ("exact", "pit"):
+            assert run_suite(g, mode, PitConfig(seed=1)).passed
+    assert {g for g, key in built if key == "expansions"} == {1, 2, 3}
+    assert [b for b in built if b[1] == "pairs"] == []
+    monkeypatch.setitem(_table_row(1, "L1", "L2")[2], "L1", "2*x2")  # displayed: x2
+    assert not run_suite(1, "exact").passed
+    assert (1, "pairs") in built
+
+
+def test_pair_without_a_row_falls_back(monkeypatch):
+    """A pair that no displayed row covers leaves both entries on the
+    whole-field brackets, where they still pass."""
+    monkeypatch.setitem(reference.BRACKET_TABLE, 1, [])
+    ctx = SuiteContext(1)
+    assert ctx.expansions is None
+    for claim in (suite._jacobi, suite._pushforward_homomorphism):
+        assert _decide(claim, (), ctx, "exact", PitConfig(), None) == (True, None)
+    assert "pairs" in ctx._memo
+
+
+def _perturbed_expansions(genus, pair, field, delta):
+    """A genus's checked expansions with c_pair^field + delta, and -delta on
+    the reversed pair, fed straight to the claims past the row checks."""
+    ctx = SuiteContext(genus)
+    exp = {p: dict(coeffs) for p, coeffs in ctx.expansions.items()}
+    delta = parse_coeff(ctx.cat, delta)
+    for (a, b), sign in ((pair, 1), (pair[::-1], -1)):
+        exp[a, b][field] = exp[a, b].get(field, ctx.cat.ring.zero) + sign * delta
+    ctx._memo["expansions"] = exp
+    return ctx
+
+
+@pytest.mark.parametrize("genus,pair,field,delta,triples", [
+    (3, ("L3", "L4"), "L3", "-l4", 20),  # displayed: y4 - l4, made y4 - 2*l4
+    (2, ("L1", "L2"), "L1", "x2", 7),  # displayed: x2, made 2*x2
+], ids=["g3-L3_L4", "g2-L1_L2"])
+def test_structure_jacobi_fails_on_a_perturbed_expansion(genus, pair, field, delta, triples):
+    ctx = _perturbed_expansions(genus, pair, field, delta)
+    failing = {label.split(" on ")[0]
+               for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions)}
+    assert len(failing) == triples
+    ok, witness = _decide(suite._jacobi, (), ctx, "exact", PitConfig(), None)
+    assert not ok and re.match(r"jacobi\(L\d+,L\d+,L\d+\) on L\d+: \S", witness), witness
+
+
+def test_expanded_pushforward_fails_on_a_perturbed_expansion():
+    ctx = _perturbed_expansions(3, ("L2", "L4"), "L0", "1")
+    failing = [label for label, _ in
+               suite._pushforward_homomorphism(ctx, "exact", PitConfig(), None)]
+    assert len(failing) == 6
+    assert all(label.startswith("[L2,L4] on ") for label in failing)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_structure_jacobi_agrees_with_three_brackets(genus):
+    ctx = SuiteContext(genus)
+    structure = {label.split(" on ")[0]
+                 for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions)}
+    three = {label for label, res in _three_bracket_jacobi(ctx, "exact", None, None)
+             if not res.is_zero()}
+    assert structure == three == set()
+    assert _decide(suite._jacobi, (), ctx, "exact", PitConfig(), None) == (
+        _decide(_three_bracket_jacobi, (), ctx, "exact", PitConfig(), None))
