@@ -41,14 +41,9 @@ class SymbolDictionary:
 
     def __init__(self, cat: FieldCatalog):
         self.cat = cat
-        self._memo: dict[tuple[int, tuple[int, ...]], Poly] = {}
 
     def image(self, i: int, ks: tuple[int, ...]) -> Poly:
         ks = tuple(sorted(ks))
-        key = (i, ks)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         cat = self.cat
         g = cat.genus
         if len(ks) == 0:
@@ -69,7 +64,6 @@ class SymbolDictionary:
             out = cat.fields[f"L{ks[-1]}"].apply(self.image(i, ks[:-1]))
         else:
             raise KeyError(f"no image for P{i}_{''.join(map(str, ks))}")
-        self._memo[key] = out
         return out
 
     def image_of_token(self, token: str) -> Poly:

@@ -259,12 +259,7 @@ class Poly:
                 out.pop(dm, None)
         return Poly(self.ring, out, _normalized=True)
 
-    def substitute(
-        self,
-        assignment: Mapping,
-        target: Ring | None = None,
-        pow_cache: dict | None = None,
-    ) -> "Poly":
+    def substitute(self, assignment: Mapping, target: Ring | None = None) -> "Poly":
         """Substitute polynomials (or rationals) for variables.
 
         Unassigned variables pass through unchanged, looked up by name in the
@@ -278,17 +273,11 @@ class Poly:
         divided once by d * prod_i d_i^E_i.  Target field j is as wide as
         sum_i E_i * top_j(y_i) needs, top_j the largest exponent of that
         variable, so no power or product carries into the next field.
-
-        ``pow_cache`` is a dict the caller keeps for one fixed assignment
-        (``PolyMap`` keeps one per map).  It memoises the packed powers
-        y_i^e, keyed (i, e), of a single layout: an argument that needs
-        wider fields empties it and starts a layout wide enough for both.
-        So it never holds more than one layout's powers, and is emptied at
-        most once per bit any field gains.
+        The packed powers y_i^e live for this one call.
         """
-        return _unscaled(*self._substituted(assignment, target, pow_cache))
+        return _unscaled(*self._substituted(assignment, target))
 
-    def _substituted(self, assignment: Mapping, target, pow_cache) -> tuple:
+    def _substituted(self, assignment: Mapping, target) -> tuple:
         """(target, acc, d, layout): ``substitute``'s result is acc / d in
         ``target``, with its keys packed in ``layout``."""
         images = {}
@@ -321,16 +310,8 @@ class Poly:
                 bounds = [b + E * e for b, e in zip(bounds, _top(t, n))]
                 d *= d_i ** E
 
-        if pow_cache is None:
-            pow_cache = {}
-        layout = next(iter(pow_cache), None)
-        if layout is None or any(b > mask for b, (_, mask) in zip(bounds, layout)):
-            if layout is not None:
-                bounds = map(max, bounds, (mask for _, mask in layout))
-            pow_cache.clear()
-            layout = _layout(bounds)
-            pow_cache[layout] = {}
-        powers = pow_cache[layout]
+        layout = _layout(bounds)
+        powers = {}  # (i, e) -> packed y_i^e, with the halving powers
 
         def power(i, e):
             p = powers.get((i, e))
@@ -1007,15 +988,11 @@ def resultant(f: Poly, h: Poly, var) -> Poly:
 class PolyMap:
     """A named polynomial map: ordered components {target variable: Poly}.
 
-    ``_pow_cache`` is ``Poly.substitute``'s memo of the packed integer
-    powers of the components, in one layout, shared by every pullback.  It
-    lives as long as the map, because the map never changes, and is bounded:
-    it holds one entry per (component, exponent) that some pullback used,
-    plus the halving powers that built it, and starts again when a pullback
-    needs a wider layout.
+    ``pullback`` is ``Poly.substitute`` of the components; nothing is kept
+    between pullbacks.
     """
 
-    __slots__ = ("name", "source", "target", "components", "_pow_cache")
+    __slots__ = ("name", "source", "target", "components")
 
     def __init__(self, name: str, source: Ring, target: Ring, components: Mapping):
         self.name = name
@@ -1029,20 +1006,18 @@ class PolyMap:
                 raise RingMismatchError(f"component {vname} not in source ring")
             comps[vname] = p
         self.components = comps
-        self._pow_cache = {}
 
     def pullback(self, p: Poly) -> Poly:
         """Compose: substitute this map's components into a target-ring poly."""
         if p.ring != self.target:
             raise RingMismatchError("pullback argument not in target ring")
-        return p.substitute(self.components, target=self.source,
-                            pow_cache=self._pow_cache)
+        return p.substitute(self.components, target=self.source)
 
     def _pulled_back(self, p: Poly) -> tuple:
         """(acc, d, layout): ``pullback(p)`` is acc / d, keys packed in layout."""
         if p.ring != self.target:
             raise RingMismatchError("pullback argument not in target ring")
-        return p._substituted(self.components, self.source, self._pow_cache)[1:]
+        return p._substituted(self.components, self.source)[1:]
 
     def evaluate(self, point: Mapping) -> dict:
         return {v: comp.evaluate(point) for v, comp in self.components.items()}

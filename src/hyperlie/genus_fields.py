@@ -113,8 +113,7 @@ class FieldCatalog(NamedTuple):
     jm: JacobiMap
     pmap: PolyMap
     aux: dict[str, Poly]
-    params_mode: str
-    param_values: tuple = ()  # explicit (name, value) pairs when specialised
+    param_values: tuple = ()  # (name, value) pairs when specialised
 
     @property
     def names(self) -> list[str]:
@@ -154,24 +153,23 @@ def coeff_env(cat: FieldCatalog) -> dict[str, Poly]:
 def parse_coeff(cat: FieldCatalog, text: str, _cache={}) -> Poly:
     """Parse a displayed coefficient, resolving l- and aux-symbols into x.
 
-    For a zero-parameter catalog the parameter symbols are zeroed as well,
+    For a specialised catalog the parameter values are substituted as well,
     so the parsed coefficients match the specialised fields.
 
     ``_cache`` must outlive a ``SuiteContext``: catalog builds call this
     before any context exists (exports have none), and the catalogs it
     serves outlive every context in ``_catalog_cached``.  A key fixes its
-    value, since genus and parameters fix the catalog's map and auxiliary
-    polynomials, and the keys are bounded by the displayed texts.
+    value, since genus and parameter values fix the catalog's map and
+    auxiliary polynomials, and the keys are bounded by the displayed texts.
+    It stays because it was measured to pay: without it an exact suite run
+    in a fresh process took 2-3% more CPU.
     """
-    key = (cat.genus, cat.params_mode, cat.param_values, text)
+    key = (cat.genus, cat.param_values, text)
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    raw = coeff_ring(cat).parse(text)
-    out = raw.substitute(coeff_env(cat), target=cat.ring)
-    if cat.params_mode == "zero":
-        out = out.substitute({p: 0 for p in PARAM_NAMES}, target=cat.ring)
-    elif cat.params_mode == "explicit":
+    out = coeff_ring(cat).parse(text).substitute(coeff_env(cat), target=cat.ring)
+    if cat.param_values:
         out = out.substitute(dict(cat.param_values), target=cat.ring)
     _cache[key] = out
     return out
@@ -213,24 +211,14 @@ def build_aux(genus: int, ring: Ring, w_exprs, fields) -> dict[str, Poly]:
 # -- catalog construction ------------------------------------------------------
 
 
-def _build_genus12_evens(cat_ring, genus, jm, aux, l_fields):
+def _build_genus12_evens(cat: FieldCatalog) -> dict[str, Derivation]:
     """Explicit even fields for genus 1 and 2, from their displayed actions."""
-    env = {f"l{s}": p for s, p in jm.lambda_exprs.items()}
-    env.update(aux)
-    vs = [(v.name, v.weight) for v in cat_ring.vars]
-    vs += [(f"l{s}", s) for s in sorted(jm.lambda_exprs)]
-    vs += [(name, _aux_weight(name)) for name in sorted(aux)]
-    pring = Ring(vs)
     evens = {}
-    for name, actions in reference.FIELD_ACTIONS[genus].items():
+    for name, actions in reference.FIELD_ACTIONS[cat.genus].items():
         if name in ("L1", "L3", "L5"):
             continue
-        k = int(name[1:])
-        action = {
-            v: pring.parse(text).substitute(env, target=cat_ring)
-            for v, text in actions.items()
-        }
-        evens[name] = Derivation(name, cat_ring, action, weight=k)
+        action = {v: parse_coeff(cat, text) for v, text in actions.items()}
+        evens[name] = Derivation(name, cat.ring, action, weight=int(name[1:]))
     return evens
 
 
@@ -255,7 +243,9 @@ def build_even_by_ladder(cat: FieldCatalog, k: int, seeds: dict) -> Derivation:
 
 
 @lru_cache(maxsize=None)
-def _catalog_cached(genus: int, params_mode: str) -> FieldCatalog:
+def _catalog_cached(genus: int, params: str) -> FieldCatalog:
+    if params == "zero":
+        return specialize_params(_catalog_cached(genus, "symbolic"), {})
     jm = jacobi_map(genus)
     ring = jm.ring
     pmap = build_p(jm)
@@ -266,10 +256,10 @@ def _catalog_cached(genus: int, params_mode: str) -> FieldCatalog:
         fields[f"L{s}"] = build_odd(genus, s, ring, jm.w_exprs, fields["L1"])
     aux = build_aux(genus, ring, jm.w_exprs, fields)
 
-    cat = FieldCatalog(genus, ring, fields, jm, pmap, aux, params_mode)
+    cat = FieldCatalog(genus, ring, fields, jm, pmap, aux)
 
     if genus in (1, 2):
-        evens = _build_genus12_evens(ring, genus, jm, aux, fields)
+        evens = _build_genus12_evens(cat)
         if genus == 2:
             hatted = {}
             for name, extras in reference.HATTED_G2.items():
@@ -284,19 +274,6 @@ def _catalog_cached(genus: int, params_mode: str) -> FieldCatalog:
             k = int(name[1:])
             seeds = {v: parse_coeff(cat, text) for v, text in seed_texts.items()}
             fields[name] = build_even_by_ladder(cat, k, seeds)
-
-    if genus == 2 and params_mode == "zero":
-        zeros = {p: 0 for p in PARAM_NAMES}
-        fields = {
-            n: Derivation(
-                n,
-                ring,
-                {v: q.substitute(zeros, target=ring) for v, q in d.action.items()},
-                weight=d.weight,
-            )
-            for n, d in fields.items()
-        }
-        cat = FieldCatalog(genus, ring, fields, jm, pmap, aux, params_mode)
     return cat
 
 
@@ -304,12 +281,14 @@ def catalog(genus: int, params: str = "symbolic") -> FieldCatalog:
     """Build (and cache) the full field catalog for one genus.
 
     ``params`` is only meaningful for genus 2: "symbolic" keeps the four
-    structure constants as weight-0 variables, "zero" sets them to 0.
+    structure constants as weight-0 variables, "zero" is the normalised
+    member, ``specialize_params`` of the symbolic catalog at 0.  Genus 1
+    and 3 have no parameters, so both values give the one catalog.
     """
     if genus not in (1, 2, 3):
         raise ValueError("catalogs exist for genus 1, 2, 3")
     if genus != 2:
-        params = "none"
+        params = "symbolic"
     return _catalog_cached(genus, params)
 
 
@@ -329,7 +308,7 @@ def specialize_params(cat: FieldCatalog, values: dict) -> FieldCatalog:
         for n, d in cat.fields.items()
     }
     return FieldCatalog(
-        cat.genus, cat.ring, fields, cat.jm, cat.pmap, cat.aux, "explicit",
+        cat.genus, cat.ring, fields, cat.jm, cat.pmap, cat.aux,
         tuple(sorted((p, Fraction(assignment[p])) for p in PARAM_NAMES)),
     )
 
@@ -514,11 +493,9 @@ def _solve_unique_linear(rows: list[list[Fraction]], n: int) -> list[Fraction]:
     return sol
 
 
-def solve_genus2_normalization(cat: FieldCatalog | None = None) -> dict[str, Fraction]:
+def solve_genus2_normalization(cat: FieldCatalog) -> dict[str, Fraction]:
     """Find the parameter values forcing the depth-1 commutators into the
     prescribed lower-triangular form; the solution is unique."""
-    if cat is None:
-        cat = catalog(2, params="symbolic")
     if cat.genus != 2:
         raise ValueError("normalization is a genus-2 computation")
     ring = cat.ring

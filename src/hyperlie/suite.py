@@ -208,12 +208,12 @@ _BUILDS = {
     "rels": lambda ctx: generate_relations(ctx.genus),
     "jm": lambda ctx: jacobi_map(ctx.genus),
     "cat": lambda ctx: catalog(ctx.genus, params="symbolic"),
+    # the catalog the displayed tables describe: zero parameters for g = 2,
+    # for g = 1 and 3 the same object as cat
     "cat_zero": lambda ctx: catalog(ctx.genus, params="zero"),
     "Tcal": lambda ctx: build_Tcal(ctx.cat_zero),
     "Tp": lambda ctx: pullback_T(ctx.cat_zero),
     "bezout": lambda ctx: bezout_f(ctx.model),
-    # the catalog the displayed tables describe: zero parameters for g = 2
-    "base": lambda ctx: ctx.cat_zero if ctx.genus == 2 else ctx.cat,
     # every field-pair bracket [La, Lb], a before b, when expansions is None
     "pairs": lambda ctx: {
         (a, b): ctx.cat.fields[a].bracket(ctx.cat.fields[b])
@@ -457,7 +457,7 @@ def _euler_rows(ctx, mode, pit, rng):
 
 @_claim("fields.displayed_actions", "field actions match every displayed coefficient")
 def _displayed_actions(ctx, mode, pit, rng):
-    cat, g = ctx.base, ctx.genus
+    cat, g = ctx.cat_zero, ctx.genus
     grids = [reference.FIELD_ACTIONS[g]] + ([reference.EVEN_SEEDS_G3] if g == 3 else [])
     for grid in grids:
         for name, actions in grid.items():
@@ -483,7 +483,7 @@ def _odd_ladder_agrees(ctx, mode, pit, rng):
 @_claim("fields.even_ladder_agrees",
         "even fields: ladder completion matches explicit actions", genera=(1, 2))
 def _even_ladder_agrees(ctx, mode, pit, rng):
-    cat = ctx.base
+    cat = ctx.cat_zero
     for name in (["L2"] if ctx.genus == 1 else ["L2", "L4", "L6"]):
         direct = cat.fields[name]
         seeds = _x1_seeds(ctx.genus, direct)
@@ -593,7 +593,7 @@ def _normalization(ctx, mode, pit, rng):
 @_claim("fields.classical_table",
         "classical-notation table translates onto the computed table")
 def _classical_table(ctx, mode, pit, rng):
-    mism = compare_tables(ctx.base, reference.CLASSICAL_TABLE[ctx.genus])
+    mism = compare_tables(ctx.cat_zero, reference.CLASSICAL_TABLE[ctx.genus])
     for (left, right), diffs in sorted(mism.items()):
         for fname, d in sorted(diffs.items()):
             yield f"[{left},{right}] on {fname}", d.to_text()

@@ -1,6 +1,7 @@
 """Suite orchestration and command-line surface."""
 
 import ast
+import hashlib
 import json
 import re
 import subprocess
@@ -174,6 +175,34 @@ def test_map_export_builds_no_field_catalog():
         for fmt in ("json", "latex"):
             export("map", genus, fmt)
     assert genus_fields._catalog_cached.cache_info().currsize == 0
+
+
+def test_exports_match_frozen_digests():
+    # perfbench/expected.json freezes the sha256 of all 24 exports' stdout
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    frozen = json.loads(path.read_text())["export_sha256"]
+    assert len(frozen) == 24
+    for key, digest in sorted(frozen.items()):
+        what, genus, fmt = key.split("-")
+        out = export(what, int(genus), fmt).encode()
+        assert hashlib.sha256(out).hexdigest() == digest, key
+
+
+def test_zero_catalog_has_no_parameters():
+    # perfbench/tracer.py reads the catalog cache's hit and miss counts
+    from hyperlie import genus_fields
+    from hyperlie.param_map import PARAM_NAMES
+
+    cat = genus_fields.catalog(2, "zero")
+    hits = genus_fields._catalog_cached.cache_info().hits
+    assert genus_fields.catalog(2, "zero") is cat
+    assert genus_fields._catalog_cached.cache_info().hits == hits + 1
+    assert all(v == 0 for _, v in cat.param_values)
+    assert sorted(p for p, _ in cat.param_values) == sorted(PARAM_NAMES)
+    pidx = [cat.ring.index(p) for p in PARAM_NAMES]
+    for name, field in cat.fields.items():
+        for v, q in field.action.items():
+            assert all(not m[i] for m in q.terms for i in pidx), f"{name}({v})"
 
 
 def test_runtime_imports_stdlib_only():

@@ -441,7 +441,7 @@ def test_substitute_high_exponents_do_not_carry():
         (40000, 40000): Fraction(1, 2), (0, 80000): Fraction(3, 4)}
 
 
-def test_pullback_cache_widens_for_larger_arguments():
+def test_pullback_equals_substitute_for_growing_arguments():
     source = Ring([("x", 1), ("y", 1)])
     target = Ring([("s", 2), ("t", 3)])
     pm = PolyMap("p", source, target, {"s": source.parse("x*y - 1/2*x^2"),
@@ -450,7 +450,6 @@ def test_pullback_cache_widens_for_larger_arguments():
     for q in (small, large, small, target.parse("s^3")):
         # a layout sized for the previous argument must not serve this one
         assert pm.pullback(q) == q.substitute(pm.components, target=source)
-    assert len(pm._pow_cache) == 1  # one layout's powers at a time
     assert pm.pullback(large).terms[(2, 90002)] == 1
 
 

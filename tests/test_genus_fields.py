@@ -5,7 +5,7 @@ import pytest
 from hyperlie import det_minor_expansion
 from hyperlie import reference, suite
 from hyperlie.classical import SymbolDictionary, compare_tables, translate_table
-from hyperlie.derivation import verify_bracket_relation, verify_pushforward
+from hyperlie.derivation import Derivation, verify_bracket_relation, verify_pushforward
 from hyperlie.exactpoly import PolyMatrix
 from hyperlie.genus_fields import (
     block_sign,
@@ -124,12 +124,17 @@ def test_genus1_weight2_row(catalogs):
 
 
 def test_genus2_zero_params_unhats(catalogs, catalogs_zero):
-    # with all parameters zero the hatted combinations reduce to the bases
+    # with all parameters zero the hatted combinations reduce to the bases,
+    # the displayed actions, which carry no parameter
     sym = catalogs[2]
     zero = catalogs_zero[2]
-    specialized = specialize_params(sym, {})
     for name in ("L2", "L4", "L6"):
-        assert specialized.fields[name] == zero.fields[name]
+        actions = reference.FIELD_ACTIONS[2][name]
+        base = {v: parse_coeff(sym, text) for v, text in actions.items()}
+        assert zero.fields[name] == Derivation(name, sym.ring, base), name
+    for name, extras in reference.HATTED_G2.items():
+        # the parameter terms are there to vanish
+        assert (sym.fields[name] == zero.fields[name]) == (not extras), name
 
 
 def test_genus2_even_ladder_matches_explicit(catalogs_zero):
