@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 
-from .exactpoly import Poly, Ring
+from .exactpoly import Poly
 from .derivation import BracketRelation
-from .genus_fields import FieldCatalog
+from .genus_fields import FieldCatalog, coeff_env
 from .param_map import x_name
 
 _P_TOKEN = re.compile(r"^P(\d)(?:_(\d+))?$")
@@ -29,11 +29,6 @@ def parse_symbol(token: str) -> tuple[int, tuple[int, ...]]:
     i = int(m.group(1))
     ks = tuple(sorted(int(d) for d in (m.group(2) or "")))
     return i, ks
-
-
-def symbol_weight(token: str) -> int:
-    i, ks = parse_symbol(token)
-    return i + sum(ks)
 
 
 class SymbolDictionary:
@@ -70,31 +65,21 @@ class SymbolDictionary:
         return self.image(*parse_symbol(token))
 
 
-def _classical_ring(cat: FieldCatalog, tokens: set[str]) -> Ring:
-    vs = [(v.name, v.weight) for v in cat.ring.vars]
-    vs += [(f"l{s}", s) for s in sorted(cat.jm.lambda_exprs)]
-    vs += [(t, symbol_weight(t)) for t in sorted(tokens)]
-    return Ring(vs)
-
-
 def translate_table(cat: FieldCatalog, rows) -> dict[tuple[str, str], dict[str, Poly]]:
     """Translate a classical table into x-ring coefficient polynomials."""
-    tokens = set()
+    sd = SymbolDictionary(cat)
+    env = coeff_env(cat)
     for _, _, coeffs in rows:
         for text in coeffs.values():
-            tokens.update(t for t in re.findall(r"P\d(?:_\d+)?", text))
-    ring = _classical_ring(cat, tokens)
-    sd = SymbolDictionary(cat)
-    env: dict[str, Poly] = {f"l{s}": p for s, p in cat.jm.lambda_exprs.items()}
-    for t in tokens:
-        env[t] = sd.image_of_token(t)
-    out = {}
-    for left, right, coeffs in rows:
-        out[(left, right)] = {
-            fname: ring.parse(text).substitute(env, target=cat.ring)
-            for fname, text in coeffs.items()
+            for t in re.findall(r"P\d(?:_\d+)?", text):
+                if t not in env:
+                    env[t] = sd.image_of_token(t)
+    return {
+        (left, right): {
+            fname: cat.ring.parse(text, env) for fname, text in coeffs.items()
         }
-    return out
+        for left, right, coeffs in rows
+    }
 
 
 def compare_tables(cat: FieldCatalog, classical_rows) -> dict:

@@ -9,6 +9,11 @@ A ``Poly`` maps exponent tuples (one slot per ring variable) to coefficients.
 The zero polynomial has no terms.  All values are immutable after
 construction; operations never mutate their arguments.
 
+Text reaches a ``Poly`` through ``Ring.parse`` alone: it walks Python's
+``ast`` of the text under a small grammar, and names may read as values
+from an environment, so displayed data written in auxiliary symbols parse
+straight into the ring they are checked in.
+
 Also provided: polynomial matrices with a fraction-free Bareiss determinant
 and a division-free minor-expansion determinant, exact division, and the
 Sylvester-matrix resultant.
@@ -110,8 +115,56 @@ class Ring:
         """Build a polynomial from {exponent tuple: coefficient}."""
         return Poly(self, dict(terms))
 
-    def parse(self, text: str) -> "Poly":
-        return _parse(self, text)
+    def parse(self, text: str, env: Mapping | None = None) -> "Poly":
+        """Read a polynomial of this ring from text.
+
+        The grammar is Python's expression grammar cut down to ``+``, ``-``,
+        ``*``, unary ``+``/``-``, parentheses, integer literals, ``a/b`` and
+        ``^`` (power, binding tighter than unary minus: ``-x^2`` is -(x^2)).
+        In ``a/b`` the divisor ``b`` is an integer literal and ``a``
+        evaluates to an integer, so ``-4/3*l4^3`` reads as (-4/3)*l4^3.  The
+        exponent of ``^`` is a non-negative integer literal.  A name reads
+        as ``env[name]`` (a ``Poly`` of this ring or a rational) when ``env``
+        has it, else as this ring's variable (``KeyError`` if there is none).
+        Any other text raises ``ValueError``.
+        """
+        import ast  # lazy: commands that read no text do not load it
+
+        arith = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+        def literal(node):
+            return isinstance(node, ast.Constant) and type(node.value) is int
+
+        def read(node):
+            if isinstance(node, ast.BinOp):
+                op = type(node.op)
+                if op in arith:
+                    return arith[op](read(node.left), read(node.right))
+                if op is ast.Div and literal(node.right) and node.right.value:
+                    num = read(node.left)
+                    if isinstance(num, (int, Fraction)) and num.denominator == 1:
+                        return _coeff(Fraction(num, node.right.value))
+                elif op is ast.Pow and literal(node.right):
+                    return read(node.left) ** node.right.value
+            elif isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+                v = read(node.operand)
+                return -v if isinstance(node.op, ast.USub) else v
+            elif literal(node):
+                return node.value
+            elif isinstance(node, ast.Name):
+                if env is not None and node.id in env:
+                    return env[node.id]
+                return self.var(node.id)
+            raise ValueError(f"cannot read {ast.unparse(node)!r} in {text!r}")
+
+        if "**" in text:
+            raise ValueError(f"write powers as '^' in {text!r}")
+        try:
+            tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+        except SyntaxError as exc:
+            raise ValueError(f"cannot read {text!r}: {exc.msg}") from None
+        out = read(tree.body)
+        return out if isinstance(out, Poly) else self.const(out)
 
 
 def _same_ring(a: "Poly", b: "Poly"):
@@ -504,119 +557,6 @@ def cast(p: Poly, target: Ring) -> Poly:
                 exps[j] = e
         out[tuple(exps)] = c
     return Poly(target, out, _normalized=True)
-
-
-# -- parsing ---------------------------------------------------------------
-
-
-class _Parser:
-    """Recursive-descent parser for the canonical text form, with parentheses."""
-
-    def __init__(self, ring: Ring, text: str):
-        self.ring = ring
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text):
-        tokens = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*^()":
-                tokens.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                num = int(text[i:j])
-                # rational literal a/b
-                if j < n and text[j] == "/":
-                    k = j + 1
-                    m = k
-                    while m < n and text[m].isdigit():
-                        m += 1
-                    if m == k:
-                        raise ValueError("expected denominator after '/'")
-                    tokens.append(Fraction(num, int(text[k:m])))
-                    i = m
-                else:
-                    tokens.append(num)
-                    i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("name", text[i:j]))
-                i = j
-            else:
-                raise ValueError(f"unexpected character {ch!r}")
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Poly:
-        p = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at token {self.peek()!r}")
-        return p
-
-    def expr(self) -> Poly:
-        tok = self.peek()
-        negate = False
-        if tok in ("+", "-"):
-            self.take()
-            negate = tok == "-"
-        p = self.term()
-        if negate:
-            p = -p
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            q = self.term()
-            p = p - q if op == "-" else p + q
-        return p
-
-    def term(self) -> Poly:
-        p = self.factor()
-        while self.peek() == "*":
-            self.take()
-            p = p * self.factor()
-        return p
-
-    def factor(self) -> Poly:
-        tok = self.take()
-        if tok == "(":
-            p = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parenthesis")
-        elif tok == "-":
-            return -self.factor()
-        elif isinstance(tok, (int, Fraction)):
-            p = self.ring.const(tok)
-        elif isinstance(tok, tuple) and tok[0] == "name":
-            p = self.ring.var(tok[1])
-        else:
-            raise ValueError(f"unexpected token {tok!r}")
-        while self.peek() == "^":
-            self.take()
-            e = self.take()
-            if not isinstance(e, int):
-                raise ValueError("exponent must be an integer")
-            p = p**e
-        return p
-
-
-def _parse(ring: Ring, text: str) -> Poly:
-    return _Parser(ring, text).parse()
 
 
 # -- exact division ----------------------------------------------------------

@@ -132,47 +132,35 @@ class FieldCatalog(NamedTuple):
 # -- coefficient environment ---------------------------------------------------
 
 
-def _aux_weight(name: str) -> int:
-    return int(name[1:])
-
-
-def coeff_ring(cat: FieldCatalog) -> Ring:
-    """Ring for parsing displayed coefficients: x-vars plus l and aux tokens."""
-    vs = [(v.name, v.weight) for v in cat.ring.vars]
-    vs += [(f"l{s}", s) for s in sorted(cat.jm.lambda_exprs)]
-    vs += [(name, _aux_weight(name)) for name in sorted(cat.aux)]
-    return Ring(vs)
-
-
-def coeff_env(cat: FieldCatalog) -> dict[str, Poly]:
+def coeff_env(cat: FieldCatalog) -> dict:
+    """What displayed coefficients' l-, aux- and parameter names stand for."""
     env = {f"l{s}": p for s, p in cat.jm.lambda_exprs.items()}
     env.update(cat.aux)
+    env.update(cat.param_values)
     return env
 
 
 def parse_coeff(cat: FieldCatalog, text: str, _cache={}) -> Poly:
-    """Parse a displayed coefficient, resolving l- and aux-symbols into x.
-
-    For a specialised catalog the parameter values are substituted as well,
-    so the parsed coefficients match the specialised fields.
+    """Read a displayed coefficient into the catalog's ring: l-, aux- and
+    parameter names read as their ``coeff_env`` values, so a specialised
+    catalog's coefficients match its specialised fields.
 
     ``_cache`` must outlive a ``SuiteContext``: catalog builds call this
     before any context exists (exports have none), and the catalogs it
     serves outlive every context in ``_catalog_cached``.  A key fixes its
     value, since genus and parameter values fix the catalog's map and
     auxiliary polynomials, and the keys are bounded by the displayed texts.
-    It stays because it was measured to pay: without it an exact suite run
-    in a fresh process took 2-3% more CPU.
+    It pays little: an exact ``run_suite("all")`` makes 259 calls on 198
+    keys.  Without the memo, the time inside this function rose from
+    21-26 ms to 24-29 ms (6 fresh-process pairs), and the suite's CPU by a
+    median 1.5% (12 alternating pairs, within their spread), on a 2-CPU
+    host with Python 3.11.7.
     """
     key = (cat.genus, cat.param_values, text)
     hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    out = coeff_ring(cat).parse(text).substitute(coeff_env(cat), target=cat.ring)
-    if cat.param_values:
-        out = out.substitute(dict(cat.param_values), target=cat.ring)
-    _cache[key] = out
-    return out
+    if hit is None:
+        hit = _cache[key] = cat.ring.parse(text, coeff_env(cat))
+    return hit
 
 
 # -- auxiliary polynomials -----------------------------------------------------

@@ -221,6 +221,23 @@ def test_runtime_imports_stdlib_only():
                 )
 
 
+def test_runtime_modules_use_every_import():
+    # __init__ imports to re-export; every other module imports to use
+    for path in sorted(Path(hyperlie.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                assert bound in used, f"{path.name}:{node.lineno} imports {bound} unused"
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     """Module names in sys.modules after running ``code`` in a fresh
     interpreter.  ``-S`` keeps site-packages' start-up hooks from loading
@@ -254,6 +271,12 @@ def test_each_command_imports_only_what_it_runs():
     # exact mode draws no random numbers, so it loads no RNG or hash module
     assert loaded & {"hashlib", "random"} == set()
     assert "dataclasses" not in _modules_loaded_by("import hyperlie")
+    # Ring.parse imports ast when called, so a command that reads no
+    # displayed text does not load it
+    assert "ast" not in _modules_loaded_by(
+        "from hyperlie.cli import main; "
+        "main(['export', '--what', 'map', '--genus', '3', '--format', 'json'])"
+    )
 
 
 # -- CLI ------------------------------------------------------------------------

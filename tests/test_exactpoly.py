@@ -517,6 +517,36 @@ def test_canonical_order_is_weight_then_name(xring3):
     assert p.to_text() == "x2 + y4 + x2^3 + z6"
 
 
+# -- parsing ------------------------------------------------------------------
+
+
+def test_parse_grammar_gives_expected_polys(lring):
+    l4, l6 = lring.var("l4"), lring.var("l6")
+    assert lring.parse("-4/3*l4^3") == l4 * l4 * l4 * Fraction(-4, 3)
+    assert lring.parse("(2/3)^2") == lring.const(Fraction(4, 9))
+    assert lring.parse("-l4^2") == -(l4 * l4)
+    assert lring.parse("2*-l4") == l4 * -2
+    assert lring.parse(" +(l4 - l6)*3 ") == l4 * 3 - l6 * 3
+    # a name in env reads as its value; other names stay ring variables
+    assert lring.parse("2*s + l6", {"s": l4 * l4}) == l4 * l4 * 2 + l6
+    assert lring.parse("h*l4 + h", {"h": Fraction(1, 2)}) == (
+        l4 * Fraction(1, 2) + Fraction(1, 2)
+    )
+    with pytest.raises(KeyError):
+        lring.parse("l8")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["l4/2", "2/3^2", "l4^2^3", "l4^-1", "l4^l6", "1.5*l4", "f(l4)", "2 l4",
+     "", "l4**2", "2/0", "l4 == l6"],
+)
+def test_parse_rejects_what_the_grammar_excludes(lring, text):
+    # "2/3^2" and "l4^2^3" once read as (2/3)^2 and l4^6; no text uses them
+    with pytest.raises(ValueError):
+        lring.parse(text)
+
+
 def test_same_quotient_compares_forms_across_layouts_and_denominators(lring):
     from hyperlie.exactpoly import _int_form, _layout, _pack, _same_quotient
 
