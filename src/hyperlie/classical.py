@@ -14,8 +14,7 @@ from __future__ import annotations
 import re
 
 from .exactpoly import Poly
-from .derivation import BracketRelation
-from .genus_fields import FieldCatalog, coeff_env
+from .genus_fields import FieldCatalog, coeff_env, read_relations
 from .param_map import x_name
 
 _P_TOKEN = re.compile(r"^P(\d)(?:_(\d+))?$")
@@ -31,75 +30,55 @@ def parse_symbol(token: str) -> tuple[int, tuple[int, ...]]:
     return i, ks
 
 
-class SymbolDictionary:
-    """Images of the classical symbols as x-ring polynomials."""
-
-    def __init__(self, cat: FieldCatalog):
-        self.cat = cat
-
-    def image(self, i: int, ks: tuple[int, ...]) -> Poly:
-        ks = tuple(sorted(ks))
-        cat = self.cat
-        g = cat.genus
-        if len(ks) == 0:
-            # P2, P3, P4 are the depth-1 coordinate triple.
-            if 2 <= i <= 4:
-                out = cat.ring.var(x_name(g, i - 1, 1))
-            else:
-                raise KeyError(f"no image for P{i}")
-        elif len(ks) == 1 and 1 <= i <= 3:
-            k = ks[0]
-            if not (k % 2 == 1 and 1 <= k <= 2 * g - 1):
-                raise KeyError(f"index {k} out of range for genus {g}")
-            out = cat.ring.var(x_name(g, i, k))
-        elif i == 0 and len(ks) == 2:
-            out = cat.jm.w_exprs[ks]
-        elif len(ks) >= 2:
-            # peel the last differentiation index; partials commute
-            out = cat.fields[f"L{ks[-1]}"].apply(self.image(i, ks[:-1]))
-        else:
-            raise KeyError(f"no image for P{i}_{''.join(map(str, ks))}")
-        return out
-
-    def image_of_token(self, token: str) -> Poly:
-        return self.image(*parse_symbol(token))
+def symbol_image(cat: FieldCatalog, i: int, ks: tuple[int, ...]) -> Poly:
+    """Image of the classical symbol P{i}_{ks} as an x-ring polynomial."""
+    ks = tuple(sorted(ks))
+    g = cat.genus
+    if len(ks) == 0:
+        # P2, P3, P4 are the depth-1 coordinate triple.
+        if 2 <= i <= 4:
+            return cat.ring.var(x_name(g, i - 1, 1))
+        raise KeyError(f"no image for P{i}")
+    if len(ks) == 1 and 1 <= i <= 3:
+        k = ks[0]
+        if not (k % 2 == 1 and 1 <= k <= 2 * g - 1):
+            raise KeyError(f"index {k} out of range for genus {g}")
+        return cat.ring.var(x_name(g, i, k))
+    if i == 0 and len(ks) == 2:
+        return cat.jm.w_exprs[ks]
+    if len(ks) >= 2:
+        # peel the last differentiation index; partials commute
+        return cat.fields[f"L{ks[-1]}"].apply(symbol_image(cat, i, ks[:-1]))
+    raise KeyError(f"no image for P{i}_{''.join(map(str, ks))}")
 
 
-def translate_table(cat: FieldCatalog, rows) -> dict[tuple[str, str], dict[str, Poly]]:
-    """Translate a classical table into x-ring coefficient polynomials."""
-    sd = SymbolDictionary(cat)
+def symbol_env(cat: FieldCatalog, rows) -> dict:
+    """``coeff_env(cat)`` plus the image of every classical symbol that the
+    rows' coefficient texts name: the environment they are read in."""
     env = coeff_env(cat)
     for _, _, coeffs in rows:
         for text in coeffs.values():
             for t in re.findall(r"P\d(?:_\d+)?", text):
                 if t not in env:
-                    env[t] = sd.image_of_token(t)
-    return {
-        (left, right): {
-            fname: cat.ring.parse(text, env) for fname, text in coeffs.items()
-        }
-        for left, right, coeffs in rows
-    }
+                    env[t] = symbol_image(cat, *parse_symbol(t))
+    return env
 
 
 def compare_tables(cat: FieldCatalog, classical_rows) -> dict:
     """Check a classical table against the catalog's actual Lie algebra.
 
-    Each classical row is translated and then verified as a bracket
-    identity of the catalog's fields, so a wrong catalog (or a wrong table)
-    shows up as a nonzero residual.  Returns {(left, right): {var: residual}}
-    for rows that fail; empty means the algebra realises the table exactly.
+    Each classical row is read as a bracket identity of the catalog's
+    fields, its symbols standing for their images, so a wrong catalog (or a
+    wrong table) shows up as a nonzero residual.  Returns
+    {(left, right): {var: residual}} for rows that fail; empty means the
+    algebra realises the table exactly.
 
     For genus 2 pass a catalog with the parameters specialised: the
     classical table is the zero-parameter member of the family.
     """
-    translated = translate_table(cat, classical_rows)
     mismatches = {}
-    for (left, right), coeffs in translated.items():
-        residual = BracketRelation(
-            cat.fields[left], cat.fields[right],
-            [(c, cat.fields[fname]) for fname, c in sorted(coeffs.items())],
-        ).residual()
+    for rel in read_relations(cat, classical_rows, symbol_env(cat, classical_rows)):
+        residual = rel.residual()
         if not residual.is_zero():
-            mismatches[(left, right)] = dict(residual.action)
+            mismatches[(rel.left.name, rel.right.name)] = dict(residual.action)
     return mismatches

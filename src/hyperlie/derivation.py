@@ -325,15 +325,14 @@ def ladder_complete(
     rhs: Derivation,
     ladder: Sequence[tuple],
     weight=None,
-    check_vars: Sequence[str] | None = None,
 ) -> Derivation:
     """Reconstruct the unique field D with the given seed values satisfying
     [partner, D] = rhs.
 
     ``ladder`` lists pairs (src, dst) with partner(src) = dst as variables;
     each step forces D(dst) = partner(D(src)) - rhs(src).  After the walk the
-    commutator identity is re-checked on ``check_vars`` (default: all ring
-    variables); any residual means the seeds are inconsistent with rhs.
+    commutator identity is re-checked on every ring variable; any residual
+    means the seeds are inconsistent with rhs.
     """
     ring = partner.ring
     action: dict[str, Poly] = {}
@@ -353,7 +352,7 @@ def ladder_complete(
         action[dst] = partner.apply(action[src]) - rhs.on(src)
     result = Derivation(name, ring, action, weight=weight)
     residual = BracketRelation(partner, result, [(1, rhs)]).residual()
-    for vname in check_vars if check_vars is not None else ring.names:
+    for vname in ring.names:
         q = residual.on(vname)
         if not q.is_zero():
             raise LadderError(

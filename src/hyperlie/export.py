@@ -12,10 +12,9 @@ import re
 from fractions import Fraction
 
 from .exactpoly import Poly, PolyMatrix
-from .genus_fields import build_Tcal, catalog, resolved_table
+from .genus_fields import build_Tcal, catalog, table_relations
 from .lambda_space import CurveModel, M_PAIRS, build_M, build_T, discriminant_R
 from .param_map import jacobi_map, w_name
-from .reference import BRACKET_TABLE
 
 _GREEK = {"alpha": r"\alpha", "beta": r"\beta", "gamma1": r"\gamma_{1}",
           "gamma2": r"\gamma_{2}"}
@@ -152,9 +151,10 @@ def _export_fields(genus: int, fmt: str) -> str:
 
 
 def _export_brackets(genus: int, fmt: str) -> str:
-    cat = catalog(genus)
-    table = resolved_table(cat)
-    rows = [(l, r) for l, r, _ in BRACKET_TABLE[genus]]
+    rows = [
+        (rel.left.name, rel.right.name, [(Z.name, c) for c, Z in rel.expansion])
+        for rel in table_relations(catalog(genus))
+    ]
     if fmt == "json":
         doc = {
             "genus": genus,
@@ -163,19 +163,18 @@ def _export_brackets(genus: int, fmt: str) -> str:
                     "left": l,
                     "right": r,
                     "terms": [
-                        {"field": f, "coeff": p.to_json_obj()}
-                        for f, p in sorted(table[(l, r)].items())
+                        {"field": f, "coeff": p.to_json_obj()} for f, p in expansion
                     ],
                 }
-                for l, r in rows
+                for l, r, expansion in rows
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     lines = [r"\begin{align*}"]
-    for l, r in rows:
+    for l, r, expansion in rows:
         terms = [
             rf"\left({latex_poly(p)}\right) {_field_latex_name(f)}"
-            for f, p in sorted(table[(l, r)].items())
+            for f, p in expansion
         ]
         rhs = " + ".join(terms) if terms else "0"
         lines.append(

@@ -23,20 +23,13 @@ from . import reference
 from .derivation import BracketRelation, Derivation, combination, ladder_complete
 from .exactpoly import Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion
 from .lambda_space import CurveModel, build_T
-from .param_map import PARAM_NAMES, JacobiMap, build_p, jacobi_map, x_name
+from .param_map import PARAM_NAMES, JacobiMap, RelVars, build_p, jacobi_map, x_name
 
 
 def field_names(genus: int) -> list[str]:
     """Catalog field names in ascending weight order."""
     ks = sorted(list(range(0, 4 * genus - 1, 2)) + list(range(1, 2 * genus, 2)))
     return [f"L{k}" for k in ks]
-
-
-def _xvar(ring: Ring, genus: int, i: int, j: int) -> Poly:
-    """x_{i,j} as a variable, zero when the index is out of range."""
-    if 1 <= i <= 3 and j % 2 == 1 and 1 <= j <= 2 * genus - 1:
-        return ring.var(x_name(genus, i, j))
-    return ring.zero
 
 
 def build_euler(genus: int, ring: Ring) -> Derivation:
@@ -51,14 +44,13 @@ def build_euler(genus: int, ring: Ring) -> Derivation:
 
 def build_depth1(genus: int, ring: Ring) -> Derivation:
     """The weight-1 field, with the out-of-range guard x_{2,2g+1} = 0."""
+    x = RelVars(genus, ring).x
     action = {}
     for j in range(1, 2 * genus, 2):
-        action[x_name(genus, 1, j)] = _xvar(ring, genus, 2, j)
-        action[x_name(genus, 2, j)] = _xvar(ring, genus, 3, j)
+        action[x_name(genus, 1, j)] = x(2, j)
+        action[x_name(genus, 2, j)] = x(3, j)
         action[x_name(genus, 3, j)] = 4 * (
-            2 * _xvar(ring, genus, 1, 1) * _xvar(ring, genus, 2, j)
-            + _xvar(ring, genus, 2, 1) * _xvar(ring, genus, 1, j)
-            + _xvar(ring, genus, 2, j + 2)
+            2 * x(1, 1) * x(2, j) + x(2, 1) * x(1, j) + x(2, j + 2)
         )
     return Derivation("L1", ring, action, weight=1)
 
@@ -72,9 +64,10 @@ def build_odd(genus: int, s: int, ring: Ring, w_exprs, l1: Derivation) -> Deriva
     """
     if s % 2 == 0 or not 3 <= s <= 2 * genus - 1:
         raise ValueError(f"odd field index {s} out of range for genus {genus}")
+    x = RelVars(genus, ring).x
     action = {
-        x_name(genus, 1, 1): _xvar(ring, genus, 2, s),
-        x_name(genus, 2, 1): _xvar(ring, genus, 3, s),
+        x_name(genus, 1, 1): x(2, s),
+        x_name(genus, 2, 1): x(3, s),
         x_name(genus, 3, 1): l1.on(x_name(genus, 3, s)),
     }
     for j in range(3, 2 * genus, 2):
@@ -95,13 +88,9 @@ def depth1_commutator_coeffs(genus: int, ring: Ring, k: int) -> list[Poly]:
     the diagonal position m = k/2 carries -1.
     """
     half = k // 2
-    out = []
-    for m in range(genus):
-        if m == half:
-            out.append(ring.const(-1))
-        else:
-            out.append(_xvar(ring, genus, 1, 2 * (half - m) - 1))
-    return out
+    x = RelVars(genus, ring).x
+    return [ring.const(-1) if m == half else x(1, 2 * (half - m) - 1)
+            for m in range(genus)]
 
 
 class FieldCatalog(NamedTuple):
@@ -140,27 +129,26 @@ def coeff_env(cat: FieldCatalog) -> dict:
     return env
 
 
-def parse_coeff(cat: FieldCatalog, text: str, _cache={}) -> Poly:
+def parse_coeff(cat: FieldCatalog, text: str) -> Poly:
     """Read a displayed coefficient into the catalog's ring: l-, aux- and
     parameter names read as their ``coeff_env`` values, so a specialised
-    catalog's coefficients match its specialised fields.
+    catalog's coefficients match its specialised fields."""
+    return cat.ring.parse(text, coeff_env(cat))
 
-    ``_cache`` must outlive a ``SuiteContext``: catalog builds call this
-    before any context exists (exports have none), and the catalogs it
-    serves outlive every context in ``_catalog_cached``.  A key fixes its
-    value, since genus and parameter values fix the catalog's map and
-    auxiliary polynomials, and the keys are bounded by the displayed texts.
-    It pays little: an exact ``run_suite("all")`` makes 259 calls on 198
-    keys.  Without the memo, the time inside this function rose from
-    21-26 ms to 24-29 ms (6 fresh-process pairs), and the suite's CPU by a
-    median 1.5% (12 alternating pairs, within their spread), on a 2-CPU
-    host with Python 3.11.7.
-    """
-    key = (cat.genus, cat.param_values, text)
-    hit = _cache.get(key)
-    if hit is None:
-        hit = _cache[key] = cat.ring.parse(text, coeff_env(cat))
-    return hit
+
+def read_relations(cat: FieldCatalog, rows, env=None) -> list[BracketRelation]:
+    """Displayed rows ``(left, right, {field: text})`` as the identities
+    [left, right] = sum of text * field of the catalog's fields.  Every
+    text is read by ``cat.ring.parse(text, env)``, ``env`` defaulting to
+    ``coeff_env(cat)``; the expansion is in field-name order."""
+    env = coeff_env(cat) if env is None else env
+    return [
+        BracketRelation(cat.fields[left], cat.fields[right], [
+            (cat.ring.parse(text, env), cat.fields[f])
+            for f, text in sorted(coeffs.items())
+        ])
+        for left, right, coeffs in rows
+    ]
 
 
 # -- auxiliary polynomials -----------------------------------------------------
@@ -324,29 +312,7 @@ def euler_relations(cat: FieldCatalog) -> list[BracketRelation]:
 
 def table_relations(cat: FieldCatalog) -> list[BracketRelation]:
     """Every displayed commutator identity for the catalog's genus."""
-    rows = []
-    for left, right, coeffs in reference.BRACKET_TABLE[cat.genus]:
-        expansion = [
-            (parse_coeff(cat, text), cat.fields[fname])
-            for fname, text in sorted(coeffs.items())
-        ]
-        rows.append(
-            BracketRelation(
-                cat.fields[left], cat.fields[right], expansion,
-                label=f"[{left},{right}]",
-            )
-        )
-    return rows
-
-
-def resolved_table(cat: FieldCatalog) -> dict[tuple[str, str], dict[str, Poly]]:
-    """The displayed table with all coefficients resolved into x-polynomials."""
-    out = {}
-    for left, right, coeffs in reference.BRACKET_TABLE[cat.genus]:
-        out[(left, right)] = {
-            fname: parse_coeff(cat, text) for fname, text in coeffs.items()
-        }
-    return out
+    return read_relations(cat, reference.BRACKET_TABLE[cat.genus])
 
 
 # -- action matrix and determinant factor ---------------------------------------
@@ -489,12 +455,8 @@ def solve_genus2_normalization(cat: FieldCatalog) -> dict[str, Fraction]:
     ring = cat.ring
     pidx = [ring.index(p) for p in PARAM_NAMES]
     rows = []
-    for left, right, coeffs in reference.G2_NORMALIZATION:
-        residual = BracketRelation(
-            cat.fields[left], cat.fields[right],
-            [(parse_coeff(cat, text), cat.fields[f]) for f, text in coeffs.items()],
-        ).residual()
-        for vname, poly in residual.action.items():
+    for rel in read_relations(cat, reference.G2_NORMALIZATION):
+        for vname, poly in rel.residual().action.items():
             equations: dict[tuple, list[Fraction]] = {}
             for m, c in poly.terms.items():
                 pexp = [m[i] for i in pidx]

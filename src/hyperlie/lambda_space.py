@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import reference
 from .derivation import BracketRelation, Derivation
 from .exactpoly import Poly, PolyMatrix, Ring, det_minor_expansion, divexact
 
@@ -172,20 +173,6 @@ M_PAIRS = [
     (8, 10),
 ]
 
-# Structure coefficients over (L0, L2, L4, L6, L8, L10), to be scaled by 2/7.
-_M_RAW = [
-    ["8*l6", "-8*l4", "0", "7", "0", "0"],
-    ["6*l8", "0", "-6*l4", "0", "14", "0"],
-    ["4*l10", "0", "0", "-4*l4", "0", "21"],
-    ["2*l12", "0", "0", "0", "-2*l4", "0"],
-    ["-7*l10", "9*l8", "-9*l6", "7*l4", "0", "7"],
-    ["-14*l12", "6*l10", "0", "-6*l6", "14*l4", "0"],
-    ["-21*l14", "3*l12", "0", "0", "-3*l6", "21*l4"],
-    ["-7*l14", "-7*l12", "8*l10", "-8*l8", "7*l6", "7*l4"],
-    ["0", "-14*l14", "4*l12", "0", "-4*l8", "14*l6"],
-    ["0", "0", "-7*l14", "5*l12", "-5*l10", "7*l8"],
-]
-
 
 def build_M(model: CurveModel) -> PolyMatrix:
     """The 10x6 matrix M with bracket rows [L_{2i}, L_{2j}] = M . (L0..L10)."""
@@ -193,7 +180,8 @@ def build_M(model: CurveModel) -> PolyMatrix:
         raise ValueError("the structure matrix is a genus-3 object")
     scale = Fraction(2, 7)
     rows = [
-        [model.ring.parse(entry) * scale for entry in row] for row in _M_RAW
+        [model.ring.parse(entry) * scale for entry in row]
+        for row in reference.STRUCTURE_MATRIX
     ]
     return PolyMatrix(model.ring, rows)
 

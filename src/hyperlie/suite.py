@@ -69,7 +69,6 @@ from .lambda_space import (
 )
 from .param_map import (
     generate_relations,
-    jacobi_map,
     verify_relations_vanish,
     w_name,
     x_name,
@@ -206,7 +205,7 @@ _BUILDS = {
     "detT": lambda ctx: det_minor_expansion(ctx.T),
     "lam_fields": lambda ctx: all_L(ctx.model),
     "rels": lambda ctx: generate_relations(ctx.genus),
-    "jm": lambda ctx: jacobi_map(ctx.genus),
+    "jm": lambda ctx: ctx.cat.jm,
     "cat": lambda ctx: catalog(ctx.genus, params="symbolic"),
     # the catalog the displayed tables describe: zero parameters for g = 2,
     # for g = 1 and 3 the same object as cat

@@ -238,6 +238,49 @@ def test_runtime_modules_use_every_import():
                 assert bound in used, f"{path.name}:{node.lineno} imports {bound} unused"
 
 
+def _references(tree) -> list[str]:
+    """Every name, attribute and imported name that ``tree`` mentions."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.split(".")[-1])
+    return out
+
+
+def test_runtime_definitions_are_all_referenced():
+    # every top-level function and class of the package, and every
+    # non-dunder method, is used somewhere besides its own definition;
+    # claims are reached through their ``_claim`` registration
+    root = Path(hyperlie.__file__).resolve().parent.parent.parent
+    paths = [*root.glob("src/hyperlie/*.py"), *root.glob("tests/*.py"),
+             *root.glob("perfbench/*.py")]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    counts = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    for path in sorted(root.glob("src/hyperlie/*.py")):
+        defs = []
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs += [m for m in node.body if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+        for node in defs:
+            if any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "_claim"
+                   for d in node.decorator_list):
+                continue
+            inside = _references(node).count(node.name)
+            assert counts.get(node.name, 0) > inside, (
+                f"{path.name}:{node.lineno} defines {node.name}, used nowhere"
+            )
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     """Module names in sys.modules after running ``code`` in a fresh
     interpreter.  ``-S`` keeps site-packages' start-up hooks from loading

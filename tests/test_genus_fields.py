@@ -4,7 +4,7 @@ import pytest
 
 from hyperlie import det_minor_expansion
 from hyperlie import reference, suite
-from hyperlie.classical import SymbolDictionary, compare_tables, translate_table
+from hyperlie.classical import compare_tables, symbol_env, symbol_image
 from hyperlie.derivation import Derivation, verify_bracket_relation, verify_pushforward
 from hyperlie.exactpoly import PolyMatrix
 from hyperlie.genus_fields import (
@@ -14,6 +14,7 @@ from hyperlie.genus_fields import (
     euler_relations,
     parse_coeff,
     pullback_T,
+    read_relations,
     solve_genus2_normalization,
     specialize_params,
     table_relations,
@@ -89,6 +90,14 @@ def test_aux_polys_match_displayed_forms(catalogs):
         cat = catalogs[g]
         for name, text in reference.AUX[g].items():
             assert cat.aux[name] == parse_coeff(cat, text), (g, name)
+
+
+def test_parse_coeff_reads_the_catalog_it_is_given(catalogs):
+    # a catalog whose auxiliary polynomials differ reads its own values,
+    # not a remembered parse of the same text
+    cat = catalogs[2]
+    bumped = cat._replace(aux={**cat.aux, "w6": cat.aux["w6"] + 1})
+    assert parse_coeff(bumped, "w6") == parse_coeff(cat, "w6") + 1
 
 
 def test_aux_spot_values(catalogs):
@@ -292,23 +301,38 @@ def test_normalization_negative_control(catalogs):
     assert mism
 
 
+def test_every_displayed_table_is_read_through_read_relations(monkeypatch):
+    from hyperlie import classical, genus_fields
+
+    original, seen = genus_fields.read_relations, []
+
+    def spy(cat, rows, env=None):
+        seen.append(rows)
+        return original(cat, rows, env)
+
+    for module in (genus_fields, classical):
+        monkeypatch.setattr(module, "read_relations", spy)
+    assert suite.run_suite(2).passed
+    for rows in (reference.BRACKET_TABLE[2], reference.CLASSICAL_TABLE[2],
+                 reference.G2_NORMALIZATION):
+        assert any(r is rows for r in seen)
+
+
 # -- classical translation ----------------------------------------------------------------
 
 
-def test_symbol_dictionary_base_cases(catalogs):
+def test_symbol_image_base_cases(catalogs):
     cat = catalogs[3]
-    sd = SymbolDictionary(cat)
-    assert sd.image(2, ()) == cat.ring.var("x2")
-    assert sd.image(2, (3,)) == cat.ring.var("y5")
-    assert sd.image(0, (3, 3)) == cat.aux["w6"]
-    assert sd.image(0, (5, 5, 5)) == cat.aux["w15"]
-    assert sd.image(1, (3, 3)) == cat.aux["p7"]
+    assert symbol_image(cat, 2, ()) == cat.ring.var("x2")
+    assert symbol_image(cat, 2, (3,)) == cat.ring.var("y5")
+    assert symbol_image(cat, 0, (3, 3)) == cat.aux["w6"]
+    assert symbol_image(cat, 0, (5, 5, 5)) == cat.aux["w15"]
+    assert symbol_image(cat, 1, (3, 3)) == cat.aux["p7"]
 
 
-def test_symbol_dictionary_missing_symbol(catalogs):
-    sd = SymbolDictionary(catalogs[1])
+def test_symbol_image_missing_symbol(catalogs):
     with pytest.raises(KeyError):
-        sd.image(0, (3, 3))  # no such symbol at genus 1
+        symbol_image(catalogs[1], 0, (3, 3))  # no such symbol at genus 1
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -317,12 +341,11 @@ def test_classical_tables_translate_onto_computed(catalogs, catalogs_zero, g):
     assert compare_tables(cat, reference.CLASSICAL_TABLE[g]) == {}
 
 
-def test_classical_row_translation_values(catalogs):
+def test_classical_row_read_in_symbol_env(catalogs):
     cat = catalogs[3]
-    translated = translate_table(
-        cat, [("L3", "L2", {"L1": "P1_3 - l4", "L5": "-3"})]
-    )
-    coeffs = translated[("L3", "L2")]
+    rows = [("L3", "L2", {"L1": "P1_3 - l4", "L5": "-3"})]
+    (rel,) = read_relations(cat, rows, symbol_env(cat, rows))
+    coeffs = {Z.name: c for c, Z in rel.expansion}
     assert coeffs["L1"] == cat.ring.var("y4") - cat.jm.lambda_exprs[4]
     assert coeffs["L5"] == cat.ring.const(-3)
 
