@@ -8,14 +8,15 @@ Leibniz rule, and the commutator of two derivations is again a derivation.
 over packed monomials: one int per monomial, one bit field per variable
 (``exactpoly._layout``).  Each field is as wide as the largest argument
 exponent plus the largest image exponent of its variable, so no product
-exponent carries into the next field.  The argument's coefficients are put
-over their common denominator, and so are the derivation's images; the
-images are packed once per layout and memoised per derivation in
-``_scaled``, since its action is never changed after construction.  For
-each term c*x^m and each variable x_i with e = m_i > 0, c*e times every
-image term is added at the packed exponent m - unit_i + k straight into one
-dict of Python ints.  Only the nonzero terms of the result are unpacked and
-divided by the denominator, once.
+exponent carries into the next field.  The argument is its integer
+numerators over its denominator (``Poly.num`` / ``Poly.den``); the images
+are put over one common denominator, packed once per layout and memoised
+per derivation in ``_scaled``, since its action is never changed after
+construction.  For each term c*x^m and each variable x_i with e = m_i > 0,
+c*e times every image term is added at the packed exponent m - unit_i + k
+straight into one dict of Python ints.  Only the nonzero terms of the
+result are unpacked into a ``Poly`` over the product of the denominators,
+with their common factor divided out once.
 
 ``bracket_sum`` computes a Lie relation sum s * [X, Y] + sum c * Z, s an
 int and c a polynomial, in one such pass.  Every term goes over the common
@@ -41,7 +42,7 @@ from typing import Mapping, Sequence
 
 from .exactpoly import (
     Poly, PolyMap, Ring, RingMismatchError, _int_form, _layout, _mul_into, _pack,
-    _same_quotient, _top, _unscaled,
+    _top, _unscaled,
 )
 
 
@@ -114,15 +115,10 @@ class Derivation:
 
     def apply(self, p: Poly) -> Poly:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
-        return _unscaled(self.ring, *self._applied(p))
-
-    def _applied(self, p: Poly) -> tuple:
-        """(acc, d, layout): ``apply(p)`` is acc / d, keys packed in layout."""
         if p.ring != self.ring:
             raise RingMismatchError("argument not in the derivation's ring")
-        d, (terms,) = _int_form([p])
         D, _, top, packings = self._scaled_action()
-        bounds = list(map(add, _top(terms, len(top)), top))
+        bounds = list(map(add, _top(p.num, len(top)), top))
         # Any memoised layout whose fields hold the bounds serves; a new one
         # is packed only when none does.
         layout = next((lay for lay in packings
@@ -130,8 +126,8 @@ class Derivation:
         if layout is None:
             layout = _layout(bounds)
         acc = {}
-        _leibniz(acc, _pack(terms, layout), self._packed(layout)[1], 1)
-        return acc, d * D, layout
+        _leibniz(acc, _pack(p.num, layout), self._packed(layout)[1], 1)
+        return _unscaled(self.ring, acc, p.den * D, layout)
 
     def on(self, var) -> Poly:
         """Action on a single variable (zero when absent)."""
@@ -217,7 +213,7 @@ class Derivation:
 def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None,
                 linear: Sequence = (), ring: Ring | None = None) -> Derivation:
     """sum s * [X, Y] over the (s, X, Y) of ``terms``, s an int, plus
-    sum c * Z over the (c, Z) of ``linear``, c a Poly or rational, in one
+    sum c * Z over the (c, Z) of ``linear``, c a Poly, int or Fraction, in one
     integer pass: no intermediate bracket, product, sum or ``Fraction`` is
     built.  ``ring`` is needed only when both sequences are empty."""
     if ring is None:
@@ -235,10 +231,9 @@ def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None,
         brackets.append((s, X, Y, D_X * D_Y))
         tops.append(map(add, top_X, top_Y))
     for c, (_, Z) in zip(coeffs, linear):
-        d_c, (t_c,) = _int_form([c])
         D_Z, _, top_Z, _ = Z._scaled_action()
-        products.append((t_c, Z, d_c * D_Z))
-        tops.append(map(add, _top(t_c, n), top_Z))
+        products.append((c.num, Z, c.den * D_Z))
+        tops.append(map(add, _top(c.num, n), top_Z))
     # field i is as wide as the widest of every term's two tops at i
     layout = _layout(map(max, zip(*tops)))
     L = lcm(*(t[-1] for t in brackets + products))
@@ -287,12 +282,6 @@ class BracketRelation:
                            linear=[(-c, Z) for c, Z in self.expansion])
 
 
-def verify_bracket_relation(rel: BracketRelation):
-    """Check one bracket identity; returns (ok, residual derivation)."""
-    res = rel.residual()
-    return res.is_zero(), res
-
-
 def verify_pushforward(d_up: Derivation, pmap: PolyMap, d_down) -> tuple[bool, dict]:
     """Check that d_up projects onto d_down along the polynomial map.
 
@@ -300,17 +289,13 @@ def verify_pushforward(d_up: Derivation, pmap: PolyMap, d_down) -> tuple[bool, d
     d_down(lambda_s).  Passing d_down=None asserts d_up annihilates every
     component.  Checking on the target generators suffices because both sides
     are derivations.
-
-    Both sides are compared as integer forms acc / d (``_same_quotient``);
-    only a failing component is turned into the polynomial difference.
     """
     failures = {}
-    ring, zero = pmap.source, ({}, 1, ())
     for vname, comp in pmap.components.items():
-        lhs = d_up._applied(comp)
-        rhs = zero if d_down is None else pmap._pulled_back(d_down.on(vname))
-        if not _same_quotient(lhs, rhs):
-            failures[vname] = _unscaled(ring, *lhs) - _unscaled(ring, *rhs)
+        lhs = d_up.apply(comp)
+        rhs = pmap.source.zero if d_down is None else pmap.pullback(d_down.on(vname))
+        if lhs != rhs:
+            failures[vname] = lhs - rhs
     return not failures, failures
 
 

@@ -1,11 +1,15 @@
 """Sparse multivariate polynomials over exact rationals, with graded variables.
 
 Every variable carries a non-negative integer weight; a monomial's weight is
-the weight-sum of its variables.  Coefficients are exact rationals, stored as
-``int`` when integral and :class:`fractions.Fraction` otherwise, so identity
-checks are structural equality with zero tolerance.
+the weight-sum of its variables.  A ``Poly`` stores integer numerators over
+one denominator, the content/primitive split of FLINT's ``fmpq_mpoly``:
+``num`` maps exponent tuples (one slot per ring variable) to nonzero ints
+and ``den`` is a positive int with gcd(den, *num.values()) == 1.  So equal
+polynomials have equal forms, identity checks are structural equality with
+zero tolerance, and every kernel computes on ints alone.  ``terms`` is the
+rational view of the same polynomial, an ``int`` when a coefficient is
+integral, for renderers and oracles.
 
-A ``Poly`` maps exponent tuples (one slot per ring variable) to coefficients.
 The zero polynomial has no terms.  All values are immutable after
 construction; operations never mutate their arguments.
 
@@ -32,13 +36,9 @@ class RingMismatchError(ValueError):
     """Raised when an operation mixes polynomials from different rings."""
 
 
-def _coeff(value) -> "int | Fraction":
-    """Coerce to an exact rational, normalising integral Fractions to int."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
+def _rational(n: int, d: int = 1) -> "int | Fraction":
+    """n / d as an exact rational, an ``int`` when integral."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 class GradedVar(NamedTuple):
@@ -92,17 +92,16 @@ class Ring:
     def var(self, name: str) -> "Poly":
         exps = [0] * len(self.vars)
         exps[self.index(name)] = 1
-        return Poly(self, {tuple(exps): 1}, _normalized=True)
+        return Poly._of(self, {tuple(exps): 1})
 
     def const(self, value) -> "Poly":
-        c = _coeff(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
-        if c == 0:
-            return Poly(self, {}, _normalized=True)
-        return Poly(self, {self._zero_exps: c}, _normalized=True)
+        """The constant ``value``, which must be an ``int`` or ``Fraction``:
+        nothing else is exact, so a ``float`` raises ``TypeError``."""
+        return Poly(self, {self._zero_exps: value})
 
     @property
     def zero(self) -> "Poly":
-        return Poly(self, {}, _normalized=True)
+        return Poly._of(self, {})
 
     @property
     def one(self) -> "Poly":
@@ -110,10 +109,6 @@ class Ring:
 
     def monomial_weight(self, exps: Sequence[int]) -> int:
         return sum(e * w for e, w in zip(exps, self.weights) if e)
-
-    def poly(self, terms: Mapping) -> "Poly":
-        """Build a polynomial from {exponent tuple: coefficient}."""
-        return Poly(self, dict(terms))
 
     def parse(self, text: str, env: Mapping | None = None) -> "Poly":
         """Read a polynomial of this ring from text.
@@ -143,7 +138,7 @@ class Ring:
                 if op is ast.Div and literal(node.right) and node.right.value:
                     num = read(node.left)
                     if isinstance(num, (int, Fraction)) and num.denominator == 1:
-                        return _coeff(Fraction(num, node.right.value))
+                        return _rational(int(num), node.right.value)
                 elif op is ast.Pow and literal(node.right):
                     return read(node.left) ** node.right.value
             elif isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
@@ -173,44 +168,68 @@ def _same_ring(a: "Poly", b: "Poly"):
 
 
 class Poly:
-    """Immutable sparse polynomial: {exponent tuple -> nonzero coefficient}."""
+    """Immutable sparse polynomial num / den: ``num`` maps exponent tuples to
+    nonzero ints, ``den`` is a positive int, and no prime divides den and
+    every numerator.  ``Poly(ring, terms)`` reads {exponent tuple: int or
+    Fraction}; the kernels build through ``Poly._of``."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring: Ring, terms: Mapping, *, _normalized=False):
-        self.ring = ring
-        if _normalized:
-            self.terms = dict(terms)
-            return
+    def __init__(self, ring: Ring, terms: Mapping):
         n = len(ring.vars)
         clean = {}
         for exps, c in terms.items():
-            c = _coeff(c)
-            if c == 0:
-                continue
-            exps = tuple(exps)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps}")
-            clean[exps] = c
-        self.terms = clean
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"coefficient must be int or Fraction, got {type(c).__name__}")
+            if c:
+                exps = tuple(exps)
+                if len(exps) != n or any(e < 0 for e in exps):
+                    raise ValueError(f"bad exponent tuple {exps}")
+                clean[exps] = c
+        # over the lcm of reduced denominators no prime divides every numerator
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.ring = ring
+        self.num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self.den = den
+
+    @classmethod
+    def _of(cls, ring: Ring, num: dict, den: int = 1) -> "Poly":
+        """The polynomial num / den, ``num`` nonzero ints (kept, not copied)
+        and den > 0, with their common factor divided out."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        self = object.__new__(cls)
+        self.ring, self.num, self.den = ring, num, den
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: rational coefficient}, a fresh dict."""
+        d = self.den
+        return {m: _rational(c, d) for m, c in self.num.items()}
 
     # -- basic predicates ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.ring == other.ring and self.terms == other.terms
+            return (self.ring == other.ring and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
             return self == self.ring.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.num.items())))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -226,19 +245,25 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
+        a, b = self, other
+        if len(a.num) < len(b.num):
+            a, b = b, a  # copy the larger, walk the smaller
+        den = a.den if a.den == b.den else math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        out = dict(a.num) if fa == 1 else {m: c * fa for m, c in a.num.items()}
+        get = out.get
+        for m, c in b.num.items():
+            s = get(m, 0) + c * fb
             if s:
-                out[m] = _coeff(s)
+                out[m] = s
             else:
-                out.pop(m, None)
-        return Poly(self.ring, out, _normalized=True)
+                del out[m]
+        return Poly._of(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()}, _normalized=True)
+        return Poly._of(self.ring, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -251,18 +276,15 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if c == 0:
+            if not other:
                 return self.ring.zero
-            return Poly(
-                self.ring,
-                {m: _coeff(v * c) for m, v in self.terms.items()},
-                _normalized=True,
-            )
+            c = other.numerator
+            return Poly._of(self.ring, {m: v * c for m, v in self.num.items()},
+                            self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -273,11 +295,8 @@ class Poly:
                 m = tuple(map(add, ma, mb))
                 prev = get(m)
                 out[m] = ca * cb if prev is None else prev + ca * cb
-        return Poly(
-            self.ring,
-            {m: _coeff(c) for m, c in out.items() if c},
-            _normalized=True,
-        )
+        return Poly._of(self.ring, {m: c for m, c in out.items() if c},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -299,28 +318,21 @@ class Poly:
         """Formal partial derivative with respect to one ring variable."""
         i = self.ring.index(var)
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.num.items():
             e = m[i]
-            if not e:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1 :]
-            prev = out.get(dm, 0)
-            s = prev + c * e
-            if s:
-                out[dm] = _coeff(s)
-            else:
-                out.pop(dm, None)
-        return Poly(self.ring, out, _normalized=True)
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        return Poly._of(self.ring, out, self.den)
 
     def substitute(self, assignment: Mapping, target: Ring | None = None) -> "Poly":
-        """Substitute polynomials (or rationals) for variables.
+        """Substitute polynomials (or ints and Fractions) for variables.
 
         Unassigned variables pass through unchanged, looked up by name in the
         target ring (the ring of the assigned values, or this ring if the
         assignment is purely numeric).
 
-        One integer pass over packed monomials: this polynomial is put over
-        its common denominator d and each image y_i over its own d_i.  With
+        One integer pass over packed monomials: this polynomial is num / d
+        and each image y_i is its own num_i / d_i.  With
         E_i the largest exponent of x_i here, every term c*x^m adds
         c * prod_i d_i^(E_i - m_i) * y_i^m_i into one dict of ints, which is
         divided once by d * prod_i d_i^E_i.  Target field j is as wide as
@@ -328,11 +340,6 @@ class Poly:
         variable, so no power or product carries into the next field.
         The packed powers y_i^e live for this one call.
         """
-        return _unscaled(*self._substituted(assignment, target))
-
-    def _substituted(self, assignment: Mapping, target) -> tuple:
-        """(target, acc, d, layout): ``substitute``'s result is acc / d in
-        ``target``, with its keys packed in ``layout``."""
         images = {}
         for key, val in assignment.items():
             i = self.ring.index(key)
@@ -344,12 +351,12 @@ class Poly:
             images[i] = val
         if target is None:
             target = self.ring
-        d, (terms,) = _int_form([self])
+        terms, d = self.num, self.den
         if not terms:
-            return target, {}, 1, ()
+            return target.zero
         n = len(target.vars)
         top = _top(terms, len(self.ring.vars))
-        forms = {}  # i -> (d_i, integer terms of d_i * y_i) for every x_i used
+        forms = {}  # i -> (d_i, num_i) for every x_i used
         bounds = [0] * n
         for i, E in enumerate(top):
             if E:
@@ -358,10 +365,9 @@ class Poly:
                     y = target.var(self.ring.names[i])
                 elif not isinstance(y, Poly):
                     y = target.const(y)
-                d_i, (t,) = _int_form([y])
-                forms[i] = (d_i, t)
-                bounds = [b + E * e for b, e in zip(bounds, _top(t, n))]
-                d *= d_i ** E
+                forms[i] = (y.den, y.num)
+                bounds = [b + E * e for b, e in zip(bounds, _top(y.num, n))]
+                d *= y.den ** E
 
         layout = _layout(bounds)
         powers = {}  # (i, e) -> packed y_i^e, with the halving powers
@@ -393,7 +399,7 @@ class Poly:
             for p in rest:
                 prod = _mul_into({}, prod, p)
             _mul_into(acc, prod, last, c)
-        return target, acc, d, layout
+        return _unscaled(target, acc, d, layout)
 
     def evaluate(self, point: Mapping) -> "int | Fraction":
         """Evaluate at a full numeric assignment {name: rational}."""
@@ -402,21 +408,20 @@ class Poly:
             if name not in point:
                 raise KeyError(f"no value for variable {name!r}")
             vals.append(point[name])
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            t = Fraction(c)
+        total = 0
+        for m, c in self.num.items():
             for v, e in zip(vals, m):
                 if e:
-                    t *= Fraction(v) ** e
-            total += t
-        return _coeff(total)
+                    c *= v**e
+            total += c
+        return _rational(total, self.den)
 
     # -- grading -----------------------------------------------------------
 
     def weight_check(self) -> "int | None":
         """Common weight of all terms; None if inhomogeneous; 0 for zero."""
         w = None
-        for m in self.terms:
+        for m in self.num:
             mw = self.ring.monomial_weight(m)
             if w is None:
                 w = mw
@@ -426,30 +431,28 @@ class Poly:
 
     def is_homogeneous_of(self, weight: int) -> bool:
         """True when every term has the given weight (zero poly passes)."""
-        return all(self.ring.monomial_weight(m) == weight for m in self.terms)
+        return all(self.ring.monomial_weight(m) == weight for m in self.num)
 
     def max_total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum(m) for m in self.num), default=0)
 
     def degree_in(self, var) -> int:
         i = self.ring.index(var)
-        return max((m[i] for m in self.terms), default=0)
+        return max((m[i] for m in self.num), default=0)
 
     def coeffs_in(self, var) -> dict[int, "Poly"]:
         """Split into {exponent of var: polynomial coefficient} (var removed)."""
         i = self.ring.index(var)
         buckets: dict[int, dict] = {}
-        for m, c in self.terms.items():
+        for m, c in self.num.items():
             e = m[i]
             rest = m[:i] + (0,) + m[i + 1 :]
             buckets.setdefault(e, {})[rest] = c
-        return {
-            e: Poly(self.ring, t, _normalized=True) for e, t in sorted(buckets.items())
-        }
+        return {e: Poly._of(self.ring, t, self.den) for e, t in sorted(buckets.items())}
 
     def variables_used(self) -> set[str]:
         used = set()
-        for m in self.terms:
+        for m in self.num:
             for i, e in enumerate(m):
                 if e:
                     used.add(self.ring.names[i])
@@ -457,12 +460,12 @@ class Poly:
 
     def constant_value(self) -> "int | Fraction":
         """The value of a constant polynomial; raises if non-constant."""
-        if not self.terms:
+        if not self.num:
             return 0
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
+        if len(self.num) == 1:
+            ((m, c),) = self.num.items()
             if not any(m):
-                return c
+                return _rational(c, self.den)
         raise ValueError("polynomial is not constant")
 
     # -- serialization -----------------------------------------------------
@@ -481,7 +484,7 @@ class Poly:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``-4/3*l4^3 + 6*l6``."""
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for m, c in self._sorted_terms():
@@ -532,7 +535,7 @@ class Poly:
             exps = [0] * len(ring.vars)
             for name, e in t["m"].items():
                 exps[ring.index(name)] = int(e)
-            out[tuple(exps)] = _coeff(Fraction(t["c"]))
+            out[tuple(exps)] = Fraction(t["c"])
         return Poly(ring, out)
 
 
@@ -545,7 +548,7 @@ def cast(p: Poly, target: Ring) -> Poly:
         mapping.append(target._index.get(name, -1))
     n = len(target.vars)
     out = {}
-    for m, c in p.terms.items():
+    for m, c in p.num.items():
         exps = [0] * n
         for i, e in enumerate(m):
             if e:
@@ -556,7 +559,7 @@ def cast(p: Poly, target: Ring) -> Poly:
                     )
                 exps[j] = e
         out[tuple(exps)] = c
-    return Poly(target, out, _normalized=True)
+    return Poly._of(target, out, p.den)
 
 
 # -- exact division ----------------------------------------------------------
@@ -588,11 +591,12 @@ def divexact(p: Poly, d: Poly) -> Poly:
         return p.ring.zero
     ring = p.ring
     weight = ring.monomial_weight
-    dm = max(d.terms, key=lambda m: (weight(m), m))
-    dc = Fraction(d.terms[dm])
+    dt = d.terms
+    dm = max(dt, key=lambda m: (weight(m), m))
+    dc = Fraction(dt[dm])
     dw = weight(dm)
-    tail = [(m2, c2, weight(m2) - dw) for m2, c2 in d.terms.items() if m2 != dm]
-    rem = dict(p.terms)
+    tail = [(m2, c2, weight(m2) - dw) for m2, c2 in dt.items() if m2 != dm]
+    rem = p.terms
     heap = [(-weight(m), tuple(-e for e in m)) for m in rem]
     heapq.heapify(heap)
     out = {}
@@ -605,7 +609,9 @@ def divexact(p: Poly, d: Poly) -> Poly:
         qm = tuple(a - b for a, b in zip(rm, dm))
         if any(e < 0 for e in qm):
             raise ValueError("polynomials do not divide exactly")
-        qc = _coeff(rc / dc)
+        qc = rc / dc
+        if qc.denominator == 1:
+            qc = qc.numerator  # int arithmetic for the rest of the row
         out[qm] = qc
         for m2, c2, offset in tail:
             k = tuple(a + b for a, b in zip(qm, m2))
@@ -619,7 +625,7 @@ def divexact(p: Poly, d: Poly) -> Poly:
                     rem[k] = s
                 else:
                     del rem[k]
-    return Poly(ring, out, _normalized=True)
+    return Poly(ring, out)
 
 
 # -- matrices ----------------------------------------------------------------
@@ -668,19 +674,13 @@ class PolyMatrix:
 
 
 def _int_form(polys: Iterable[Poly]) -> tuple[int, list[dict]]:
-    """(d, ints): d the lcm of every coefficient denominator of ``polys`` and
-    ints[j] the terms of polys[j] times d as Python ints.  When d is 1 the
-    term dicts themselves are returned, so they must not be mutated."""
+    """(d, ints): d the lcm of the denominators of ``polys`` and ints[j] the
+    numerators of polys[j] over d.  A polynomial already over d hands out its
+    own ``num``, so the dicts must not be mutated."""
     polys = list(polys)
-    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()
-                   if type(c) is not int))
-    if d == 1:
-        return 1, [p.terms for p in polys]
-    return d, [
-        {m: c * d if type(c) is int else c.numerator * (d // c.denominator)
-         for m, c in p.terms.items()}
-        for p in polys
-    ]
+    d = math.lcm(*(p.den for p in polys))
+    return d, [p.num if p.den == d else {m: c * (d // p.den) for m, c in p.num.items()}
+               for p in polys]
 
 
 def _layout(bounds: Iterable[int]) -> tuple:
@@ -728,21 +728,7 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> dict:
 
 def _unscaled(ring: Ring, acc: Mapping, d: int, layout: tuple) -> Poly:
     """The polynomial acc / d, zero terms dropped and keys unpacked."""
-    terms = _unpack(acc, layout)
-    if d != 1:
-        terms = {m: _coeff(Fraction(c, d)) for m, c in terms.items()}
-    return Poly(ring, terms, _normalized=True)
-
-
-def _same_quotient(a: tuple, b: tuple) -> bool:
-    """Whether acc_a / d_a == acc_b / d_b for two (acc, d, layout) forms,
-    whatever their layouts, decided on integers: no ``Fraction`` is built."""
-    (acc_a, d_a, layout_a), (acc_b, d_b, layout_b) = a, b
-    if not acc_b:
-        return not any(acc_a.values())
-    terms_a, terms_b = _unpack(acc_a, layout_a), _unpack(acc_b, layout_b)
-    return terms_a.keys() == terms_b.keys() and all(
-        c * d_b == terms_b[m] * d_a for m, c in terms_a.items())
+    return Poly._of(ring, _unpack(acc, layout), d)
 
 
 def det_bareiss(matrix: PolyMatrix) -> Poly:
@@ -760,7 +746,7 @@ def det_bareiss(matrix: PolyMatrix) -> Poly:
         return ring.one
     scaled = [_int_form(row) for row in matrix.rows]
     work = [
-        [Poly(ring, t, _normalized=True) for t in row] for _, row in scaled
+        [Poly._of(ring, t) for t in row] for _, row in scaled
     ]
     sign = 1
     prev = ring.one
@@ -854,8 +840,8 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
                 cur_level[mask] = minor
         prev_level = cur_level
 
-    poly = Poly(ring, _unpack(prev_level.get(full, {}), layout), _normalized=True)
-    return poly * Fraction(1, math.prod(d for d, _ in scaled))
+    return _unscaled(ring, prev_level.get(full, {}), math.prod(d for d, _ in scaled),
+                     layout)
 
 
 def det_cofactor(matrix: PolyMatrix) -> Poly:
@@ -952,12 +938,6 @@ class PolyMap:
         if p.ring != self.target:
             raise RingMismatchError("pullback argument not in target ring")
         return p.substitute(self.components, target=self.source)
-
-    def _pulled_back(self, p: Poly) -> tuple:
-        """(acc, d, layout): ``pullback(p)`` is acc / d, keys packed in layout."""
-        if p.ring != self.target:
-            raise RingMismatchError("pullback argument not in target ring")
-        return p._substituted(self.components, self.source)[1:]
 
     def evaluate(self, point: Mapping) -> dict:
         return {v: comp.evaluate(point) for v, comp in self.components.items()}

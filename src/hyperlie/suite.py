@@ -5,15 +5,16 @@ Each entry is a claim: a generator ``claim(ctx, mode, pit, rng, *key)`` of
 ``Derivation`` that must be zero on every variable (its components labelled
 ``label.v``, in sorted variable order); a number that must be 0; or a
 problem string, which always fails.  One runner, ``_decide``, returns
-``(ok, witness)`` with the witness of the first failing item.  Exact mode
-tests a ``Poly`` for structural zero (``label: poly``).  Pit mode evaluates
-a nonzero ``Poly`` at ``sample_count`` random points of [-B, B]^n
-(``label at {point} -> value``); by Schwartz-Zippel it vanishes at one with
-probability at most d/(2B+1), d its total degree.  A number fails as
-``label -> value``, a problem as ``label: problem``.  Four claims branch on
-the mode, as their pit forms evaluate matrices numerically and expand
-nothing: ``detT_eq_cR``, ``tangency``, ``relations_vanish``,
-``detTcal_factor``.
+``(ok, witness)`` with the witness of the first failing item.  A nonzero
+``Poly`` fails in both modes: exact mode says ``label: poly``, and pit mode
+evaluates it at ``sample_count`` random points of [-B, B]^n for the
+witness ``label at {point} -> value``, falling back to ``label: poly`` when
+it vanishes at every one.  A number fails as ``label -> value``, a problem
+as ``label: problem``.  Four claims branch on the mode, as their pit forms
+evaluate matrices numerically and expand nothing: ``detT_eq_cR``,
+``tangency``, ``relations_vanish``, ``detTcal_factor``; by Schwartz-Zippel
+a nonzero identity of total degree d vanishes at one of their points with
+probability at most d/(2B+1).
 
 Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
 entry on the calling thread, in ``suite_entries`` order, and orders the
@@ -41,8 +42,7 @@ from .derivation import (
     verify_pushforward,
 )
 from .exactpoly import (
-    Poly, _int_form, _layout, _mul_into, _pack, _same_quotient, _top, _unscaled,
-    det_minor_expansion,
+    Poly, _int_form, _layout, _mul_into, _pack, _top, _unscaled, det_minor_expansion,
 )
 from .genus_fields import (
     _ladder_steps,
@@ -261,15 +261,13 @@ def _decide(claim, key, ctx, mode, pit, rng):
             if not isinstance(r, Poly):
                 if r != 0:
                     return False, _truncate(f"{label} -> {r}")
-            elif r.is_zero():
-                continue
-            elif mode == "exact":
+            elif not r.is_zero():
+                if mode == "pit":
+                    for point in _points(r.ring, pit, rng):
+                        value = r.evaluate(point)
+                        if value != 0:
+                            return False, _truncate(f"{label} at {point} -> {value}")
                 return False, _truncate(f"{label}: {r.to_text()}")
-            else:
-                for point in _points(r.ring, pit, rng):
-                    value = r.evaluate(point)
-                    if value != 0:
-                        return False, _truncate(f"{label} at {point} -> {value}")
     return True, None
 
 
@@ -531,8 +529,8 @@ def _table_row(ctx, mode, pit, rng, left, right):
 @_claim("fields.pushforward_homomorphism", "bracket commutes with the pushforward")
 def _pushforward_homomorphism(ctx, mode, pit, rng):
     """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd.  With
-    expansions the left side is sum_k c_ab^k Lk(p_j) as one integer form,
-    decided by ``_same_quotient``; only a failing side becomes a ``Poly``."""
+    expansions the left side is sum_k c_ab^k Lk(p_j), summed in one integer
+    pass over one denominator and layout."""
     cat, exp = ctx.cat, ctx.expansions
     pairs = list(combinations(cat.names, 2))
     if exp is not None:
@@ -555,11 +553,10 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
             acc = {}
             for k in exp[na, nb]:
                 _mul_into(acc, forms[(na, nb), k], images[k, v])
-            lhs = (acc, d * d, layout)
-            rhs = ({}, 1, ()) if down is None else cat.pmap._pulled_back(down.on(v))
-            if not _same_quotient(lhs, rhs):
-                yield (f"{label} on {v}",
-                       _unscaled(cat.ring, *lhs) - _unscaled(cat.ring, *rhs))
+            lhs = _unscaled(cat.ring, acc, d * d, layout)
+            rhs = cat.ring.zero if down is None else cat.pmap.pullback(down.on(v))
+            if lhs != rhs:
+                yield f"{label} on {v}", lhs - rhs
 
 
 @_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")

@@ -1,5 +1,6 @@
 """Core polynomial arithmetic: exactness, grading, determinants, resultants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -547,20 +548,47 @@ def test_parse_rejects_what_the_grammar_excludes(lring, text):
         lring.parse(text)
 
 
-def test_same_quotient_compares_forms_across_layouts_and_denominators(lring):
-    from hyperlie.exactpoly import _int_form, _layout, _pack, _same_quotient
-
-    def form(poly, scale, bounds):
-        d, (terms,) = _int_form([poly])
-        layout = _layout(bounds)
-        return _pack({m: scale * c for m, c in terms.items()}, layout), scale * d, layout
+def test_one_polynomial_has_one_form_whatever_its_denominator(lring):
+    from hyperlie.exactpoly import _int_form, _layout, _pack, _unscaled
 
     p = lring.parse("1/2*l4^3 - 2/3*l6")
-    a = form(p, 1, [3, 1])
-    assert _same_quotient(a, form(p, 5, [40, 9]))
-    assert not _same_quotient(a, form(p + lring.parse("1/6*l4^3"), 1, [3, 1]))
-    assert not _same_quotient(a, form(p + lring.parse("l6^2"), 5, [40, 9]))
-    zero = ({}, 1, ())
-    cancelled = ({k: 0 for k in a[0]}, 7, a[2])
-    assert not _same_quotient(a, zero) and not _same_quotient(zero, a)
-    assert _same_quotient(cancelled, zero) and _same_quotient(zero, cancelled)
+    q = lring.parse("5/7*l4*l6 + 1/3*l6")
+    assert (p.num, p.den) == ({(3, 0): 3, (0, 1): -4}, 6)
+    assert p.terms == {(3, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3)}
+    d, (nums,) = _int_form([p])
+    layout = _layout([40, 9])
+    scaled = _pack({m: 35 * c for m, c in nums.items()}, layout)
+    for r in ((p * Fraction(5, 3)) * Fraction(3, 5), (p + q) - q,
+              _unscaled(lring, scaled, 35 * d, layout)):
+        assert r == p and hash(r) == hash(p)
+        assert r.den > 0 and math.gcd(r.den, *r.num.values()) == 1
+    assert p != p + lring.parse("1/6*l4^3") and p != p + lring.parse("l6^2")
+    cancelled = _unscaled(lring, {k: 0 for k in scaled}, 35 * d, layout)
+    assert cancelled == lring.zero and (cancelled.num, cancelled.den) == ({}, 1)
+    assert (q - q).den == 1 and (p * 6).den == 1 and (p * 6).num == p.num
+
+
+def test_kernels_build_no_fraction(catalogs, monkeypatch):
+    cat = catalogs[2]
+    L3, L4 = cat.fields["L3"], cat.fields["L4"]
+    comp = cat.pmap.components["l6"]
+    image = cat.pmap.target.parse("1/3*l4^2 - 2/5*l8")
+    p, q = cat.ring.parse("1/2*x2 + 2/3*x3"), cat.ring.parse("3/4*x2^2 - 1/5")
+    # every result below has non-integral coefficients
+    assert all(r.den != 1 for r in (L3.bracket(L4).on("x2"), L4.apply(comp),
+                                    cat.pmap.pullback(image), p * q, p + q))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    L3.bracket(L4)
+    L4.apply(comp)
+    cat.pmap.pullback(image)
+    p * q
+    p + q
+    monkeypatch.undo()
+    assert built == []

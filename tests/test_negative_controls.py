@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from hyperlie import Derivation, derivation, reference, suite
+from hyperlie import Derivation, Ring, derivation, reference, suite
 from hyperlie.genus_fields import parse_coeff
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 
@@ -152,6 +152,29 @@ def test_pair_without_a_row_falls_back(monkeypatch):
     for claim in (suite._jacobi, suite._pushforward_homomorphism):
         assert _decide(claim, (), ctx, "exact", PitConfig(), None) == (True, None)
     assert "pairs" in ctx._memo
+
+
+def test_nonzero_residual_fails_in_pit_mode_where_every_point_vanishes():
+    """A residual with a root at every integer of [-211, 211] vanishes at
+    every sample point; being nonzero, it must fail all the same."""
+    ring = Ring([("x", 1)])
+    x = ring.var("x")
+    residual = ring.one
+    for k in range(-211, 212):
+        residual = residual * (x - k)
+
+    def claim(ctx, mode, pit, rng):
+        yield "roots", residual
+
+    want = _decide(claim, (), None, "exact", PitConfig(), None)
+    assert want[0] is False and want[1].startswith("roots: ")
+    rng = suite._entry_rng(0, "roots")
+    assert _decide(claim, (), None, "pit", PitConfig(), rng) == want
+    # a point off the roots is the witness whenever the sample finds one
+    rng = suite._entry_rng(0, "shifted")
+    ok, witness = _decide(lambda *a: iter([("shifted", residual * x + 1)]), (),
+                          None, "pit", PitConfig(), rng)
+    assert not ok and witness.startswith("shifted at {'x': ")
 
 
 def _perturbed_expansions(genus, pair, field, delta):
