@@ -4,28 +4,22 @@ A derivation is determined by its action on the ring variables; variables
 absent from the action map are annihilated.  Application extends by the
 Leibniz rule, and the commutator of two derivations is again a derivation.
 
-``apply`` and ``bracket_sum`` share one fused integer loop, ``_leibniz``,
-over packed monomials: one int per monomial, one bit field per variable
-(``exactpoly._layout``).  Each field is as wide as the largest argument
-exponent plus the largest image exponent of its variable, so no product
-exponent carries into the next field.  The argument is its integer
-numerators over its denominator (``Poly.num`` / ``Poly.den``); the images
-are put over one common denominator, packed once per layout and memoised
-per derivation in ``_scaled``, since its action is never changed after
-construction.  For each term c*x^m and each variable x_i with e = m_i > 0,
-c*e times every image term is added at the packed exponent m - unit_i + k
-straight into one dict of Python ints.  Only the nonzero terms of the
-result are unpacked into a ``Poly`` over the product of the denominators,
-with their common factor divided out once.
+``apply`` and ``bracket_sum`` share one fused integer loop,
+``exactpoly._leibniz``, on the monomial keys of ``Poly.num``.  The argument
+is its integer numerators over its denominator (``Poly.num`` /
+``Poly.den``); the images are put over one common denominator once per
+derivation and memoised in ``_scaled``, since its action is never changed
+after construction.  For each term c*x^m and each variable x_i with
+e = m_i > 0, c*e times every image term is added straight into one dict of
+Python ints.  Only the nonzero terms of the result become a ``Poly`` over
+the product of the denominators, with their common factor divided out once.
 
 ``bracket_sum`` computes a Lie relation sum s * [X, Y] + sum c * Z, s an
 int and c a polynomial, in one such pass.  Every term goes over the common
-denominator lcm(D_X * D_Y, d_c * D_Z), and one packed layout serves them
-all: field i is as wide as the largest top_X[i] + top_Y[i] and
-top_c[i] + top_Z[i] need.  For each variable v one dict accumulates both
-halves X(Y(v)) - Y(X(v)) of every bracket term and every product c * Z(v).
-No intermediate bracket, product, sum or ``Fraction`` is built.
-``Derivation.bracket`` is its one-bracket case, ``combination`` its
+denominator lcm(D_X * D_Y, d_c * D_Z).  For each variable v one dict
+accumulates both halves X(Y(v)) - Y(X(v)) of every bracket term and every
+product c * Z(v).  No intermediate bracket, product, sum or ``Fraction`` is
+built.  ``Derivation.bracket`` is its one-bracket case, ``combination`` its
 linear-only case, and ``BracketRelation.residual`` the relation
 [X, Y] - sum c_k * Z_k.
 
@@ -37,32 +31,11 @@ of variables v -> partner(v).
 from __future__ import annotations
 
 from math import lcm
-from operator import add
 from typing import Mapping, Sequence
 
 from .exactpoly import (
-    Poly, PolyMap, Ring, RingMismatchError, _int_form, _layout, _mul_into, _pack,
-    _top, _unscaled,
+    Poly, PolyMap, Ring, RingMismatchError, _int_form, _leibniz, _mul_into, _unscaled,
 )
-
-
-def _leibniz(acc: dict, terms: Mapping, images, f: int):
-    """acc += f * sum_i images_i * d(terms)/dx_i, on packed monomials.
-
-    ``images`` lists (shift, mask, unit, image terms) per acted-on x_i: the
-    exponent of x_i in m is (m >> shift) & mask, m - unit lowers it by one,
-    and adding an image key k multiplies by x^k.
-    """
-    get = acc.get
-    for m, c in terms.items():
-        for s, mask, unit, img in images:
-            e = (m >> s) & mask
-            if e:
-                ce = f * c * e
-                base = m - unit
-                for k, ci in img.items():
-                    key = base + k
-                    acc[key] = get(key, 0) + ce * ci
 
 
 class Derivation:
@@ -88,27 +61,14 @@ class Derivation:
         self._scaled = None
 
     def _scaled_action(self):
-        """(D, ints, top, packings): action[v] = ints[v] / D for one common
-        D, top the largest exponent of each variable over the images, and
-        packings the memo of ``_packed``, one entry per layout."""
+        """(D, ints, images): action[v] = ints[v] / D for one common D, and
+        images the ``_leibniz`` images of every acted-on variable."""
         if self._scaled is None:
             D, parts = _int_form(self.action.values())
-            top = _top((m for t in parts for m in t), len(self.ring.vars))
-            self._scaled = (D, dict(zip(self.action, parts)), top, {})
+            ints = dict(zip(self.action, parts))
+            images = [(self.ring.index(v), t) for v, t in ints.items()]
+            self._scaled = (D, ints, images)
         return self._scaled
-
-    def _packed(self, layout: tuple):
-        """({v: packed ints}, images): the images times D packed in
-        ``layout``, and the ``_leibniz`` images of every acted-on variable."""
-        _, ints, _, packings = self._scaled_action()
-        if layout not in packings:
-            packed = {v: _pack(t, layout) for v, t in ints.items()}
-            images = []
-            for v, t in packed.items():
-                s, mask = layout[self.ring.index(v)]
-                images.append((s, mask, 1 << s, t))
-            packings[layout] = (packed, images)
-        return packings[layout]
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply(p)
@@ -117,17 +77,10 @@ class Derivation:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
         if p.ring != self.ring:
             raise RingMismatchError("argument not in the derivation's ring")
-        D, _, top, packings = self._scaled_action()
-        bounds = list(map(add, _top(p.num, len(top)), top))
-        # Any memoised layout whose fields hold the bounds serves; a new one
-        # is packed only when none does.
-        layout = next((lay for lay in packings
-                       if all(b <= mask for b, (_, mask) in zip(bounds, lay))), None)
-        if layout is None:
-            layout = _layout(bounds)
+        D, _, images = self._scaled_action()
         acc = {}
-        _leibniz(acc, _pack(p.num, layout), self._packed(layout)[1], 1)
-        return _unscaled(self.ring, acc, p.den * D, layout)
+        _leibniz(acc, p.num, images, 1)
+        return _unscaled(self.ring, acc, p.den * D)
 
     def on(self, var) -> Poly:
         """Action on a single variable (zero when absent)."""
@@ -223,37 +176,23 @@ def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None,
             or any(c.ring != ring or Z.ring != ring
                    for c, (_, Z) in zip(coeffs, linear))):
         raise RingMismatchError("relation of derivations on different rings")
-    n = len(ring.vars)
-    brackets, products, tops = [], [], [(0,) * n]
-    for s, X, Y in terms:
-        D_X, _, top_X, _ = X._scaled_action()
-        D_Y, _, top_Y, _ = Y._scaled_action()
-        brackets.append((s, X, Y, D_X * D_Y))
-        tops.append(map(add, top_X, top_Y))
-    for c, (_, Z) in zip(coeffs, linear):
-        D_Z, _, top_Z, _ = Z._scaled_action()
-        products.append((c.num, Z, c.den * D_Z))
-        tops.append(map(add, _top(c.num, n), top_Z))
-    # field i is as wide as the widest of every term's two tops at i
-    layout = _layout(map(max, zip(*tops)))
-    L = lcm(*(t[-1] for t in brackets + products))
-    halves = [(s * (L // d), X._packed(layout), Y._packed(layout))
-              for s, X, Y, d in brackets if s]
-    products = [(L // d, _pack(t_c, layout), Z._packed(layout)[0])
-                for t_c, Z, d in products if t_c]
+    halves = [(s, X._scaled_action(), Y._scaled_action()) for s, X, Y in terms if s]
+    products = [(c, Z._scaled_action()) for c, (_, Z) in zip(coeffs, linear) if c]
+    L = lcm(*(X[0] * Y[0] for _, X, Y in halves), *(c.den * Z[0] for c, Z in products))
     action = {}
     for v in ring.names:
         acc = {}
-        for f, (px, ix), (py, iy) in halves:
+        for s, (D_X, px, ix), (D_Y, py, iy) in halves:
+            f = s * (L // (D_X * D_Y))
             if v in py:
                 _leibniz(acc, py[v], ix, f)
             if v in px:
                 _leibniz(acc, px[v], iy, -f)
-        for f, pc, pz in products:
+        for c, (D_Z, pz, _) in products:
             if v in pz:
-                _mul_into(acc, pc, pz[v], f)
+                _mul_into(acc, c.num, pz[v], L // (c.den * D_Z))
         if acc:
-            q = _unscaled(ring, acc, L, layout)
+            q = _unscaled(ring, acc, L)
             if not q.is_zero():
                 action[v] = q
     return Derivation(name, ring, action, weight=weight)

@@ -3,12 +3,15 @@
 Every variable carries a non-negative integer weight; a monomial's weight is
 the weight-sum of its variables.  A ``Poly`` stores integer numerators over
 one denominator, the content/primitive split of FLINT's ``fmpq_mpoly``:
-``num`` maps exponent tuples (one slot per ring variable) to nonzero ints
-and ``den`` is a positive int with gcd(den, *num.values()) == 1.  So equal
-polynomials have equal forms, identity checks are structural equality with
-zero tolerance, and every kernel computes on ints alone.  ``terms`` is the
-rational view of the same polynomial, an ``int`` when a coefficient is
-integral, for renderers and oracles.
+``num`` maps monomial keys to nonzero ints and ``den`` is a positive int
+with gcd(den, *num.values()) == 1.  So equal polynomials have equal forms,
+identity checks are structural equality with zero tolerance, and every
+kernel computes on ints alone.  A monomial key is one int in its ring's one
+layout (Monagan & Pearce, CASC 2007): variable i owns bits
+[32*i, 32*i + 32), so multiplying monomials is adding keys.  ``Ring.pack``
+and ``Ring.unpack`` convert between keys and exponent tuples, and ``terms``
+is the tuple-keyed rational view of the same polynomial, an ``int`` when a
+coefficient is integral, for renderers and oracles.
 
 The zero polynomial has no terms.  All values are immutable after
 construction; operations never mutate their arguments.
@@ -30,7 +33,20 @@ import json
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+# Each variable owns one _WIDTH-bit field of a monomial key.  A stored
+# exponent stays below 2^(_WIDTH - 1), so the top bit of every field is a
+# guard: two keys add with no carry between fields, and a sum whose exponent
+# reaches 2^(_WIDTH - 1) sets a guard bit, which ``_checked`` turns into
+# OverflowError.  The width is 32, not the fewest bits the exponents need,
+# because CPython hashes ints modulo 2^61 - 1: among the 205,173 monomials
+# of the genus-3 det Tcal, 32-bit fields give 205,162 distinct hashes and
+# 20-bit fields 43,499, and with 20-bit fields that determinant took about
+# 1.5x as long.
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1  # the mask of one field
 
 class RingMismatchError(ValueError):
     """Raised when an operation mixes polynomials from different rings."""
@@ -51,7 +67,7 @@ class GradedVar(NamedTuple):
 class Ring:
     """An ordered collection of graded variables; the context for all polys."""
 
-    __slots__ = ("vars", "names", "weights", "_index", "_zero_exps")
+    __slots__ = ("vars", "names", "weights", "_index", "_guard")
 
     def __init__(self, variables: Iterable):
         vs = []
@@ -71,7 +87,8 @@ class Ring:
         self.names = names
         self.weights = tuple(v.weight for v in vs)
         self._index = {n: i for i, n in enumerate(names)}
-        self._zero_exps = (0,) * len(vs)
+        # the top bit of every field: set in a key iff an exponent is too big
+        self._guard = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(vs)))
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.vars == other.vars
@@ -89,15 +106,31 @@ class Ring:
         except KeyError:
             raise KeyError(f"variable {name!r} not in ring") from None
 
+    def pack(self, exps: Sequence[int]) -> int:
+        """The key of an exponent tuple, one field per ring variable.  A
+        wrong length or a negative exponent raises ``ValueError``, and an
+        exponent of 2^31 or more ``OverflowError``: it would spill into the
+        next variable's field."""
+        exps = tuple(exps)
+        if len(exps) != len(self.vars) or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps}")
+        if any(e >> (_WIDTH - 1) for e in exps):
+            raise OverflowError(f"exponent of {exps} reaches 2^{_WIDTH - 1}")
+        return sum(e << (_WIDTH * i) for i, e in enumerate(exps))
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple of a key; the inverse of ``pack``."""
+        return tuple([(key >> s) & _FIELD
+                      for s in range(0, _WIDTH * len(self.vars), _WIDTH)])
+
     def var(self, name: str) -> "Poly":
-        exps = [0] * len(self.vars)
-        exps[self.index(name)] = 1
-        return Poly._of(self, {tuple(exps): 1})
+        return Poly._of(self, {1 << (_WIDTH * self.index(name)): 1})
 
     def const(self, value) -> "Poly":
         """The constant ``value``, which must be an ``int`` or ``Fraction``:
         nothing else is exact, so a ``float`` raises ``TypeError``."""
-        return Poly(self, {self._zero_exps: value})
+        value = _exact(value)
+        return Poly._of(self, {0: value.numerator} if value else {}, value.denominator)
 
     @property
     def zero(self) -> "Poly":
@@ -162,31 +195,37 @@ class Ring:
         return out if isinstance(out, Poly) else self.const(out)
 
 
+def _exact(c):
+    """``c``, after raising ``TypeError`` unless it is an int or Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+    return c
+
+
+def _checked(ring: Ring, terms: dict) -> dict:
+    """``terms``, after raising ``OverflowError`` if an exponent of one of
+    its keys has reached 2^31 (set its field's guard bit)."""
+    if reduce(operator.or_, terms, 0) & ring._guard:
+        raise OverflowError(f"an exponent reaches 2^{_WIDTH - 1}")
+    return terms
+
+
 def _same_ring(a: "Poly", b: "Poly"):
     if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatchError("polynomials belong to different rings")
 
 
 class Poly:
-    """Immutable sparse polynomial num / den: ``num`` maps exponent tuples to
-    nonzero ints, ``den`` is a positive int, and no prime divides den and
-    every numerator.  ``Poly(ring, terms)`` reads {exponent tuple: int or
-    Fraction}; the kernels build through ``Poly._of``."""
+    """Immutable sparse polynomial num / den: ``num`` maps monomial keys of
+    the ring's layout to nonzero ints, ``den`` is a positive int, and no
+    prime divides den and every numerator.  ``Poly(ring, terms)`` reads
+    {exponent tuple: int or Fraction}; the kernels build through
+    ``Poly._of``."""
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: Ring, terms: Mapping):
-        n = len(ring.vars)
-        clean = {}
-        for exps, c in terms.items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(
-                    f"coefficient must be int or Fraction, got {type(c).__name__}")
-            if c:
-                exps = tuple(exps)
-                if len(exps) != n or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps}")
-                clean[exps] = c
+        clean = {ring.pack(exps): c for exps, c in terms.items() if _exact(c)}
         # over the lcm of reduced denominators no prime divides every numerator
         den = math.lcm(*(c.denominator for c in clean.values()))
         self.ring = ring
@@ -196,7 +235,9 @@ class Poly:
     @classmethod
     def _of(cls, ring: Ring, num: dict, den: int = 1) -> "Poly":
         """The polynomial num / den, ``num`` nonzero ints (kept, not copied)
-        and den > 0, with their common factor divided out."""
+        and den > 0, with their common factor divided out.  A key with an
+        exponent of 2^31 or more raises ``OverflowError``."""
+        _checked(ring, num)
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
@@ -209,8 +250,8 @@ class Poly:
     @property
     def terms(self) -> dict:
         """{exponent tuple: rational coefficient}, a fresh dict."""
-        d = self.den
-        return {m: _rational(c, d) for m, c in self.num.items()}
+        d, unpack = self.den, self.ring.unpack
+        return {unpack(m): _rational(c, d) for m, c in self.num.items()}
 
     # -- basic predicates ------------------------------------------------
 
@@ -229,7 +270,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, self.den, frozenset(self.num.items())))
+        num = self.num
+        if num.keys() <= {0}:  # a constant hashes as the value it equals
+            return hash(_rational(num.get(0, 0), self.den))
+        return hash((self.ring, self.den, frozenset(num.items())))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -287,16 +331,7 @@ class Poly:
         a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        get = out.get
-        add = operator.add
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(map(add, ma, mb))
-                prev = get(m)
-                out[m] = ca * cb if prev is None else prev + ca * cb
-        return Poly._of(self.ring, {m: c for m, c in out.items() if c},
-                        self.den * other.den)
+        return _unscaled(self.ring, _mul_into({}, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -316,12 +351,13 @@ class Poly:
 
     def partial(self, var) -> "Poly":
         """Formal partial derivative with respect to one ring variable."""
-        i = self.ring.index(var)
+        s = _WIDTH * self.ring.index(var)
+        unit = 1 << s
         out = {}
         for m, c in self.num.items():
-            e = m[i]
+            e = (m >> s) & _FIELD
             if e:
-                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+                out[m - unit] = c * e
         return Poly._of(self.ring, out, self.den)
 
     def substitute(self, assignment: Mapping, target: Ring | None = None) -> "Poly":
@@ -331,14 +367,13 @@ class Poly:
         target ring (the ring of the assigned values, or this ring if the
         assignment is purely numeric).
 
-        One integer pass over packed monomials: this polynomial is num / d
-        and each image y_i is its own num_i / d_i.  With
-        E_i the largest exponent of x_i here, every term c*x^m adds
+        One integer pass over monomial keys: this polynomial is num / d
+        and each image y_i is its own num_i / d_i.  With E_i the largest
+        exponent of x_i here, every term c*x^m adds
         c * prod_i d_i^(E_i - m_i) * y_i^m_i into one dict of ints, which is
-        divided once by d * prod_i d_i^E_i.  Target field j is as wide as
-        sum_i E_i * top_j(y_i) needs, top_j the largest exponent of that
-        variable, so no power or product carries into the next field.
-        The packed powers y_i^e live for this one call.
+        divided once by d * prod_i d_i^E_i.  The powers y_i^e live for this
+        one call, and every power and partial product is checked for an
+        exponent of 2^31 before it is multiplied again.
         """
         images = {}
         for key, val in assignment.items():
@@ -354,52 +389,52 @@ class Poly:
         terms, d = self.num, self.den
         if not terms:
             return target.zero
-        n = len(target.vars)
-        top = _top(terms, len(self.ring.vars))
-        forms = {}  # i -> (d_i, num_i) for every x_i used
-        bounds = [0] * n
-        for i, E in enumerate(top):
-            if E:
+        used = reduce(operator.or_, terms)
+        forms = {}  # shift of x_i -> num_i for every x_i used
+        scales = []  # (shift, E_i, [d_i^k for k <= E_i]) for every d_i != 1
+        for i, name in enumerate(self.ring.names):
+            s = _WIDTH * i
+            if (used >> s) & _FIELD:
                 y = images.get(i)
                 if y is None:
-                    y = target.var(self.ring.names[i])
+                    y = target.var(name)
                 elif not isinstance(y, Poly):
                     y = target.const(y)
-                forms[i] = (y.den, y.num)
-                bounds = [b + E * e for b, e in zip(bounds, _top(y.num, n))]
-                d *= y.den ** E
+                forms[s] = y.num
+                if y.den != 1:
+                    E = max((m >> s) & _FIELD for m in terms)
+                    scales.append((s, E, [y.den ** k for k in range(E + 1)]))
+                    d *= y.den ** E
 
-        layout = _layout(bounds)
-        powers = {}  # (i, e) -> packed y_i^e, with the halving powers
+        powers = {}  # (shift of x_i, e) -> y_i^e, with the halving powers
 
-        def power(i, e):
-            p = powers.get((i, e))
+        def power(s, e):
+            p = powers.get((s, e))
             if p is None:
                 if e == 1:
-                    p = _pack(forms[i][1], layout)
+                    p = forms[s]
                 else:
-                    h = power(i, e >> 1)
-                    p = _mul_into({}, h, h)
+                    h = power(s, e >> 1)
+                    p = _checked(target, _mul_into({}, h, h))
                     if e & 1:
-                        p = _mul_into({}, p, power(i, 1))
+                        p = _checked(target, _mul_into({}, p, forms[s]))
                     p = {k: c for k, c in p.items() if c}
-                powers[i, e] = p
+                powers[s, e] = p
             return p
 
-        dpow = {i: [d_i ** k for k in range(top[i] + 1)]
-                for i, (d_i, _) in forms.items() if d_i != 1}
         acc = {}
         for m, c in terms.items():
-            for i, pw in dpow.items():
-                c *= pw[top[i] - m[i]]
+            for s, E, pw in scales:
+                c *= pw[E - ((m >> s) & _FIELD)]
             # the largest power last, so it is read once, into acc
             *rest, last = sorted(
-                (power(i, e) for i, e in enumerate(m) if e), key=len) or [{0: 1}]
+                (power(s, e) for s in forms if (e := (m >> s) & _FIELD)), key=len
+            ) or [{0: 1}]
             prod = {0: 1}
             for p in rest:
-                prod = _mul_into({}, prod, p)
+                prod = _checked(target, _mul_into({}, prod, p))
             _mul_into(acc, prod, last, c)
-        return _unscaled(target, acc, d, layout)
+        return _unscaled(target, acc, d)
 
     def evaluate(self, point: Mapping) -> "int | Fraction":
         """Evaluate at a full numeric assignment {name: rational}."""
@@ -409,8 +444,9 @@ class Poly:
                 raise KeyError(f"no value for variable {name!r}")
             vals.append(point[name])
         total = 0
+        unpack = self.ring.unpack
         for m, c in self.num.items():
-            for v, e in zip(vals, m):
+            for v, e in zip(vals, unpack(m)):
                 if e:
                     c *= v**e
             total += c
@@ -420,43 +456,36 @@ class Poly:
 
     def weight_check(self) -> "int | None":
         """Common weight of all terms; None if inhomogeneous; 0 for zero."""
-        w = None
-        for m in self.num:
-            mw = self.ring.monomial_weight(m)
-            if w is None:
-                w = mw
-            elif mw != w:
-                return None
-        return 0 if w is None else w
+        weights = {self.ring.monomial_weight(self.ring.unpack(m)) for m in self.num}
+        if len(weights) > 1:
+            return None
+        return weights.pop() if weights else 0
 
     def is_homogeneous_of(self, weight: int) -> bool:
         """True when every term has the given weight (zero poly passes)."""
-        return all(self.ring.monomial_weight(m) == weight for m in self.num)
+        ring = self.ring
+        return all(ring.monomial_weight(ring.unpack(m)) == weight for m in self.num)
 
     def max_total_degree(self) -> int:
-        return max((sum(m) for m in self.num), default=0)
+        return max((sum(self.ring.unpack(m)) for m in self.num), default=0)
 
     def degree_in(self, var) -> int:
-        i = self.ring.index(var)
-        return max((m[i] for m in self.num), default=0)
+        s = _WIDTH * self.ring.index(var)
+        return max(((m >> s) & _FIELD for m in self.num), default=0)
 
     def coeffs_in(self, var) -> dict[int, "Poly"]:
         """Split into {exponent of var: polynomial coefficient} (var removed)."""
-        i = self.ring.index(var)
+        s = _WIDTH * self.ring.index(var)
         buckets: dict[int, dict] = {}
         for m, c in self.num.items():
-            e = m[i]
-            rest = m[:i] + (0,) + m[i + 1 :]
-            buckets.setdefault(e, {})[rest] = c
+            e = (m >> s) & _FIELD
+            buckets.setdefault(e, {})[m - (e << s)] = c
         return {e: Poly._of(self.ring, t, self.den) for e, t in sorted(buckets.items())}
 
     def variables_used(self) -> set[str]:
-        used = set()
-        for m in self.num:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.ring.names[i])
-        return used
+        used = reduce(operator.or_, self.num, 0)
+        return {name for i, name in enumerate(self.ring.names)
+                if (used >> (_WIDTH * i)) & _FIELD}
 
     def constant_value(self) -> "int | Fraction":
         """The value of a constant polynomial; raises if non-constant."""
@@ -464,7 +493,7 @@ class Poly:
             return 0
         if len(self.num) == 1:
             ((m, c),) = self.num.items()
-            if not any(m):
+            if not m:
                 return _rational(c, self.den)
         raise ValueError("polynomial is not constant")
 
@@ -543,22 +572,12 @@ def cast(p: Poly, target: Ring) -> Poly:
     """Re-express a polynomial in another ring containing its variables."""
     if p.ring == target:
         return p
-    mapping = []
-    for i, name in enumerate(p.ring.names):
-        mapping.append(target._index.get(name, -1))
-    n = len(target.vars)
-    out = {}
-    for m, c in p.num.items():
-        exps = [0] * n
-        for i, e in enumerate(m):
-            if e:
-                j = mapping[i]
-                if j < 0:
-                    raise KeyError(
-                        f"variable {p.ring.names[i]!r} absent from target ring"
-                    )
-                exps[j] = e
-        out[tuple(exps)] = c
+    moves = []  # (source shift, target shift) of every variable p uses
+    for name in sorted(p.variables_used(), key=p.ring.index):
+        if name not in target._index:
+            raise KeyError(f"variable {name!r} absent from target ring")
+        moves.append((_WIDTH * p.ring.index(name), _WIDTH * target.index(name)))
+    out = {sum(((m >> s) & _FIELD) << t for s, t in moves): c for m, c in p.num.items()}
     return Poly._of(target, out, p.den)
 
 
@@ -683,40 +702,8 @@ def _int_form(polys: Iterable[Poly]) -> tuple[int, list[dict]]:
                for p in polys]
 
 
-def _layout(bounds: Iterable[int]) -> tuple:
-    """Packed-monomial layout: (shift, mask) per variable, one bit field each,
-    as wide as that variable's bound needs.  Exponent vectors whose sum stays
-    within the bounds add as packed integers and never carry from one field
-    into the next (Monagan & Pearce, CASC 2007)."""
-    fields = []
-    shift = 0
-    for b in bounds:
-        width = b.bit_length()
-        fields.append((shift, (1 << width) - 1))
-        shift += width
-    return tuple(fields)
-
-
-def _pack(terms: Mapping, layout: tuple) -> dict:
-    """``terms`` with every exponent tuple packed into one int."""
-    units = [1 << s for s, _ in layout]
-    return {sum(map(operator.mul, m, units)): c for m, c in terms.items()}
-
-
-def _unpack(packed: Mapping, layout: tuple) -> dict:
-    """The nonzero terms of ``packed`` keyed by exponent tuples again."""
-    return {tuple([(key >> s) & mask for s, mask in layout]): c
-            for key, c in packed.items() if c}
-
-
-def _top(terms: Iterable, n: int) -> tuple:
-    """The largest exponent of each of the n variables over ``terms``."""
-    monos = list(terms)
-    return tuple(map(max, zip(*monos))) if monos else (0,) * n
-
-
 def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> dict:
-    """acc += f * a * b on packed terms; returns acc."""
+    """acc += f * a * b on monomial keys; returns acc."""
     get = acc.get
     for ka, ca in a.items():
         fa = f * ca
@@ -726,9 +713,29 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> dict:
     return acc
 
 
-def _unscaled(ring: Ring, acc: Mapping, d: int, layout: tuple) -> Poly:
-    """The polynomial acc / d, zero terms dropped and keys unpacked."""
-    return Poly._of(ring, _unpack(acc, layout), d)
+def _leibniz(acc: dict, terms: Mapping, images, f: int):
+    """acc += f * sum_i images_i * d(terms)/dx_i, on monomial keys.
+
+    ``images`` lists (i, image terms) per acted-on x_i.  For each term c*x^m
+    with e = m_i > 0, c*e times every image term is added at the key
+    m - unit_i + k: lowering x_i by one and multiplying by x^k.
+    """
+    get = acc.get
+    fields = [(_WIDTH * i, 1 << (_WIDTH * i), img) for i, img in images]
+    for m, c in terms.items():
+        for s, unit, img in fields:
+            e = (m >> s) & _FIELD
+            if e:
+                ce = f * c * e
+                base = m - unit
+                for k, ci in img.items():
+                    key = base + k
+                    acc[key] = get(key, 0) + ce * ci
+
+
+def _unscaled(ring: Ring, acc: Mapping, d: int) -> Poly:
+    """The polynomial acc / d, zero terms dropped."""
+    return Poly._of(ring, {m: c for m, c in acc.items() if c}, d)
 
 
 def det_bareiss(matrix: PolyMatrix) -> Poly:
@@ -774,10 +781,9 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
     """Division-free determinant by dynamic programming over column subsets.
 
     Intermediate minors never require polynomial division, which keeps the
-    cost dominated by small-entry-times-minor products.  Monomials are packed
-    into single integers during the sweep, one bit field per variable, wide
-    enough for that variable's exponent in any minor: the sum over rows of
-    the row's largest exponent.  So no field carries into the next.
+    cost dominated by small-entry-times-minor products on monomial keys.
+    Each level's minors are checked for an exponent of 2^31 before the next
+    row multiplies them, so no field carries into the next.
     """
     if not matrix.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -786,11 +792,6 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
     if n == 0:
         return ring.one
     scaled = [_int_form(row) for row in matrix.rows]
-    layout = _layout(
-        sum(max((m[i] for t in row for m in t), default=0) for _, row in scaled)
-        for i in range(len(ring.vars))
-    )
-    ents = [[_pack(t, layout) for t in row] for _, row in scaled]
 
     masks_by_count = [[] for _ in range(n + 1)]
     for mask in range(1, 1 << n):
@@ -802,7 +803,7 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
     full = (1 << n) - 1
     prev_level = {0: {0: 1}}
     for r in range(1, n + 1):
-        row = ents[r - 1]
+        row = scaled[r - 1][1]
         cur_level = {}
         get_minor, pop_minor = prev_level.get, prev_level.pop
         row_sign = 1 if (r - 1) % 2 == 0 else -1
@@ -837,11 +838,10 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
                 sign = -sign
             minor = {k: v for k, v in acc.items() if v}
             if minor:
-                cur_level[mask] = minor
+                cur_level[mask] = _checked(ring, minor)
         prev_level = cur_level
 
-    return _unscaled(ring, prev_level.get(full, {}), math.prod(d for d, _ in scaled),
-                     layout)
+    return _unscaled(ring, prev_level.get(full, {}), math.prod(d for d, _ in scaled))
 
 
 def det_cofactor(matrix: PolyMatrix) -> Poly:

@@ -38,12 +38,9 @@ from typing import NamedTuple
 from . import reference
 from .classical import compare_tables
 from .derivation import (
-    BracketRelation, Derivation, _leibniz, bracket_sum, ladder_complete,
-    verify_pushforward,
+    BracketRelation, Derivation, bracket_sum, ladder_complete, verify_pushforward,
 )
-from .exactpoly import (
-    Poly, _int_form, _layout, _mul_into, _pack, _top, _unscaled, det_minor_expansion,
-)
+from .exactpoly import Poly, _int_form, _leibniz, _mul_into, _unscaled, det_minor_expansion
 from .genus_fields import (
     _ladder_steps,
     build_even_by_ladder,
@@ -510,16 +507,6 @@ def _projectable(ctx, mode, pit, rng, name):
     yield from _pushforward(name, ctx.cat.fields[name], ctx.cat.pmap, down)
 
 
-def _one_denominator(ring, polys, tops=()):
-    """(d, packed, layout): ``polys`` over one denominator d, packed with
-    room for the product of two of them or for the image of one under a
-    field whose image exponents reach ``tops``."""
-    d, ints = _int_form(polys)
-    top = _top([*(m for t in ints for m in t), *tops], len(ring.vars))
-    layout = _layout(2 * e for e in top)
-    return d, [_pack(t, layout) for t in ints], layout
-
-
 @_claim("fields.table.{0}_{1}", "[{0},{1}] matches its displayed expansion",
         members=lambda g: [r[:2] for r in reference.BRACKET_TABLE[g]])
 def _table_row(ctx, mode, pit, rng, left, right):
@@ -530,17 +517,16 @@ def _table_row(ctx, mode, pit, rng, left, right):
 def _pushforward_homomorphism(ctx, mode, pit, rng):
     """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd.  With
     expansions the left side is sum_k c_ab^k Lk(p_j), summed in one integer
-    pass over one denominator and layout."""
+    pass over one denominator."""
     cat, exp = ctx.cat, ctx.expansions
     pairs = list(combinations(cat.names, 2))
     if exp is not None:
         comps = cat.pmap.components
         keys = [(pair, k) for pair in pairs for k in exp[pair]]
         lk = [(k, v) for k in cat.names for v in comps]
-        d, packed, layout = _one_denominator(
-            cat.ring, [exp[pair][k] for pair, k in keys]
-            + [cat.fields[k].apply(comps[v]) for k, v in lk])
-        forms, images = dict(zip(keys, packed)), dict(zip(lk, packed[len(keys):]))
+        d, ints = _int_form([exp[pair][k] for pair, k in keys]
+                            + [cat.fields[k].apply(comps[v]) for k, v in lk])
+        forms, images = dict(zip(keys, ints)), dict(zip(lk, ints[len(keys):]))
     for na, nb in pairs:
         ka, kb = int(na[1:]), int(nb[1:])
         even = ka % 2 == 0 and kb % 2 == 0
@@ -553,7 +539,7 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
             acc = {}
             for k in exp[na, nb]:
                 _mul_into(acc, forms[(na, nb), k], images[k, v])
-            lhs = _unscaled(cat.ring, acc, d * d, layout)
+            lhs = _unscaled(cat.ring, acc, d * d)
             rhs = cat.ring.zero if down is None else cat.pmap.pullback(down.on(v))
             if lhs != rhs:
                 yield f"{label} on {v}", lhs - rhs
@@ -599,20 +585,18 @@ def _structure_jacobi(cat, expansions):
     """(label, S_m) for every triple a < b < c and field m with nonzero
     S_m = sum over cyclic (a, b, c) of La(c_bc^m) + sum_k c_bc^k c_ak^m.
     As [La, Lb] = sum_k c_ab^k Lk, [La, [Lb, Lc]] + cyc = sum_m S_m Lm, so
-    no S_m proves the identity.  One integer pass over one denominator and
-    layout: La(c) by ``_leibniz``, the products by ``_mul_into``."""
+    no S_m proves the identity.  One integer pass over one denominator:
+    La(c) by ``_leibniz``, the products by ``_mul_into``."""
     ring, fields = cat.ring, cat.fields
     keys = [(pair, k) for pair, coeffs in expansions.items() for k in coeffs]
-    d, packed, layout = _one_denominator(
-        ring, [expansions[pair][k] for pair, k in keys],
-        [f._scaled_action()[2] for f in fields.values()])
-    forms = dict(zip(keys, packed))
+    d, ints = _int_form(expansions[pair][k] for pair, k in keys)
+    forms = dict(zip(keys, ints))
     D = {name: f._scaled_action()[0] for name, f in fields.items()}
     den = lcm(d * d, *(d * D_a for D_a in D.values()))
     for a, b, c in combinations(cat.names, 3):
         accs = {m: {} for m in cat.names}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            images = fields[x]._packed(layout)[1]
+            images = fields[x]._scaled_action()[2]
             for k in expansions[y, z]:
                 t = forms[(y, z), k]
                 _leibniz(accs[k], t, images, den // (d * D[x]))
@@ -620,7 +604,7 @@ def _structure_jacobi(cat, expansions):
                     _mul_into(accs[m], t, forms[(x, k), m], den // (d * d))
         for m, acc in accs.items():
             if any(acc.values()):
-                yield f"jacobi({a},{b},{c}) on {m}", _unscaled(ring, acc, den, layout)
+                yield f"jacobi({a},{b},{c}) on {m}", _unscaled(ring, acc, den)
 
 
 @_claim("fields.jacobi", "Jacobi identity over all field triples")

@@ -455,6 +455,21 @@ def test_apply_and_bracket_high_exponents_do_not_carry():
     assert F.apply(ring.parse("x*y^25536")) == ring.parse("y^65536")
 
 
+def test_apply_and_bracket_sum_raise_when_an_exponent_reaches_2_31():
+    # x's field holds exponents below 2^31; one more would alias into y's
+    ring = Ring([("x", 1), ("y", 1)])
+    half = Poly(ring, {(2**30, 0): 1})
+    X = Derivation("X", ring, {"x": half})
+    Y = Derivation("Y", ring, {"x": half * ring.var("x")})
+    with pytest.raises(OverflowError):
+        X.apply(half * ring.var("x"))
+    with pytest.raises(OverflowError):
+        X.bracket(Y)  # [X, Y](x) = x^(2^31)
+    with pytest.raises(OverflowError):
+        bracket_sum((), linear=[(half, X)])
+    assert X.apply(half) == Poly(ring, {(2**31 - 1, 0): 2**30})
+
+
 # -- sums of brackets -------------------------------------------------------------
 
 

@@ -549,23 +549,89 @@ def test_parse_rejects_what_the_grammar_excludes(lring, text):
 
 
 def test_one_polynomial_has_one_form_whatever_its_denominator(lring):
-    from hyperlie.exactpoly import _int_form, _layout, _pack, _unscaled
+    from hyperlie.exactpoly import _int_form, _unscaled
 
     p = lring.parse("1/2*l4^3 - 2/3*l6")
     q = lring.parse("5/7*l4*l6 + 1/3*l6")
-    assert (p.num, p.den) == ({(3, 0): 3, (0, 1): -4}, 6)
+    assert (p.num, p.den) == ({lring.pack((3, 0)): 3, lring.pack((0, 1)): -4}, 6)
     assert p.terms == {(3, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3)}
     d, (nums,) = _int_form([p])
-    layout = _layout([40, 9])
-    scaled = _pack({m: 35 * c for m, c in nums.items()}, layout)
+    scaled = {m: 35 * c for m, c in nums.items()}
     for r in ((p * Fraction(5, 3)) * Fraction(3, 5), (p + q) - q,
-              _unscaled(lring, scaled, 35 * d, layout)):
+              _unscaled(lring, scaled, 35 * d)):
         assert r == p and hash(r) == hash(p)
         assert r.den > 0 and math.gcd(r.den, *r.num.values()) == 1
     assert p != p + lring.parse("1/6*l4^3") and p != p + lring.parse("l6^2")
-    cancelled = _unscaled(lring, {k: 0 for k in scaled}, 35 * d, layout)
+    cancelled = _unscaled(lring, {k: 0 for k in scaled}, 35 * d)
     assert cancelled == lring.zero and (cancelled.num, cancelled.den) == ({}, 1)
     assert (q - q).den == 1 and (p * 6).den == 1 and (p * 6).num == p.num
+
+
+def test_constant_polynomials_hash_as_their_values(lring):
+    # equal objects must hash equal, or sets and dicts hold both
+    for value in (3, Fraction(1, 2), -7, 0):
+        const = lring.const(value)
+        assert const == value and hash(const) == hash(value)
+        assert len({const, value}) == 1
+    assert len({lring.zero, 0, lring.parse("l4 - l4")}) == 1
+    assert {lring.parse("3/2"): "c"}[Fraction(3, 2)] == "c"
+
+
+def test_pack_and_unpack_round_trip(xring3):
+    rng = random.Random(5)
+    top = 2**31 - 1
+    for _ in range(200):
+        exps = tuple(rng.choice((0, 1, rng.randrange(top), top)) for _ in xring3.vars)
+        key = xring3.pack(exps)
+        assert xring3.unpack(key) == exps
+        assert Poly(xring3, {exps: 1}).num == {key: 1}
+    assert xring3.pack((0,) * 10) == 0 and xring3.unpack(0) == (0,) * 10
+    assert xring3.var("x3").num == {xring3.pack((0, 1) + (0,) * 8): 1}
+
+
+def test_pack_rejects_exponents_that_would_alias(lring):
+    # an exponent of 2^31 or more would read as another variable's exponent
+    for exps in ((2**31, 0), (2**32, 0), (0, 2**31), (2**40, 2**40)):
+        with pytest.raises(OverflowError):
+            lring.pack(exps)
+        with pytest.raises(OverflowError):
+            Poly(lring, {exps: 1})
+    for exps in ((1,), (1, 2, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            lring.pack(exps)
+
+
+def test_products_raise_when_an_exponent_reaches_2_31():
+    ring = Ring([("x", 1), ("y", 1)])
+    half = Poly(ring, {(2**30, 0): 1})
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        half**2
+    with pytest.raises(OverflowError):
+        ring.var("x") ** (2**31)
+    assert (half * Poly(ring, {(2**30 - 1, 0): 1})).terms == {(2**31 - 1, 0): 1}
+    for assignment in ({"x": half}, {"x": ring.var("y"), "y": half}):
+        with pytest.raises(OverflowError):
+            ring.parse("x^4*y^2").substitute(assignment)
+    with pytest.raises(OverflowError):
+        ring.parse("x*y").substitute({"x": half, "y": half})
+    # at n = 5 an unchecked minor would reach x^(2^32) and read as y
+    for n in (2, 5):
+        diag = PolyMatrix(ring, [[half if i == j else ring.zero for j in range(n)]
+                                 for i in range(n)])
+        with pytest.raises(OverflowError):
+            det_minor_expansion(diag)
+
+
+def test_genus2_monomial_keys_hash_apart(catalogs_zero):
+    # CPython hashes ints modulo 2^61 - 1; narrower fields fold these keys
+    # onto 743 (20-bit) or 568 (30-bit) hashes and slow every dict
+    from hyperlie.genus_fields import build_Tcal
+
+    det = det_minor_expansion(build_Tcal(catalogs_zero[2]))
+    assert len(det.num) == 775
+    assert len({hash(k) for k in det.num}) == 775
 
 
 def test_kernels_build_no_fraction(catalogs, monkeypatch):
