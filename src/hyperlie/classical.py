@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 
+from .derivation import combination
 from .exactpoly import Poly
 from .genus_fields import FieldCatalog, coeff_env, read_relations
 from .param_map import x_name
@@ -64,7 +65,7 @@ def symbol_env(cat: FieldCatalog, rows) -> dict:
     return env
 
 
-def compare_tables(cat: FieldCatalog, classical_rows) -> dict:
+def compare_tables(cat: FieldCatalog, classical_rows, table=()) -> dict:
     """Check a classical table against the catalog's actual Lie algebra.
 
     Each classical row is read as a bracket identity of the catalog's
@@ -73,12 +74,29 @@ def compare_tables(cat: FieldCatalog, classical_rows) -> dict:
     {(left, right): {var: residual}} for rows that fail; empty means the
     algebra realises the table exactly.
 
+    ``table`` holds (relation, residual) pairs of displayed rows already
+    decided.  A classical row [La, Lb] = sum_k c'_k Lk whose pair is there,
+    on this catalog's own fields, is decided without a bracket by the exact
+    identity [La, Lb] - sum_k c'_k Lk = residual + sum_k (c_k - c'_k) Lk,
+    c the displayed row's coefficients, summing only nonzero differences.
+
     For genus 2 pass a catalog with the parameters specialised: the
     classical table is the zero-parameter member of the family.
     """
+    decided = {(rel.left.name, rel.right.name): (rel, res) for rel, res in table
+               if cat.fields.get(rel.left.name) is rel.left}  # this catalog's rows
     mismatches = {}
     for rel in read_relations(cat, classical_rows, symbol_env(cat, classical_rows)):
-        residual = rel.residual()
+        shown, residual = decided.get((rel.left.name, rel.right.name), (None, None))
+        if shown is None:
+            residual = rel.residual()
+        else:
+            diff = {Z.name: c for c, Z in shown.expansion}
+            for c, Z in rel.expansion:
+                diff[Z.name] = diff.get(Z.name, 0) - c
+            terms = [(c, cat.fields[name]) for name, c in diff.items() if c]
+            if terms:
+                residual = combination([(1, residual), *terms], cat.ring)
         if not residual.is_zero():
             mismatches[(rel.left.name, rel.right.name)] = dict(residual.action)
     return mismatches

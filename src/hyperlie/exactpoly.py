@@ -235,9 +235,9 @@ class Poly:
     @classmethod
     def _of(cls, ring: Ring, num: dict, den: int = 1) -> "Poly":
         """The polynomial num / den, ``num`` nonzero ints (kept, not copied)
-        and den > 0, with their common factor divided out.  A key with an
-        exponent of 2^31 or more raises ``OverflowError``."""
-        _checked(ring, num)
+        and den > 0, with their common factor divided out.  The keys are
+        not checked: a caller whose keys can gain an exponent goes through
+        ``_unscaled`` or ``_checked``."""
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
@@ -734,8 +734,9 @@ def _leibniz(acc: dict, terms: Mapping, images, f: int):
 
 
 def _unscaled(ring: Ring, acc: Mapping, d: int) -> Poly:
-    """The polynomial acc / d, zero terms dropped."""
-    return Poly._of(ring, {m: c for m, c in acc.items() if c}, d)
+    """The polynomial acc / d, zero terms dropped, after raising
+    ``OverflowError`` if an exponent has reached 2^31."""
+    return Poly._of(ring, _checked(ring, {m: c for m, c in acc.items() if c}), d)
 
 
 def det_bareiss(matrix: PolyMatrix) -> Poly:

@@ -2,9 +2,10 @@
 
 The Euler field and the depth-1 field come from closed formulas; the other
 odd fields are assembled from the w-expressions by iterated application of
-the depth-1 field; the even fields are either explicit (genus 1 and 2) or
-reconstructed by ladder completion from their seed values on (x2, y4, z6)
-under the prescribed depth-1 commutators (genus 3).  Parameter symbols
+the depth-1 field; every even field is reconstructed by ladder completion
+from its displayed seed values on (x2, y4, z6) under the prescribed
+depth-1 commutators.  Genus 1 and 2 read their seeds off the displayed
+action grids, whose other entries are checks.  Parameter symbols
 l4, l6, ... appearing in displayed actions are always replaced by their
 expressions in x, so every field is a genuine derivation of the x-ring.
 
@@ -111,12 +112,6 @@ class FieldCatalog(NamedTuple):
     def odd_fields(self) -> list[Derivation]:
         return [self.fields[f"L{s}"] for s in range(1, 2 * self.genus, 2)]
 
-    def com1_rhs(self, k: int) -> Derivation:
-        coeffs = depth1_commutator_coeffs(self.genus, self.ring, k)
-        return combination(
-            list(zip(coeffs, self.odd_fields())), self.ring, name=f"rhs{k}"
-        )
-
 
 # -- coefficient environment ---------------------------------------------------
 
@@ -187,35 +182,31 @@ def build_aux(genus: int, ring: Ring, w_exprs, fields) -> dict[str, Poly]:
 # -- catalog construction ------------------------------------------------------
 
 
-def _build_genus12_evens(cat: FieldCatalog) -> dict[str, Derivation]:
-    """Explicit even fields for genus 1 and 2, from their displayed actions."""
-    evens = {}
-    for name, actions in reference.FIELD_ACTIONS[cat.genus].items():
-        if name in ("L1", "L3", "L5"):
-            continue
-        action = {v: parse_coeff(cat, text) for v, text in actions.items()}
-        evens[name] = Derivation(name, cat.ring, action, weight=int(name[1:]))
-    return evens
+def x1_coordinates(genus: int) -> list[str]:
+    """The depth-1 coordinates x_{1,j}: where a ladder's seeds sit."""
+    return [x_name(genus, 1, j) for j in range(1, 2 * genus, 2)]
 
 
-def _ladder_steps(genus: int) -> list[tuple[str, str]]:
-    steps = []
-    for j in range(1, 2 * genus, 2):
-        steps.append((x_name(genus, 1, j), x_name(genus, 2, j)))
-        steps.append((x_name(genus, 2, j), x_name(genus, 3, j)))
-    return steps
+def seed_texts(genus: int) -> dict[str, dict[str, str]]:
+    """{Lk: {x_{1,j}: displayed text}} for every even field but L0: genus 3
+    displays its seeds apart, genus 1 and 2 in their full action grids."""
+    if genus == 3:
+        return reference.EVEN_SEEDS_G3
+    evens = [n for n in field_names(genus) if n != "L0" and int(n[1:]) % 2 == 0]
+    grids = reference.FIELD_ACTIONS[genus]
+    return {n: {v: grids[n][v] for v in x1_coordinates(genus)} for n in evens}
 
 
-def build_even_by_ladder(cat: FieldCatalog, k: int, seeds: dict) -> Derivation:
-    """Even field of weight k from seed values under the depth-1 commutator."""
-    return ladder_complete(
-        f"L{k}",
-        seeds,
-        cat.fields["L1"],
-        cat.com1_rhs(k),
-        _ladder_steps(cat.genus),
-        weight=k,
-    )
+def build_by_ladder(cat: FieldCatalog, k: int, seeds: dict) -> Derivation:
+    """The field of weight k from its values on the x_{1,j} under the
+    prescribed [L1, Lk], walking x_{1,j} -> x_{2,j} -> x_{3,j}: zero for
+    odd k, for even k the odd fields times ``depth1_commutator_coeffs``."""
+    g = cat.genus
+    coeffs = [] if k % 2 else depth1_commutator_coeffs(g, cat.ring, k)
+    rhs = combination(list(zip(coeffs, cat.odd_fields())), cat.ring, name=f"rhs{k}")
+    steps = [(x_name(g, i, j), x_name(g, i + 1, j))
+             for j in range(1, 2 * g, 2) for i in (1, 2)]
+    return ladder_complete(f"L{k}", seeds, cat.fields["L1"], rhs, steps, weight=k)
 
 
 @lru_cache(maxsize=None)
@@ -233,23 +224,14 @@ def _catalog_cached(genus: int, params: str) -> FieldCatalog:
     aux = build_aux(genus, ring, jm.w_exprs, fields)
 
     cat = FieldCatalog(genus, ring, fields, jm, pmap, aux)
-
-    if genus in (1, 2):
-        evens = _build_genus12_evens(cat)
-        if genus == 2:
-            hatted = {}
-            for name, extras in reference.HATTED_G2.items():
-                d = evens[name]
-                for coeff_text, fname in extras:
-                    d = d + fields[fname].scale(parse_coeff(cat, coeff_text))
-                hatted[name] = d.rename(name, weight=int(name[1:]))
-            evens = hatted
-        fields.update(evens)
-    else:
-        for name, seed_texts in reference.EVEN_SEEDS_G3.items():
-            k = int(name[1:])
-            seeds = {v: parse_coeff(cat, text) for v, text in seed_texts.items()}
-            fields[name] = build_even_by_ladder(cat, k, seeds)
+    for name, texts in seed_texts(genus).items():
+        seeds = {v: parse_coeff(cat, text) for v, text in texts.items()}
+        fields[name] = build_by_ladder(cat, int(name[1:]), seeds)
+    for name, extras in (reference.HATTED_G2 if genus == 2 else {}).items():
+        d = fields[name]
+        for coeff_text, fname in extras:
+            d = d + fields[fname].scale(parse_coeff(cat, coeff_text))
+        fields[name] = d.rename(name, weight=int(name[1:]))
     return cat
 
 

@@ -10,7 +10,7 @@ from hyperlie.exactpoly import PolyMatrix
 from hyperlie.genus_fields import (
     block_sign,
     build_Tcal,
-    build_even_by_ladder,
+    build_by_ladder,
     euler_relations,
     parse_coeff,
     pullback_T,
@@ -151,7 +151,7 @@ def test_genus2_even_ladder_matches_explicit(catalogs_zero):
     for name in ("L2", "L4", "L6"):
         k = int(name[1:])
         seeds = {v: cat.fields[name].on(v) for v in ("x2", "y4")}
-        laddered = build_even_by_ladder(cat, k, seeds)
+        laddered = build_by_ladder(cat, k, seeds)
         assert laddered == cat.fields[name], name
 
 

@@ -13,7 +13,8 @@ from itertools import combinations
 import pytest
 
 from hyperlie import Derivation, Ring, derivation, reference, suite
-from hyperlie.genus_fields import parse_coeff
+from hyperlie.classical import symbol_env
+from hyperlie.genus_fields import _catalog_cached, catalog, parse_coeff, read_relations
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 
 
@@ -86,8 +87,10 @@ def test_perturbed_pair_bracket_fails_jacobi(monkeypatch):
     witness must be the one the three-bracket form gives.  The [L1,L2] row
     now fails its check, so ``g2.fields.table.L1_L2`` fails as well and the
     Jacobi entry falls back to the whole-field brackets.  The other entries
-    that bracket L1 with L2 fail too: classical_table, even_ladder_agrees,
-    normalization and pushforward_homomorphism."""
+    that bracket L1 with L2 fail too: classical_table, normalization and
+    pushforward_homomorphism.  The catalog is built before the perturbation,
+    since its ladder check brackets L1 with every even field."""
+    catalog(2)
     bracket_sum = derivation.bracket_sum
 
     def perturbed(terms, *args, **kwargs):
@@ -220,3 +223,93 @@ def test_structure_jacobi_agrees_with_three_brackets(genus):
     assert structure == three == set()
     assert _decide(suite._jacobi, (), ctx, "exact", PitConfig(), None) == (
         _decide(_three_bracket_jacobi, (), ctx, "exact", PitConfig(), None))
+
+
+# non-seed displayed actions of the even fields: (genus, field, variable)
+NON_SEEDS = [(1, "L2", v) for v in ("x3", "x4")] + [
+    (2, name, v) for name in ("L2", "L4", "L6") for v in ("x3", "x4", "y5", "y6")
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("genus,name,var", NON_SEEDS)
+def test_non_seed_display_is_checked_not_read(monkeypatch, genus, name, var, mode):
+    """The catalog reads no non-seed displayed action of an even field, so
+    doubling one must fail both entries that compare the built field with
+    its display, with the entry's witness format."""
+    text = reference.FIELD_ACTIONS[genus][name][var]
+    monkeypatch.setitem(reference.FIELD_ACTIONS[genus][name], var, f"2*({text})")
+    ctx, rng = SuiteContext(genus), suite._entry_rng(1, "display")
+    point = r" at \{.*\} -> -?\d" if mode == "pit" else r": \S"
+    for claim, label in ((suite._displayed_actions, rf"{name}\({var}\)"),
+                         (suite._even_ladder_agrees, rf"{name}\.{var}")):
+        ok, witness = _decide(claim, (), ctx, mode, PitConfig(seed=1), rng)
+        assert not ok and re.match(label + point, witness, re.S), witness
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("genus,name,var,text", [
+    (1, "L2", "x4", "2*x2*x4 + 4*x3^2"),  # displayed: 2*x2*x4 + 3*x3^2
+    (2, "L4", "x3", "2*x3*y4 + 10*x2*y5"),  # displayed: x3*y4 + 5*x2*y5
+])
+def test_perturbed_non_seed_fails_only_its_entries(
+        monkeypatch, genus, name, var, text, mode):
+    monkeypatch.setitem(reference.FIELD_ACTIONS[genus][name], var, text)
+    failures = [e.id for e in run_suite(genus, mode, PitConfig(seed=1)).failures()]
+    assert failures == [f"g{genus}.fields.displayed_actions",
+                        f"g{genus}.fields.even_ladder_agrees"]
+
+
+@pytest.mark.parametrize("genus,name,var,text", [
+    (1, "L2", "x2", "2/3*x4 - 3*x2^2"),  # displayed: 2/3*x4 - 2*x2^2
+    (2, "L4", "y4", "-6/5*l6*x2 + 2*l4*y4 - 4*x2^2*y4 + x4*y4 - 3/2*x3*y5"),
+])
+def test_corrupted_seed_fails_the_catalog_build(monkeypatch, genus, name, var, text):
+    """A seed feeds the ladder, whose commutator check then fails: every
+    entry that reads the catalog fails with the ``LadderError``, and the
+    parameter-space entries still pass."""
+    monkeypatch.setitem(reference.FIELD_ACTIONS[genus][name], var, text)
+    _catalog_cached.cache_clear()
+    try:
+        report = run_suite(genus, "exact")
+    finally:
+        monkeypatch.undo()
+        _catalog_cached.cache_clear()
+    failures = {e.id: e.residual for e in report.failures()}
+    assert f"g{genus}.fields.displayed_actions" in failures
+    assert not any(".params." in entry_id for entry_id in failures)
+    for witness in failures.values():
+        assert witness.startswith("exception: LadderError('inconsistent seeds"), witness
+
+
+@pytest.mark.parametrize("genus,pair,field,text", [
+    (1, ("L1", "L2"), "L1", "2*P2"),  # displayed: P2
+    (3, ("L1", "L4"), "L3", "2*P2"),  # displayed: P2
+])
+def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
+        monkeypatch, genus, pair, field, text):
+    """On the table's own catalog a classical row is decided from the
+    displayed row's residual with no bracket; a corrupted row still gives
+    the witness of its own bracket relation."""
+    calls = []
+    bracket_sum = derivation.bracket_sum
+
+    def counting(terms, *args, **kwargs):
+        calls.extend(terms)
+        return bracket_sum(terms, *args, **kwargs)
+
+    ctx = SuiteContext(genus)
+    ctx.table_res  # the displayed rows' brackets, made before counting
+    monkeypatch.setattr(derivation, "bracket_sum", counting)
+    assert _decide(suite._classical_table, (), ctx, "exact", None, None) == (True, None)
+    assert calls == []
+
+    row = next(r for r in reference.CLASSICAL_TABLE[genus] if r[:2] == pair)
+    monkeypatch.setitem(row[2], field, text)
+    rows = reference.CLASSICAL_TABLE[genus]
+    (rel,) = read_relations(ctx.cat, [row], symbol_env(ctx.cat, rows))
+    v, diff = min(rel.residual().action.items())
+    want = f"[{pair[0]},{pair[1]}] on {v}: {diff.to_text()}"
+    calls.clear()
+    assert _decide(suite._classical_table, (), ctx, "exact", None, None) == (False, want)
+    assert calls == []
