@@ -4,15 +4,16 @@ A derivation is determined by its action on the ring variables; variables
 absent from the action map are annihilated.  Application extends by the
 Leibniz rule, and the commutator of two derivations is again a derivation.
 
-``apply`` and ``bracket_sum`` share one fused integer loop,
+``apply``, ``linear_sum`` and ``bracket_sum`` share one fused integer loop,
 ``exactpoly._leibniz``, on the monomial keys of ``Poly.num``.  The argument
 is its integer numerators over its denominator (``Poly.num`` /
 ``Poly.den``); the images are put over one common denominator once per
 derivation and memoised in ``_scaled``, since its action is never changed
 after construction.  For each term c*x^m and each variable x_i with
 e = m_i > 0, c*e times every image term is added straight into one dict of
-Python ints.  Only the nonzero terms of the result become a ``Poly`` over
-the product of the denominators, with their common factor divided out once.
+Python ints.  ``linear_sum`` adds images and products f * g
+(``exactpoly._mul_into``) into that one dict; ``apply`` is its one-image
+case.  The nonzero terms become a ``Poly`` once, common factor divided out.
 
 ``bracket_sum`` computes a Lie relation sum s * [X, Y] + sum c * Z, s an
 int and c a polynomial, in one such pass.  Every term goes over the common
@@ -77,10 +78,7 @@ class Derivation:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
         if p.ring != self.ring:
             raise RingMismatchError("argument not in the derivation's ring")
-        D, _, images = self._scaled_action()
-        acc = {}
-        _leibniz(acc, p.num, images, 1)
-        return _unscaled(self.ring, acc, p.den * D)
+        return linear_sum(self.ring, applied=[(self, p)])
 
     def on(self, var) -> Poly:
         """Action on a single variable (zero when absent)."""
@@ -161,6 +159,26 @@ class Derivation:
                 if v in self.action
             },
         }
+
+
+def linear_sum(ring: Ring, applied: Sequence = (), products: Sequence = ()) -> Poly:
+    """sum L(p) over the (L, p) of ``applied`` plus sum f * g over the (f, g)
+    of ``products``, all of ``ring``, in one integer pass that builds no
+    intermediate ``Poly`` or ``Fraction``; empty sums give zero."""
+    applied, products = tuple(applied), tuple(products)
+    for pair in (*applied, *products):
+        for x in pair:
+            if x.ring is not ring and x.ring != ring:
+                raise RingMismatchError("linear sum of operands from another ring")
+    scaled = [(L._scaled_action(), p) for L, p in applied]
+    den = lcm(*[D * p.den for (D, _, _), p in scaled],
+              *[f.den * g.den for f, g in products])
+    acc = {}
+    for (D, _, images), p in scaled:
+        _leibniz(acc, p.num, images, den // (D * p.den))
+    for f, g in products:
+        _mul_into(acc, f.num, g.num, den // (f.den * g.den))
+    return _unscaled(ring, acc, den)
 
 
 def bracket_sum(terms: Sequence, name: str = "bracket_sum", weight=None,

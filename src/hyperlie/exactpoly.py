@@ -140,8 +140,10 @@ class Ring:
     def one(self) -> "Poly":
         return self.const(1)
 
-    def monomial_weight(self, exps: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights) if e)
+    def key_weight(self, key: int) -> int:
+        """The weight of the monomial whose key this is."""
+        return sum(w * ((key >> (_WIDTH * i)) & _FIELD)
+                   for i, w in enumerate(self.weights))
 
     def parse(self, text: str, env: Mapping | None = None) -> "Poly":
         """Read a polynomial of this ring from text.
@@ -456,15 +458,14 @@ class Poly:
 
     def weight_check(self) -> "int | None":
         """Common weight of all terms; None if inhomogeneous; 0 for zero."""
-        weights = {self.ring.monomial_weight(self.ring.unpack(m)) for m in self.num}
+        weights = set(map(self.ring.key_weight, self.num))
         if len(weights) > 1:
             return None
         return weights.pop() if weights else 0
 
     def is_homogeneous_of(self, weight: int) -> bool:
         """True when every term has the given weight (zero poly passes)."""
-        ring = self.ring
-        return all(ring.monomial_weight(ring.unpack(m)) == weight for m in self.num)
+        return all(self.ring.key_weight(m) == weight for m in self.num)
 
     def max_total_degree(self) -> int:
         return max((sum(self.ring.unpack(m)) for m in self.num), default=0)
@@ -499,7 +500,8 @@ class Poly:
 
     # -- serialization -----------------------------------------------------
 
-    def _sorted_terms(self):
+    def sorted_terms(self) -> list:
+        """The (exponent tuple, rational) pairs by weight, then by name."""
         ring = self.ring
 
         def key(item):
@@ -507,7 +509,7 @@ class Poly:
             named = tuple(
                 (ring.names[i], e) for i, e in enumerate(m) if e
             )
-            return (ring.monomial_weight(m), tuple(sorted(named)))
+            return (sum(e * w for e, w in zip(m, ring.weights)), tuple(sorted(named)))
 
         return sorted(self.terms.items(), key=key)
 
@@ -516,7 +518,7 @@ class Poly:
         if not self.num:
             return "0"
         parts = []
-        for m, c in self._sorted_terms():
+        for m, c in self.sorted_terms():
             factors = [
                 f"{self.ring.names[i]}^{e}" if e > 1 else self.ring.names[i]
                 for i, e in enumerate(m)
@@ -547,7 +549,7 @@ class Poly:
 
     def to_json_obj(self) -> dict:
         terms = []
-        for m, c in self._sorted_terms():
+        for m, c in self.sorted_terms():
             mono = {
                 self.ring.names[i]: e for i, e in enumerate(m) if e
             }
@@ -587,64 +589,58 @@ def cast(p: Poly, target: Ring) -> Poly:
 def divexact(p: Poly, d: Poly) -> Poly:
     """Exact division p/d in the polynomial ring; raises if not divisible.
 
-    Terms are ordered by (weight, exponent tuple), largest first.  With
-    non-negative weights this is a monomial order (1 is least, products
-    keep the order), so each step cancels the leading term of the remainder
-    and the division ends.  It raises ``ValueError`` as soon as that leading
-    term is not a multiple of d's leading term.
+    Runs on numerators and keys: p/d = (p.num / d.num) * d.den / p.den.
+    Terms are ordered by (weight, key), largest first: with non-negative
+    weights and carry-free key sums a monomial order, so each step cancels
+    the remainder's leading term and the division ends.  The keys of that
+    term and of d's are subtracted with every guard bit set, so a field
+    that would go negative clears its own guard bit instead of borrowing
+    from the next field, and then ``ValueError`` is raised.
 
-    The leading term comes off a min-heap keyed by (-weight, negated
-    exponents).  A monomial is pushed once when it enters the remainder,
-    with its weight computed from the quotient term's weight plus a
-    precomputed offset weight(m2) - weight(lead d).  A monomial whose
-    coefficient cancels stays in the heap and is skipped when it is popped
-    (lazy deletion).  Each entry of a monomial into the remainder costs one
-    push and one pop, so a division with n entries costs O(n log n), not
-    the O(n^2) of scanning the whole remainder for its maximum at every
-    step.
+    The leading term comes off a min-heap keyed by (-weight, -key).  A
+    monomial is pushed when it enters the remainder and skipped when popped
+    after it cancelled, so n entries cost O(n log n), not the O(n^2) of
+    scanning the remainder for its maximum at every step.
     """
     _same_ring(p, d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return p.ring.zero
-    ring = p.ring
-    weight = ring.monomial_weight
-    dt = d.terms
-    dm = max(dt, key=lambda m: (weight(m), m))
-    dc = Fraction(dt[dm])
-    dw = weight(dm)
-    tail = [(m2, c2, weight(m2) - dw) for m2, c2 in dt.items() if m2 != dm]
-    rem = p.terms
-    heap = [(-weight(m), tuple(-e for e in m)) for m in rem]
+    ring, guard = p.ring, p.ring._guard
+    weight = ring.key_weight
+    dm = max(d.num, key=lambda m: (weight(m), m))
+    dc, dw = d.num[dm], weight(dm)
+    tail = [(m2, c2, weight(m2) - dw) for m2, c2 in d.num.items() if m2 != dm]
+    rem = dict(p.num)
+    heap = [(-weight(m), -m) for m in rem]
     heapq.heapify(heap)
     out = {}
     while heap:
         negw, negm = heapq.heappop(heap)
-        rm = tuple(-e for e in negm)
-        rc = rem.pop(rm, 0)
+        rc = rem.pop(-negm, 0)
         if not rc:
             continue  # cancelled after it was pushed
-        qm = tuple(a - b for a, b in zip(rm, dm))
-        if any(e < 0 for e in qm):
+        qm = ((-negm | guard) - dm) ^ guard
+        if qm & guard:
             raise ValueError("polynomials do not divide exactly")
-        qc = rc / dc
-        if qc.denominator == 1:
-            qc = qc.numerator  # int arithmetic for the rest of the row
+        qc, r = divmod(rc, dc)
+        if r:
+            qc = Fraction(rc, dc)  # an int otherwise, for the rest of the row
         out[qm] = qc
         for m2, c2, offset in tail:
-            k = tuple(a + b for a, b in zip(qm, m2))
+            k = qm + m2
             prev = rem.get(k)
             if prev is None:
                 rem[k] = -qc * c2
-                heapq.heappush(heap, (negw - offset, tuple(-e for e in k)))
+                heapq.heappush(heap, (negw - offset, -k))
             else:
                 s = prev - qc * c2
                 if s:
                     rem[k] = s
                 else:
                     del rem[k]
-    return Poly(ring, out)
+    den = math.lcm(*(c.denominator for c in out.values()))
+    num = {m: c.numerator * (den // c.denominator) * d.den for m, c in out.items()}
+    return Poly._of(ring, num, den * p.den)
 
 
 # -- matrices ----------------------------------------------------------------

@@ -38,7 +38,7 @@ def latex_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     chunks = []
-    for m, c in p._sorted_terms():
+    for m, c in p.sorted_terms():
         factors = []
         for i, e in enumerate(m):
             if e:

@@ -21,7 +21,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import reference
-from .derivation import BracketRelation, Derivation, combination, ladder_complete
+from .derivation import (BracketRelation, Derivation, combination, ladder_complete,
+                         linear_sum)
 from .exactpoly import Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion
 from .lambda_space import CurveModel, build_T
 from .param_map import PARAM_NAMES, JacobiMap, RelVars, build_p, jacobi_map, x_name
@@ -374,7 +375,7 @@ def det_factor_residuals(
         else:
             targets = next(tp_rows)
         for (lname, _), jrow, want in zip(comps, jac, targets):
-            entry = sum((a * b for a, b in zip(row, jrow) if a and b), ring.zero)
+            entry = linear_sum(ring, products=zip(row, jrow))
             residuals[f"(Tcal.J_p^T)[{name},{lname}] - target"] = entry - want
     A = PolyMatrix(ring, [row[:g] for row in odd_rows])
     minor = det_minor_expansion(PolyMatrix(ring, [r[g:] for r in jac]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import reference
-from .derivation import BracketRelation, Derivation
+from .derivation import BracketRelation, Derivation, linear_sum
 from .exactpoly import Poly, PolyMatrix, Ring, det_minor_expansion, divexact
 
 
@@ -65,12 +65,9 @@ def bezout_matrix(ring: Ring, a: list[Poly]) -> PolyMatrix:
     b = [(i + 1) * a[i + 1] for i in range(n)] + [ring.zero]  # f' = sum b[i] X^i
 
     def entry(i, j):
-        e = ring.zero
-        for q in range(min(i, j) + 1):
-            p = i + j + 1 - q
-            if p <= n:
-                e = e + a[p] * b[q] - a[q] * b[p]
-        return e
+        pq = [(i + j + 1 - q, q) for q in range(min(i, j) + 1) if i + j + 1 - q <= n]
+        return linear_sum(ring, products=[*((a[p], b[q]) for p, q in pq),
+                                          *((-a[q], b[p]) for p, q in pq)])
 
     rows = [[entry(i, j) for j in range(n)] for i in range(n)]
     if n * (n - 1) // 2 % 2:

@@ -19,11 +19,11 @@ probability at most d/(2B+1).
 Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
 entry on the calling thread, in ``suite_entries`` order, and orders the
 report by entry id.  ``fields.jacobi`` and ``fields.pushforward_homomorphism``
-read the structure functions c_ab^k of [L_a, L_b] = sum_k c_ab^k L_k
-(Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) from the displayed table
-rows, the Euler rows and antisymmetry once every one of those rows holds
-exactly; otherwise they bracket the whole fields, so a wrong displayed row
-fails its own ``fields.table`` entry only.
+sum the structure functions c_ab^k of [L_a, L_b] = sum_k c_ab^k L_k
+(Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) with ``linear_sum``,
+read from the table rows, the Euler rows and antisymmetry once every one of
+those rows holds exactly; otherwise they bracket the whole fields, so a
+wrong displayed row fails its own ``fields.table`` entry only.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import lcm
 from typing import NamedTuple
 
 from . import reference
 from .classical import compare_tables
-from .derivation import BracketRelation, Derivation, bracket_sum, verify_pushforward
-from .exactpoly import Poly, _int_form, _leibniz, _mul_into, _unscaled, det_minor_expansion
+from .derivation import (BracketRelation, Derivation, bracket_sum, linear_sum,
+                         verify_pushforward)
+from .exactpoly import Poly, det_minor_expansion
 from .genus_fields import (
     build_by_ladder,
     build_Tcal,
@@ -505,19 +505,12 @@ def _table_row(ctx, mode, pit, rng, left, right):
 
 @_claim("fields.pushforward_homomorphism", "bracket commutes with the pushforward")
 def _pushforward_homomorphism(ctx, mode, pit, rng):
-    """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd.  With
-    expansions the left side is sum_k c_ab^k Lk(p_j), summed in one integer
-    pass over one denominator."""
-    cat, exp = ctx.cat, ctx.expansions
-    pairs = list(combinations(cat.names, 2))
+    """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd; with
+    expansions the left side sum_k c_ab^k Lk(p_j) is one ``linear_sum``."""
+    cat, exp, comps = ctx.cat, ctx.expansions, ctx.cat.pmap.components
     if exp is not None:
-        comps = cat.pmap.components
-        keys = [(pair, k) for pair in pairs for k in exp[pair]]
-        lk = [(k, v) for k in cat.names for v in comps]
-        d, ints = _int_form([exp[pair][k] for pair, k in keys]
-                            + [cat.fields[k].apply(comps[v]) for k, v in lk])
-        forms, images = dict(zip(keys, ints)), dict(zip(lk, ints[len(keys):]))
-    for na, nb in pairs:
+        images = {(k, v): cat.fields[k].apply(comps[v]) for k in cat.names for v in comps}
+    for na, nb in combinations(cat.names, 2):
         ka, kb = int(na[1:]), int(nb[1:])
         even = ka % 2 == 0 and kb % 2 == 0
         down = ctx.lam_fields[ka].bracket(ctx.lam_fields[kb]) if even else None
@@ -526,10 +519,8 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
             yield from _pushforward(label, ctx.pairs[na, nb], cat.pmap, down)
             continue
         for v in comps:
-            acc = {}
-            for k in exp[na, nb]:
-                _mul_into(acc, forms[(na, nb), k], images[k, v])
-            lhs = _unscaled(cat.ring, acc, d * d)
+            lhs = linear_sum(cat.ring, products=[(c, images[k, v])
+                                                 for k, c in exp[na, nb].items()])
             rhs = cat.ring.zero if down is None else cat.pmap.pullback(down.on(v))
             if lhs != rhs:
                 yield f"{label} on {v}", lhs - rhs
@@ -576,26 +567,18 @@ def _structure_jacobi(cat, expansions):
     """(label, S_m) for every triple a < b < c and field m with nonzero
     S_m = sum over cyclic (a, b, c) of La(c_bc^m) + sum_k c_bc^k c_ak^m.
     As [La, Lb] = sum_k c_ab^k Lk, [La, [Lb, Lc]] + cyc = sum_m S_m Lm, so
-    no S_m proves the identity.  One integer pass over one denominator:
-    La(c) by ``_leibniz``, the products by ``_mul_into``."""
-    ring, fields = cat.ring, cat.fields
-    keys = [(pair, k) for pair, coeffs in expansions.items() for k in coeffs]
-    d, ints = _int_form(expansions[pair][k] for pair, k in keys)
-    forms = dict(zip(keys, ints))
-    D = {name: f._scaled_action()[0] for name, f in fields.items()}
-    den = lcm(d * d, *(d * D_a for D_a in D.values()))
+    no S_m proves the identity.  Each S_m is one ``linear_sum``."""
+    fields = cat.fields
     for a, b, c in combinations(cat.names, 3):
-        accs = {m: {} for m in cat.names}
+        sums = {m: ([], []) for m in cat.names}  # m -> (applied, products)
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            images = fields[x]._scaled_action()[2]
-            for k in expansions[y, z]:
-                t = forms[(y, z), k]
-                _leibniz(accs[k], t, images, den // (d * D[x]))
-                for m in expansions.get((x, k), ()):
-                    _mul_into(accs[m], t, forms[(x, k), m], den // (d * d))
-        for m, acc in accs.items():
-            if any(acc.values()):
-                yield f"jacobi({a},{b},{c}) on {m}", _unscaled(ring, acc, den)
+            for k, t in expansions[y, z].items():
+                sums[k][0].append((fields[x], t))
+                for m, u in expansions.get((x, k), {}).items():
+                    sums[m][1].append((t, u))
+        for m, (applied, products) in sums.items():
+            if (applied or products) and (s := linear_sum(cat.ring, applied, products)):
+                yield f"jacobi({a},{b},{c}) on {m}", s
 
 
 @_claim("fields.jacobi", "Jacobi identity over all field triples")

@@ -238,6 +238,37 @@ def test_runtime_modules_use_every_import():
                 assert bound in used, f"{path.name}:{node.lineno} imports {bound} unused"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # derivation, the layer on top of the kernel, may import exactpoly's
+    # integer-form helpers; every other private name is read only in the
+    # module that defines it
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(hyperlie.__file__).parent.glob("*.py"))}
+    defined = {}  # module -> private names it defines
+    for mod, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(mod, set()).add(n.name)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                defined.setdefault(mod, set()).add(n.attr)
+    bad = []
+    for mod, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.level or n.module.startswith("hyperlie")):
+                source = (n.module or "").split(".")[-1]
+                bad += [f"{mod} imports {a.name} from {source}" for a in n.names
+                        if _private(a.name) and (mod, source) != ("derivation", "exactpoly")]
+            elif isinstance(n, ast.Attribute) and _private(n.attr):
+                owners = {m for m, names in defined.items() if n.attr in names}
+                if owners - {mod}:
+                    bad.append(f"{mod}:{n.lineno} reads {n.attr} of {sorted(owners - {mod})}")
+    assert bad == []
+
+
 def _references(tree) -> list[str]:
     """Every name, attribute and imported name that ``tree`` mentions."""
     out = []

@@ -11,6 +11,7 @@ from hyperlie.derivation import (
     LadderError,
     bracket_sum,
     combination,
+    linear_sum,
     verify_pushforward,
 )
 
@@ -467,7 +468,83 @@ def test_apply_and_bracket_sum_raise_when_an_exponent_reaches_2_31():
         X.bracket(Y)  # [X, Y](x) = x^(2^31)
     with pytest.raises(OverflowError):
         bracket_sum((), linear=[(half, X)])
+    with pytest.raises(OverflowError):
+        linear_sum(ring, [(X, half * ring.var("x"))])
+    with pytest.raises(OverflowError):
+        linear_sum(ring, products=[(half, half * ring.var("x"))])  # x^(2^31 + 1)
     assert X.apply(half) == Poly(ring, {(2**31 - 1, 0): 2**30})
+
+
+# -- linear sums of images and products ---------------------------------------------
+
+
+def _by_poly_arithmetic(ring, applied, products):
+    """sum L(p) + sum f * g by ``apply``, ``*`` and ``+``."""
+    out = ring.zero
+    for L, p in applied:
+        out = out + L.apply(p)
+    for f, g in products:
+        out = out + f * g
+    return out
+
+
+def test_linear_sum_matches_apply_mul_and_add():
+    hyp, _, polys, fields, settings, _, _ = _oracle_tools()
+    st = hyp.strategies
+
+    @settings
+    @hyp.given(st.lists(st.tuples(fields, polys), max_size=3),
+               st.lists(st.tuples(polys, polys), max_size=3))
+    def check(applied, products):
+        got = linear_sum(ORACLE_RING, applied, products)
+        assert got.terms == _by_poly_arithmetic(ORACLE_RING, applied, products).terms
+        assert _normalised(got)
+
+    check()
+
+
+def test_linear_sum_over_mixed_denominators_zeros_and_empty_sums(models, lam_fields):
+    r = ORACLE_RING
+    D = Derivation("D", r, {"a": r.parse("1/3*b"), "b": r.parse("2/5*a*c"),
+                            "c": r.parse("1/7")})
+    E = Derivation("E", r, {"c": r.parse("3/4*a")})
+    p, q = r.parse("1/2*a^2*b + 3/4*c^2"), r.parse("5/6*b - 1/9*c")
+    for applied, products in (
+        ([(D, p), (E, q)], [(p, q), (q, r.parse("2/7*a"))]),
+        ([(D, r.zero), (E, r.one)], [(r.zero, p), (q, r.zero), (p, r.one)]),
+        ([(D, p)], []),
+        ([], [(p, q)]),
+    ):
+        got = linear_sum(r, applied, products)
+        assert got == _by_poly_arithmetic(r, applied, products)
+        assert _normalised(got)
+    assert linear_sum(r, [(D, p)]) == r.parse("1/3*a*b^2 + 1/5*a^3*c + 3/14*c")
+    assert linear_sum(r, [(D, p)], [(-D.apply(p), r.one)]).terms == {}
+    for empty in (linear_sum(r), linear_sum(r, [(D, r.zero)], [(r.zero, q)])):
+        assert empty == r.zero and empty.terms == {}
+    # the genus-2 parameter ring: every field on every l_s, and products of
+    # the l_s with fractional coefficients
+    model, fields = models[2], lam_fields[2]
+    lam = model.lam
+    applied = [(L, Fraction(1, s) * lam(s) * lam(4)) for L in fields.values()
+               for s in model.indices]
+    products = [(Fraction(s, 7) * lam(s), lam(t) - Fraction(1, 3))
+                for s in model.indices for t in model.indices]
+    got = linear_sum(model.ring, applied, products)
+    assert got.den != 1
+    assert got == _by_poly_arithmetic(model.ring, applied, products)
+
+
+def test_linear_sum_rejects_other_rings(g1ring, g1fields):
+    other = Ring([("x2", 2), ("x3", 3)])
+    x2, y2 = g1ring.var("x2"), other.var("x2")
+    L1, D = g1fields["L1"], Derivation("D", other, {"x2": other.var("x3")})
+    for applied, products in (([(L1, y2)], []), ([(D, x2)], []), ([], [(x2, y2)]),
+                              ([], [(y2, x2)]), ([(L1, x2)], [(x2, x2), (y2, y2)])):
+        with pytest.raises(RingMismatchError):
+            linear_sum(g1ring, applied, products)
+    with pytest.raises(RingMismatchError):
+        linear_sum(other, [(L1, x2)])
 
 
 # -- sums of brackets -------------------------------------------------------------

@@ -264,6 +264,17 @@ def test_divexact():
         divexact(p, ring.zero)
 
 
+def test_divexact_raises_where_a_key_difference_would_borrow():
+    # x*y / y^2: with y in the low field the key difference x*y - y^2 is
+    # y^(2^32 - 1), a borrow out of x's field; with x there it is negative
+    for ring in (Ring([("y", 1), ("x", 1)]), Ring([("x", 1), ("y", 1)])):
+        y2 = ring.parse("y^2")
+        for text in ("x*y", "x*y + y^3", "x*y^2 + x*y"):
+            with pytest.raises(ValueError):
+                divexact(ring.parse(text), y2)
+        assert divexact(ring.parse("x*y^2 + y^3"), y2) == ring.parse("x + y")
+
+
 # -- differential tests against sympy -------------------------------------------
 #
 # Hypothesis draws the inputs and sympy is the independent oracle; both are
@@ -635,6 +646,8 @@ def test_genus2_monomial_keys_hash_apart(catalogs_zero):
 
 
 def test_kernels_build_no_fraction(catalogs, monkeypatch):
+    from hyperlie.derivation import linear_sum
+
     cat = catalogs[2]
     L3, L4 = cat.fields["L3"], cat.fields["L4"]
     comp = cat.pmap.components["l6"]
@@ -642,7 +655,8 @@ def test_kernels_build_no_fraction(catalogs, monkeypatch):
     p, q = cat.ring.parse("1/2*x2 + 2/3*x3"), cat.ring.parse("3/4*x2^2 - 1/5")
     # every result below has non-integral coefficients
     assert all(r.den != 1 for r in (L3.bracket(L4).on("x2"), L4.apply(comp),
-                                    cat.pmap.pullback(image), p * q, p + q))
+                                    cat.pmap.pullback(image), p * q, p + q,
+                                    linear_sum(cat.ring, [(L4, comp)], [(p, q)])))
     built = []
     new = Fraction.__new__
 
@@ -656,5 +670,6 @@ def test_kernels_build_no_fraction(catalogs, monkeypatch):
     cat.pmap.pullback(image)
     p * q
     p + q
+    linear_sum(cat.ring, [(L4, comp), (L3, p)], [(p, q)])
     monkeypatch.undo()
     assert built == []
