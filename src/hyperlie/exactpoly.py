@@ -936,9 +936,6 @@ class PolyMap:
             raise RingMismatchError("pullback argument not in target ring")
         return p.substitute(self.components, target=self.source)
 
-    def evaluate(self, point: Mapping) -> dict:
-        return {v: comp.evaluate(point) for v, comp in self.components.items()}
-
     def to_json_obj(self) -> dict:
         return {
             "name": self.name,

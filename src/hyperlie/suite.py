@@ -10,11 +10,12 @@ problem string, which always fails.  One runner, ``_decide``, returns
 evaluates it at ``sample_count`` random points of [-B, B]^n for the
 witness ``label at {point} -> value``, falling back to ``label: poly`` when
 it vanishes at every one.  A number fails as ``label -> value``, a problem
-as ``label: problem``.  Four claims branch on the mode, as their pit forms
-evaluate matrices numerically and expand nothing: ``detT_eq_cR``,
-``tangency``, ``relations_vanish``, ``detTcal_factor``; by Schwartz-Zippel
-a nonzero identity of total degree d vanishes at one of their points with
-probability at most d/(2B+1).
+as ``label: problem``.  Only ``detT_eq_cR`` branches on the mode: pit mode
+evaluates T and the Bezout matrix, and by Schwartz-Zippel a nonzero identity
+of degree d vanishes at a point with probability at most d/(2B+1).  Tangency
+needs no determinant: as [L_k, L_i] = sum_m c_ki^m L_m (Buchstaber & Leykin,
+Funct. Anal. Appl. 42, 2008), L_k(det T) = (div L_k + sum_i c_ki^i) det T by
+Saito's identity (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980).
 
 Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
 entry on the calling thread, in ``suite_entries`` order, and orders the
@@ -76,9 +77,9 @@ _RESIDUAL_CAP = 1500
 class PitConfig(NamedTuple):
     """Randomized-testing parameters.
 
-    ``coordinate_bound`` must be at least twice the maximal total degree of
-    any checked identity, keeping the per-trial miss probability of a false
-    pass below 1/2 (then amplified by sample_count repetitions).
+    Only det T = c * R is sampled.  ``coordinate_bound`` must be at least
+    twice ``max_identity_degree``, keeping the per-trial miss probability of
+    a false pass below 1/2 (then amplified by sample_count repetitions).
     """
 
     sample_count: int = 3
@@ -96,14 +97,9 @@ class PitConfig(NamedTuple):
 
 
 def max_identity_degree(genus: int) -> int:
-    """Total degree of the largest identity: the 3g x 3g action determinant.
-
-    Its weight is the sum of all field weights and coordinate weights, and
-    the least coordinate weight is 2.
-    """
-    field_w = sum(range(0, 4 * genus - 1, 2)) + sum(range(1, 2 * genus, 2))
-    coord_w = sum(i + j for j in range(1, 2 * genus, 2) for i in (1, 2, 3))
-    return (field_w + coord_w) // 2
+    """Twice a bound on the total degree of det T - c * R, the one sampled
+    identity: its weight is ``r_weight``, in parameters of weight at least 4."""
+    return reference.r_weight(genus) // 2
 
 
 def _entry_rng(seed: int, entry_id: str):
@@ -193,6 +189,20 @@ def _expansions(ctx):
     return out if set(out) == {(a, b) for a in names for b in names if a != b} else None
 
 
+def _lam_rels(ctx):
+    """{(a, b): [La, Lb] = sum_k c_ab^k Lk} on parameter space: the Euler
+    rows and the even-field part of every displayed row with a and b even,
+    whose coefficients are written in l-symbols."""
+    L, ring = ctx.lam_fields, ctx.model.ring
+    rels = {(0, k): BracketRelation(L[0], L[k], [(k, L[k])]) for k in L if k}
+    for left, right, coeffs in reference.BRACKET_TABLE[ctx.genus]:
+        a, b = int(left[1:]), int(right[1:])
+        if a % 2 == b % 2 == 0:
+            rels[a, b] = BracketRelation(L[a], L[b], [(ring.parse(coeffs[f"L{k}"]), L[k])
+                                                      for k in L if f"L{k}" in coeffs])
+    return rels
+
+
 _BUILDS = {
     "model": lambda ctx: CurveModel(ctx.genus),
     "R": lambda ctx: discriminant_R(ctx.model),
@@ -218,6 +228,7 @@ _BUILDS = {
     "table_res": lambda ctx: {k: r.residual() for k, r in ctx.table_rels.items()},
     "euler_res": lambda ctx: {k: r.residual() for k, r in ctx.euler_rels.items()},
     "expansions": _expansions,
+    "lam_rels": _lam_rels,
     "m_rels": lambda ctx: {
         r.label: r for r in m_relation_rows(ctx.model, ctx.lam_fields)
     },
@@ -323,8 +334,9 @@ def _euler_eigen(ctx, mode, pit, rng):
 
 @_claim("params.euler_brackets", "[L0, Lk] = k Lk on parameter space")
 def _euler_brackets(ctx, mode, pit, rng):
-    for k, L in ctx.lam_fields.items():
-        yield f"[L0,L{k}]", BracketRelation(ctx.lam_fields[0], L, [(k, L)]).residual()
+    for k in sorted(ctx.lam_fields)[1:]:
+        rel = ctx.lam_rels[0, k]
+        yield rel.label, rel.residual()
 
 
 @_claim("params.cross_actions", "pairwise field actions commute across indices")
@@ -349,30 +361,38 @@ def _dett_eq_cr(ctx, mode, pit, rng):
         yield "detT - c*R", ctx.detT - ctx.R * c
         return
     for point in _points(ctx.model.ring, pit, rng):
-        dt = fraction_det(ctx.T.evaluate(point))
-        rv = fraction_det(ctx.bezout.evaluate(point))
+        dt, rv = (fraction_det(m.evaluate(point)) for m in (ctx.T, ctx.bezout))
         yield f"detT - c*R at {point}", dt - c * rv
+
+
+def _saito_multipliers(ctx) -> list[Poly]:
+    """div L_k + sum_i c_ki^i, div L_k = sum_s d(L_k(l_s))/dl_s, for every
+    field in weight order; c_ki^i is read from the row [L_k, L_i] of
+    ``ctx.lam_rels``, or as minus the L_k coefficient of [L_i, L_k]."""
+    ring = ctx.model.ring
+    out = {k: sum((L.on(v).partial(v) for v in ring.names), ring.zero)
+           for k, L in ctx.lam_fields.items()}
+    for (a, b), rel in ctx.lam_rels.items():
+        for c, Z in rel.expansion:
+            if Z.weight == b:
+                out[a] = out[a] + c
+            elif Z.weight == a:
+                out[b] = out[b] - c
+    return [out[k] for k in sorted(out)]
 
 
 @_claim("params.tangency", "fields rescale det T by the stated multipliers")
 def _tangency(ctx, mode, pit, rng):
-    mults = [ctx.model.ring.parse(t) for t in reference.TANGENCY_MULTIPLIERS[ctx.genus]]
-    fields = [ctx.lam_fields[k] for k in sorted(ctx.lam_fields)]
-    if mode == "exact":
-        for L, m in zip(fields, mults):
-            yield f"{L.name}(det T) - m*det T", L.apply(ctx.detT) - m * ctx.detT
-        return
-    for point in _points(ctx.model.ring, pit, rng):
-        tnum = ctx.T.evaluate(point)
-        dt = fraction_det(tnum)
-        for L, m in zip(fields, mults):
-            lt = ctx.T.map(L.apply).evaluate(point)
-            # L(det T) = sum over rows i of det T with row i replaced by L(row i)
-            ldet = sum(
-                fraction_det(tnum[:i] + [row] + tnum[i + 1:])
-                for i, row in enumerate(lt)
-            )
-            yield f"{L.name} tangency at {point}", ldet - m.evaluate(point) * dt
+    """Saito's identity: the relations hold and cover every pair, and m_k
+    is div L_k + tr c_k.  No determinant is built in either mode."""
+    for rel in ctx.lam_rels.values():
+        yield rel.label, rel.residual()
+    for a, b in combinations(sorted(ctx.lam_fields), 2):
+        if (a, b) not in ctx.lam_rels and (b, a) not in ctx.lam_rels:
+            yield f"[L{a},L{b}]", "no relation expands this pair"
+    mults = reference.TANGENCY_MULTIPLIERS[ctx.genus]
+    for k, derived, text in zip(sorted(ctx.lam_fields), _saito_multipliers(ctx), mults):
+        yield f"div L{k} + tr c_{k} - m", derived - ctx.model.ring.parse(text)
 
 
 @_claim("params.structure.{0}_{1}", "[{0},{1}] expands in the structure matrix",
@@ -417,18 +437,7 @@ def _components_homogeneous(ctx, mode, pit, rng):
 
 @_claim("map.relations_vanish", "all relations vanish after substitution")
 def _relations_vanish(ctx, mode, pit, rng):
-    if mode == "exact":
-        yield from sorted(verify_relations_vanish(ctx.rels, ctx.jm).items())
-        return
-    # evaluate each relation at the image of a random x-point
-    for point in _points(ctx.jm.ring, pit, rng):
-        values = dict(point)
-        for s, p in ctx.jm.lambda_exprs.items():
-            values[f"l{s}"] = p.evaluate(point)
-        for kl, p in ctx.jm.w_exprs.items():
-            values[w_name(ctx.genus, *kl)] = p.evaluate(point)
-        for rel in ctx.rels.relations:
-            yield f"{rel.label} at {point}", rel.poly.evaluate(values)
+    yield from sorted(verify_relations_vanish(ctx.rels, ctx.jm).items())
 
 
 @_claim("fields.homogeneous", "fields homogeneous of their weights")
@@ -445,11 +454,11 @@ def _euler_rows(ctx, mode, pit, rng):
 
 @_claim("fields.displayed_actions", "field actions match every displayed coefficient")
 def _displayed_actions(ctx, mode, pit, rng):
-    cat, g = ctx.cat_zero, ctx.genus
-    grids = [reference.FIELD_ACTIONS[g]] + ([reference.EVEN_SEEDS_G3] if g == 3 else [])
-    for grid in grids:
-        for name, actions in grid.items():
-            for v, text in actions.items():
+    """Every displayed action but the seeds, which the ladder build decides."""
+    cat, seeds = ctx.cat_zero, seed_texts(ctx.genus)
+    for name, actions in reference.FIELD_ACTIONS[ctx.genus].items():
+        for v, text in actions.items():
+            if v not in seeds.get(name, {}):
                 yield f"{name}({v})", cat.fields[name].on(v) - parse_coeff(cat, text)
 
 
@@ -528,21 +537,15 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
 
 @_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")
 def _dettcal_factor(ctx, mode, pit, rng):
-    """Exact mode proves det Tcal = c * det(T o p) on small matrices
+    """Proves det Tcal = c * det(T o p) on small matrices
     (``genus_fields.det_factor_residuals``): the block product, det J_minor
     != 0 (else it says nothing about det Tcal) and det A = sigma * eps * c *
     det J_minor; the ring has no zero divisors, so the identity follows."""
     c = reference.DET_TCAL_FACTOR[ctx.genus]
-    if mode == "exact":
-        residuals, minor = det_factor_residuals(ctx.cat_zero, ctx.Tcal, ctx.Tp, c)
-        if minor.is_zero():
-            yield "det J_minor = 0", "the block product proves nothing"
-        yield from residuals.items()
-        return
-    for point in _points(ctx.cat_zero.ring, pit, rng):
-        lhs = fraction_det(ctx.Tcal.evaluate(point))
-        rhs = c * fraction_det(ctx.T.evaluate(ctx.cat_zero.pmap.evaluate(point)))
-        yield f"det Tcal - c * det(T o p) at {point}", lhs - rhs
+    residuals, minor = det_factor_residuals(ctx.cat_zero, ctx.Tcal, ctx.Tp, c)
+    if minor.is_zero():
+        yield "det J_minor = 0", "the block product proves nothing"
+    yield from residuals.items()
 
 
 @_claim("fields.normalization",

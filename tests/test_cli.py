@@ -133,10 +133,10 @@ def test_in_process_reports_repeat(mode, seed):
 
 def test_suite_and_exports_make_no_bareiss_or_division_call(monkeypatch):
     # The runtime computes R by minor expansion and checks tangency by
-    # products; Bareiss and exact division are kept as the tests' second
-    # algorithm.  Every module binding of the two functions is replaced by a
-    # counter that also raises, so a call fails its entry.  The catalog
-    # cache is cleared so nothing built earlier hides a call.
+    # Saito's identity; Bareiss and exact division are kept as the tests'
+    # second algorithm.  Every module binding of the two functions is
+    # replaced by a counter that also raises, so a call fails its entry.  The
+    # catalog cache is cleared so nothing built earlier hides a call.
     from hyperlie import exactpoly, genus_fields, lambda_space
 
     counts = {"det_bareiss": 0, "divexact": 0}
@@ -165,6 +165,51 @@ def test_suite_and_exports_make_no_bareiss_or_division_call(monkeypatch):
         lambda_space.detT_R_constant(
             model, model.ring.parse("4*l4^3"), model.ring.parse("l4^3"))
     assert counts["divexact"] == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypatch, mode):
+    # Tangency, the relation substitution and the action-matrix factor run
+    # one exact proof in both modes: none evaluates a matrix, calls
+    # fraction_det or builds det T, and the factor's only minor expansions
+    # are its small generator-space minors det A and det J_minor.  The
+    # counters raise, so detT_eq_cR, which needs them, must fail.
+    from hyperlie import exactpoly, genus_fields, lambda_space
+
+    calls, minors = [], []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    def counted(matrix, _expand=exactpoly.det_minor_expansion):
+        minors.append(matrix)
+        return _expand(matrix)
+
+    monkeypatch.setattr(suite, "fraction_det", forbidden("fraction_det"))
+    monkeypatch.setattr(exactpoly.PolyMatrix, "evaluate", forbidden("PolyMatrix.evaluate"))
+    monkeypatch.setitem(suite._BUILDS, "detT", forbidden("ctx.detT"))
+    for module in (suite, genus_fields, lambda_space):
+        monkeypatch.setattr(module, "det_minor_expansion", counted)
+    for g in (1, 2, 3):
+        ctx, fns = SuiteContext(g), {eid: fn for eid, _, fn in suite_entries(g)}
+        for name in ("params.tangency", "map.relations_vanish", "fields.detTcal_factor"):
+            entry_id = f"g{g}.{name}"
+            minors.clear()
+            assert fns[entry_id](ctx, mode, PitConfig(seed=1),
+                                 _entry_rng(1, entry_id)) == (True, None), entry_id
+            sizes = sorted(len(m.rows) for m in minors)
+            assert sizes == ([g, 2 * g] if name == "fields.detTcal_factor" else [])
+            assert all(m.ring == ctx.cat_zero.ring for m in minors)
+        assert calls == []
+        entry_id = f"g{g}.params.detT_eq_cR"
+        with pytest.raises(AssertionError, match="called"):
+            fns[entry_id](ctx, mode, PitConfig(seed=1), _entry_rng(1, entry_id))
+        assert calls == ["ctx.detT" if mode == "exact" else "PolyMatrix.evaluate"]
+        calls.clear()
 
 
 def test_map_export_builds_no_field_catalog():

@@ -193,6 +193,17 @@ def test_tangency_multipliers(models, lam_fields, detTs):
         assert got == expected
 
 
+def test_saito_multipliers_equal_the_division_oracle(models, lam_fields, detTs):
+    # div L_k + tr c_k from the parameter-space relations, as params.tangency
+    # reads them, against L_k(det T) / det T by exact division
+    from hyperlie.lambda_space import tangency_multipliers
+    from hyperlie.suite import SuiteContext, _saito_multipliers
+
+    for g in (1, 2, 3):
+        derived = _saito_multipliers(SuiteContext(g))
+        assert derived == tangency_multipliers(models[g], lam_fields[g], detTs[g])
+
+
 def test_cross_action_symmetry(models, lam_fields):
     # pairwise actions agree across indices, the derivation-level face of
     # the T-matrix symmetry

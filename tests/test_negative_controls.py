@@ -14,7 +14,8 @@ import pytest
 
 from hyperlie import Derivation, Ring, derivation, reference, suite
 from hyperlie.classical import symbol_env
-from hyperlie.genus_fields import _catalog_cached, catalog, parse_coeff, read_relations
+from hyperlie.genus_fields import (_catalog_cached, catalog, parse_coeff, read_relations,
+                                   seed_texts)
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 
 
@@ -260,6 +261,16 @@ def test_perturbed_non_seed_fails_only_its_entries(
                         f"g{genus}.fields.even_ladder_agrees"]
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_displayed_actions_yield_no_seed(genus):
+    """A seed feeds the ladder build of its field, so comparing the built
+    field with it cannot fail; the entry compares every other display."""
+    ctx = SuiteContext(genus)
+    labels = [label for label, _ in suite._displayed_actions(ctx, "exact", None, None)]
+    seeds = {f"{name}({v})" for name, texts in seed_texts(genus).items() for v in texts}
+    assert labels and not seeds & set(labels)
+
+
 @pytest.mark.parametrize("genus,name,var,text", [
     (1, "L2", "x2", "2/3*x4 - 3*x2^2"),  # displayed: 2/3*x4 - 2*x2^2
     (2, "L4", "y4", "-6/5*l6*x2 + 2*l4*y4 - 4*x2^2*y4 + x4*y4 - 3/2*x3*y5"),
@@ -313,3 +324,45 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
     calls.clear()
     assert _decide(suite._classical_table, (), ctx, "exact", None, None) == (False, want)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("genus,index,text,residual", [
+    (1, 0, "13", "-1"),  # displayed: 12
+    (2, 2, "13*l4", "-l4"),  # displayed: 12*l4
+])
+def test_perturbed_multiplier_fails_only_tangency(monkeypatch, genus, index, text,
+                                                  residual, mode):
+    mults = list(reference.TANGENCY_MULTIPLIERS[genus])
+    mults[index] = text
+    monkeypatch.setitem(reference.TANGENCY_MULTIPLIERS, genus, mults)
+    failures = {e.id: e.residual
+                for e in run_suite(genus, mode, PitConfig(seed=1)).failures()}
+    assert list(failures) == [f"g{genus}.params.tangency"]
+    label = f"div L{2 * index} + tr c_{2 * index} - m"
+    witness = failures[f"g{genus}.params.tangency"]
+    if mode == "exact":
+        assert witness == f"{label}: {residual}"
+    else:
+        assert re.match(re.escape(label) + r" at \{.*\} -> -?\d", witness), witness
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_perturbed_even_coefficient_fails_tangency_and_its_row(monkeypatch, mode):
+    """The L0 coefficient of the genus-2 [L2,L4] row is an l-symbol text read
+    on both spaces: by the row's check on generator space and by the
+    parameter-space relation that Saito's identity rests on."""
+    monkeypatch.setitem(_table_row(2, "L2", "L4")[2], "L0", "9/5*l6")  # displayed: 8/5*l6
+    failures = {e.id: e.residual for e in run_suite(2, mode, PitConfig(seed=1)).failures()}
+    assert sorted(failures) == ["g2.fields.table.L2_L4", "g2.params.tangency"]
+    point = r" at \{.*\} -> -?\d" if mode == "pit" else r": \S"
+    assert re.match(r"\[L2,L4\]\.l\d+" + point, failures["g2.params.tangency"])
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_missing_parameter_space_relation_fails_tangency(mode):
+    ctx = SuiteContext(2)
+    del ctx.lam_rels[2, 4]
+    assert _decide(suite._tangency, (), ctx, mode, PitConfig(seed=1),
+                   suite._entry_rng(1, "g2.params.tangency")) == (
+        False, "[L2,L4]: no relation expands this pair")
