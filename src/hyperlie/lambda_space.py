@@ -3,17 +3,18 @@
 For genus g the curve is Y^2 = f(X) with f monic of degree 2g+1 and no
 X^{2g} term; the parameters l4, l6, ..., l{4g+2} carry their index as
 weight.  This module builds f, the discriminant resultant R, the symmetric
-matrix T of pairwise field actions, the tangent vector fields L0, L2, ...,
-L{4g-2}, and (genus 3) the 10x6 structure matrix of their commutators.
+matrix T of pairwise field actions (a scaled Schur complement of R's Bezout
+matrix), the fields L0, L2, ..., L{4g-2}, and (genus 3) their structure matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import reference
 from .derivation import BracketRelation, Derivation, linear_sum
-from .exactpoly import Poly, PolyMatrix, Ring, det_minor_expansion, divexact
+from .exactpoly import Poly, PolyMatrix, Ring, det_minor_expansion
 
 
 def lambda_indices(genus: int) -> list[int]:
@@ -88,6 +89,24 @@ def bezout_f(model: CurveModel) -> PolyMatrix:
     )
 
 
+def schur_identity(T: PolyMatrix, B: PolyMatrix):
+    """({label: n*T_ij + 2*S_{2g-1-i,2g-1-j}}, (-1)^g 4^g/n, or None unless n
+    is a nonzero constant) for S = n*B0[:2g, :2g] - b*b^T, where B0, the
+    Bezout matrix B with its first-row sign undone, has last row (b, n)."""
+    m = B.nrows - 1
+    a, sign = list(B.rows), (-1) ** (m // 2)
+    if sign < 0:  # bezout_matrix negates row 0 when m(m+1)/2 = g(2g+1) is odd
+        a[0] = [-e for e in a[0]]
+    b, n = a[m][:m], a[m][m]
+    n2, b2 = 2 * n, [-2 * e for e in b]
+    residuals = {f"n*T({i + 1},{j + 1}) + 2*S({m - i},{m - j})": linear_sum(
+        T.ring, products=[(n, T.entry(i, j)), (n2, a[m - 1 - i][m - 1 - j]),
+                          (b2[m - 1 - i], b[m - 1 - j])])
+        for i in range(m) for j in range(m)}
+    corner = n.constant_value() if n.is_homogeneous_of(0) else 0
+    return residuals, Fraction(sign * 4 ** (m // 2), corner) if corner else None
+
+
 def discriminant_R(model: CurveModel) -> Poly:
     """Resultant of f and df/dX, eliminating X; cut out by the singular locus.
 
@@ -115,11 +134,8 @@ def t_entry(model: CurveModel, k: int, m: int) -> Poly:
 
 def build_T(model: CurveModel) -> PolyMatrix:
     """The symmetric 2g x 2g matrix with entries T_{2k,2m}."""
-    g = model.genus
-    rows = [
-        [t_entry(model, k, m) for m in range(1, 2 * g + 1)] for k in range(1, 2 * g + 1)
-    ]
-    return PolyMatrix(model.ring, rows)
+    r = range(1, 2 * model.genus + 1)
+    return PolyMatrix(model.ring, [[t_entry(model, k, m) for m in r] for k in r])
 
 
 def build_L(model: CurveModel, k: int) -> Derivation:
@@ -140,35 +156,10 @@ def all_L(model: CurveModel) -> dict[int, Derivation]:
     return {k: build_L(model, k) for k in range(0, 4 * model.genus - 1, 2)}
 
 
-def detT_R_constant(model: CurveModel, det_T: Poly, R: Poly):
-    """The constant c with det T = c * R; raises if the quotient is not constant."""
-    q = divexact(det_T, R)
-    return q.constant_value()
-
-
-def tangency_multipliers(model: CurveModel, fields, det_T: Poly) -> list[Poly]:
-    """Exact multipliers m_k with L_k(det T) = m_k * det T, in field order."""
-    out = []
-    for k in sorted(fields):
-        out.append(divexact(fields[k].apply(det_T), det_T))
-    return out
-
-
 # -- genus-3 commutator structure matrix -------------------------------------
 
 # Row order of the 10 bracket pairs [L_{2i}, L_{2j}], i < j.
-M_PAIRS = [
-    (2, 4),
-    (2, 6),
-    (2, 8),
-    (2, 10),
-    (4, 6),
-    (4, 8),
-    (4, 10),
-    (6, 8),
-    (6, 10),
-    (8, 10),
-]
+M_PAIRS = list(combinations(range(2, 11, 2), 2))
 
 
 def build_M(model: CurveModel) -> PolyMatrix:
@@ -187,10 +178,5 @@ def m_relation_rows(model: CurveModel, fields) -> list[BracketRelation]:
     """The ten claimed identities [L_{2i}, L_{2j}] = M-row . (L0..L10)."""
     M = build_M(model)
     ordered = [fields[k] for k in sorted(fields)]
-    rows = []
-    for r, (i, j) in enumerate(M_PAIRS):
-        expansion = [(M.entry(r, c), ordered[c]) for c in range(6)]
-        rows.append(
-            BracketRelation(fields[i], fields[j], expansion, label=f"[L{i},L{j}]")
-        )
-    return rows
+    return [BracketRelation(fields[i], fields[j], list(zip(M.rows[r], ordered)),
+                            label=f"[L{i},L{j}]") for r, (i, j) in enumerate(M_PAIRS)]

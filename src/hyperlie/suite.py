@@ -10,10 +10,14 @@ problem string, which always fails.  One runner, ``_decide``, returns
 evaluates it at ``sample_count`` random points of [-B, B]^n for the
 witness ``label at {point} -> value``, falling back to ``label: poly`` when
 it vanishes at every one.  A number fails as ``label -> value``, a problem
-as ``label: problem``.  Only ``detT_eq_cR`` branches on the mode: pit mode
-evaluates T and the Bezout matrix, and by Schwartz-Zippel a nonzero identity
-of degree d vanishes at a point with probability at most d/(2B+1).  Tangency
-needs no determinant: as [L_k, L_i] = sum_m c_ki^m L_m (Buchstaber & Leykin,
+as ``label: problem``.  No claim expands det T: exact ``detT_eq_cR`` checks
+n*T = -2*J*S*J, J the reversal and S = n*A - b*b^T for the Bezout matrix
+[[A, b], [b^T, n]] of f, f' (det = +-R; Cox, Little & O'Shea, GTM 185), and
+Schur's formula (F. Zhang (ed.), *The Schur Complement and Its
+Applications*, Springer 2005) gives det T = (-4)^g/n * R.  Pit mode, the one
+branch on the mode, samples det T and R: a nonzero identity of degree d
+vanishes at a point with probability at most d/(2B+1) (Schwartz-Zippel).
+Tangency: as [L_k, L_i] = sum_m c_ki^m L_m (Buchstaber & Leykin,
 Funct. Anal. Appl. 42, 2008), L_k(det T) = (div L_k + sum_i c_ki^i) det T by
 Saito's identity (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980).
 
@@ -39,7 +43,7 @@ from . import reference
 from .classical import compare_tables
 from .derivation import (BracketRelation, Derivation, bracket_sum, linear_sum,
                          verify_pushforward)
-from .exactpoly import Poly, det_minor_expansion
+from .exactpoly import Poly
 from .genus_fields import (
     build_by_ladder,
     build_Tcal,
@@ -63,6 +67,7 @@ from .lambda_space import (
     build_T,
     discriminant_R,
     m_relation_rows,
+    schur_identity,
 )
 from .param_map import (
     generate_relations,
@@ -77,9 +82,9 @@ _RESIDUAL_CAP = 1500
 class PitConfig(NamedTuple):
     """Randomized-testing parameters.
 
-    Only det T = c * R is sampled.  ``coordinate_bound`` must be at least
-    twice ``max_identity_degree``, keeping the per-trial miss probability of
-    a false pass below 1/2 (then amplified by sample_count repetitions).
+    Only det T = c * R, of degree d = ``max_identity_degree``, is sampled.
+    ``coordinate_bound`` B >= 2d keeps a false pass's per-trial probability
+    d/(2B+1) below 1/4 (then amplified by sample_count repetitions).
     """
 
     sample_count: int = 3
@@ -97,9 +102,9 @@ class PitConfig(NamedTuple):
 
 
 def max_identity_degree(genus: int) -> int:
-    """Twice a bound on the total degree of det T - c * R, the one sampled
+    """A bound on the total degree of det T - c * R, the one sampled
     identity: its weight is ``r_weight``, in parameters of weight at least 4."""
-    return reference.r_weight(genus) // 2
+    return reference.r_weight(genus) // 4
 
 
 def _entry_rng(seed: int, entry_id: str):
@@ -207,7 +212,6 @@ _BUILDS = {
     "model": lambda ctx: CurveModel(ctx.genus),
     "R": lambda ctx: discriminant_R(ctx.model),
     "T": lambda ctx: build_T(ctx.model),
-    "detT": lambda ctx: det_minor_expansion(ctx.T),
     "lam_fields": lambda ctx: all_L(ctx.model),
     "rels": lambda ctx: generate_relations(ctx.genus),
     "jm": lambda ctx: ctx.cat.jm,
@@ -356,9 +360,18 @@ def _cross_actions(ctx, mode, pit, rng):
 
 @_claim("params.detT_eq_cR", "det T = ({dett_c}) * R")
 def _dett_eq_cr(ctx, mode, pit, rng):
+    """Exact: n*T = -2*J*S*J entry by entry (``schur_identity``), so
+    det T = 4^g det S / n^(2g) = (-4)^g/n * R by Schur's formula
+    det B0 = n^(1-2g) det S (Zhang, Springer 2005) and R = det B = (-1)^g
+    det B0 (Cox, Little & O'Shea, GTM 185).  Pit: det T and det B sampled."""
     c = reference.DETT_R_CONSTANT[ctx.genus]
     if mode == "exact":
-        yield "detT - c*R", ctx.detT - ctx.R * c
+        residuals, derived = schur_identity(ctx.T, ctx.bezout)
+        if derived is None:
+            yield "Bezout corner", "not a nonzero constant"
+            return
+        yield from residuals.items()
+        yield "detT - c*R", ctx.model.ring.const(c - derived)
         return
     for point in _points(ctx.model.ring, pit, rng):
         dt, rv = (fraction_det(m.evaluate(point)) for m in (ctx.T, ctx.bezout))

@@ -61,8 +61,16 @@ def test_pit_agrees_with_exact_genus1():
 def test_pit_bound_validation():
     with pytest.raises(ValueError):
         run_suite(3, "pit", PitConfig(coordinate_bound=10))
-    assert max_identity_degree(3) == 42
-    assert max_identity_degree(1) == 6
+    # det T - c*R has weight 4g(2g+1) in parameters of weight >= 4
+    assert [max_identity_degree(g) for g in (1, 2, 3)] == [3, 10, 21]
+
+
+def test_cli_checks_the_schwartz_zippel_premise_at_its_true_degree(capsys):
+    # genus 3 samples an identity of degree 21, so --bound must be >= 42
+    pit = ["verify", "--genus", "3", "--mode", "pit", "--seed", "1", "--bound"]
+    assert main([*pit, "41"]) == 2
+    assert "below twice the maximal identity degree 21" in capsys.readouterr().err
+    assert main([*pit, "42"]) == 0
 
 
 def test_pit_rng_deterministic_across_processes():
@@ -159,21 +167,22 @@ def test_suite_and_exports_make_no_bareiss_or_division_call(monkeypatch):
             for fmt in ("json", "latex"):
                 export(what, genus, fmt)
     assert counts == {"det_bareiss": 0, "divexact": 0}
-    # the counters do count and raise: the test-only constant helper divides
-    model = lambda_space.CurveModel(1)
+    # the counters do count and raise
+    ring = lambda_space.CurveModel(1).ring
     with pytest.raises(AssertionError, match="divexact called"):
-        lambda_space.detT_R_constant(
-            model, model.ring.parse("4*l4^3"), model.ring.parse("l4^3"))
+        exactpoly.divexact(ring.parse("4*l4^3"), ring.parse("l4^3"))
     assert counts["divexact"] == 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypatch, mode):
     # Tangency, the relation substitution and the action-matrix factor run
-    # one exact proof in both modes: none evaluates a matrix, calls
-    # fraction_det or builds det T, and the factor's only minor expansions
-    # are its small generator-space minors det A and det J_minor.  The
-    # counters raise, so detT_eq_cR, which needs them, must fail.
+    # one exact proof in both modes: none evaluates a matrix or calls
+    # fraction_det, and the factor's only minor expansions are its small
+    # generator-space minors det A and det J_minor.  Exact detT_eq_cR
+    # proves det T = c*R from the Schur complement of the Bezout matrix: it
+    # expands no determinant and reads no R.  Pit detT_eq_cR samples det T
+    # and det B, so with the counters raising it must fail.
     from hyperlie import exactpoly, genus_fields, lambda_space
 
     calls, minors = [], []
@@ -191,8 +200,10 @@ def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypat
 
     monkeypatch.setattr(suite, "fraction_det", forbidden("fraction_det"))
     monkeypatch.setattr(exactpoly.PolyMatrix, "evaluate", forbidden("PolyMatrix.evaluate"))
-    monkeypatch.setitem(suite._BUILDS, "detT", forbidden("ctx.detT"))
-    for module in (suite, genus_fields, lambda_space):
+    monkeypatch.setitem(suite._BUILDS, "R", forbidden("ctx.R"))
+    assert "detT" not in suite._BUILDS
+    assert not hasattr(suite, "det_minor_expansion")
+    for module in (genus_fields, lambda_space):
         monkeypatch.setattr(module, "det_minor_expansion", counted)
     for g in (1, 2, 3):
         ctx, fns = SuiteContext(g), {eid: fn for eid, _, fn in suite_entries(g)}
@@ -206,9 +217,14 @@ def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypat
             assert all(m.ring == ctx.cat_zero.ring for m in minors)
         assert calls == []
         entry_id = f"g{g}.params.detT_eq_cR"
-        with pytest.raises(AssertionError, match="called"):
-            fns[entry_id](ctx, mode, PitConfig(seed=1), _entry_rng(1, entry_id))
-        assert calls == ["ctx.detT" if mode == "exact" else "PolyMatrix.evaluate"]
+        minors.clear()
+        if mode == "exact":
+            assert fns[entry_id](ctx, mode, PitConfig(seed=1), None) == (True, None)
+            assert calls == [] and minors == []
+        else:
+            with pytest.raises(AssertionError, match="called"):
+                fns[entry_id](ctx, mode, PitConfig(seed=1), _entry_rng(1, entry_id))
+            assert calls == ["PolyMatrix.evaluate"]
         calls.clear()
 
 

@@ -16,9 +16,24 @@ from hyperlie.lambda_space import (
     build_T,
     build_f,
     m_relation_rows,
+    schur_identity,
     t_entry,
 )
 from hyperlie import reference
+from hyperlie.suite import fraction_det
+
+
+# -- division oracles: no runtime code divides; the tests' second algorithm -----
+
+
+def detT_R_constant(det_T, R):
+    """The constant c with det T = c * R; raises if the quotient is not constant."""
+    return divexact(det_T, R).constant_value()
+
+
+def tangency_multipliers(fields, det_T):
+    """Exact multipliers m_k with L_k(det T) = m_k * det T, in field order."""
+    return [divexact(fields[k].apply(det_T), det_T) for k in sorted(fields)]
 
 
 def test_build_f_genus1(models):
@@ -81,8 +96,6 @@ def test_bezout_determinant_is_sylvester_resultant(models, g):
 
 
 def test_bezout_R_genus4_matches_sylvester_at_points():
-    from hyperlie.suite import fraction_det
-
     m = CurveModel(4)
     B = bezout_f(m)
     assert (B.nrows, B.ncols) == (9, 9)
@@ -174,34 +187,49 @@ def test_euler_brackets(lam_fields):
 
 
 def test_detT_is_constant_multiple_of_R(models, lam_fields, discriminants, detTs):
-    from hyperlie.lambda_space import detT_R_constant
-
     for g in (1, 2, 3):
-        c = detT_R_constant(models[g], detTs[g], discriminants[g])
+        c = detT_R_constant(detTs[g], discriminants[g])
         assert c == reference.DETT_R_CONSTANT[g]
         # same weight, weight-0 quotient
         assert detTs[g].weight_check() == discriminants[g].weight_check()
 
 
 def test_tangency_multipliers(models, lam_fields, detTs):
-    from hyperlie.lambda_space import tangency_multipliers
-
     for g in (1, 2, 3):
         expected = [models[g].ring.parse(t)
                     for t in reference.TANGENCY_MULTIPLIERS[g]]
-        got = tangency_multipliers(models[g], lam_fields[g], detTs[g])
+        got = tangency_multipliers(lam_fields[g], detTs[g])
         assert got == expected
 
 
 def test_saito_multipliers_equal_the_division_oracle(models, lam_fields, detTs):
     # div L_k + tr c_k from the parameter-space relations, as params.tangency
     # reads them, against L_k(det T) / det T by exact division
-    from hyperlie.lambda_space import tangency_multipliers
     from hyperlie.suite import SuiteContext, _saito_multipliers
 
     for g in (1, 2, 3):
         derived = _saito_multipliers(SuiteContext(g))
-        assert derived == tangency_multipliers(models[g], lam_fields[g], detTs[g])
+        assert derived == tangency_multipliers(lam_fields[g], detTs[g])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_T_is_a_scaled_schur_complement_of_the_bezout_matrix(g):
+    # n*T = -2*J*S*J entry by entry gives det T = (-4)^g/(2g+1) * R with no
+    # determinant expanded; checked against numeric det T and det B at points
+    m = CurveModel(g)
+    T, B = build_T(m), bezout_f(m)
+    residuals, c = schur_identity(T, B)
+    assert len(residuals) == 4 * g * g
+    assert all(r.is_zero() for r in residuals.values())
+    assert c == Fraction((-4) ** g, 2 * g + 1)
+    if g <= 3:
+        assert c == reference.DETT_R_CONSTANT[g]
+    rng = random.Random(g)
+    for _ in range(3):
+        point = {v.name: rng.randint(-50, 50) for v in m.ring.vars}
+        det_B = fraction_det(B.evaluate(point))
+        assert det_B != 0
+        assert fraction_det(T.evaluate(point)) == c * det_B
 
 
 def test_cross_action_symmetry(models, lam_fields):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from hyperlie import Derivation, Ring, derivation, reference, suite
+from hyperlie import Derivation, PolyMatrix, Ring, derivation, reference, suite
 from hyperlie.classical import symbol_env
 from hyperlie.genus_fields import (_catalog_cached, catalog, parse_coeff, read_relations,
                                    seed_texts)
@@ -366,3 +366,44 @@ def test_missing_parameter_space_relation_fails_tangency(mode):
     assert _decide(suite._tangency, (), ctx, mode, PitConfig(seed=1),
                    suite._entry_rng(1, "g2.params.tangency")) == (
         False, "[L2,L4]: no relation expands this pair")
+
+
+def _plus(matrix, cells, text):
+    """``matrix`` with ``text`` added to each entry of ``cells``."""
+    rows = [list(row) for row in matrix.rows]
+    for i, j in cells:
+        rows[i][j] = rows[i][j] + matrix.ring.parse(text)
+    return PolyMatrix(matrix.ring, rows)
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("build,cells,text,exact_witness", [
+    # T(1,2) has weight 6
+    ("T", [(0, 1)], "l6", r"n\*T\(1,2\) \+ 2\*S\(6,5\): \S"),
+    # a symmetric pair of weight 14
+    ("bezout", [(2, 3), (3, 2)], "l14", r"n\*T\(3,4\) \+ 2\*S\(4,3\): \S"),
+    # the corner 7 made 0
+    ("bezout", [(6, 6)], "-7", r"Bezout corner: not a nonzero constant$"),
+], ids=["T", "bezout-pair", "bezout-corner"])
+def test_perturbed_matrix_entry_fails_detT_eq_cR(monkeypatch, build, cells, text,
+                                                 exact_witness, mode):
+    """Exact mode proves det T = c*R from n*T = -2*J*S*J entry by entry, so a
+    same-weight monomial on one T entry or one symmetric pair of Bezout
+    entries fails an entry residual; pit mode's sampled determinants differ."""
+    original = suite._BUILDS[build]
+    monkeypatch.setitem(suite._BUILDS, build, lambda ctx: _plus(original(ctx), cells, text))
+    entry_id = "g3.params.detT_eq_cR"
+    ok, witness = _decide(suite._dett_eq_cr, (), SuiteContext(3), mode, PitConfig(seed=1),
+                          suite._entry_rng(1, entry_id))
+    pattern = exact_witness if mode == "exact" else r"detT - c\*R at \{.*\} -> -?\d"
+    assert not ok and re.match(pattern, witness), witness
+
+
+@pytest.mark.parametrize("genus,constant,residual", [
+    (2, Fraction(17, 5), "1/5"),  # displayed: 16/5
+    (3, Fraction(-65, 7), "-1/7"),  # displayed: -64/7
+])
+def test_perturbed_constant_fails_detT_eq_cR_exactly(monkeypatch, genus, constant, residual):
+    monkeypatch.setitem(reference.DETT_R_CONSTANT, genus, constant)
+    failures = {e.id: e.residual for e in run_suite(genus, "exact").failures()}
+    assert failures == {f"g{genus}.params.detT_eq_cR": f"detT - c*R: {residual}"}
