@@ -22,11 +22,8 @@ from .exactpoly import (
     RingMismatchError,
     cast,
     det_bareiss,
-    det_cofactor,
     det_minor_expansion,
     divexact,
-    resultant,
-    sylvester_matrix,
 )
 from .derivation import BracketRelation, Derivation, ladder_complete
 
@@ -43,11 +40,8 @@ __all__ = [
     "RingMismatchError",
     "cast",
     "det_bareiss",
-    "det_cofactor",
     "det_minor_expansion",
     "divexact",
     "ladder_complete",
-    "resultant",
-    "sylvester_matrix",
     "__version__",
 ]

@@ -8,6 +8,8 @@ export`` renders the constructed objects as JSON or LaTeX on stdout.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 
@@ -61,6 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  With ``argv`` None, as in ``python -m hyperlie.cli``
+    and the ``hyperlie`` script, the process ends after this call: an atexit
+    ``gc.freeze``, which runs before teardown, spares the exit collections
+    every object made so far.  Callers passing ``argv`` keep their own exit."""
+    if argv is None:
+        atexit.register(gc.freeze)
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
         from .suite import PitConfig

@@ -7,9 +7,9 @@ Leibniz rule, and the commutator of two derivations is again a derivation.
 ``apply``, ``linear_sum`` and ``bracket_sum`` share one fused integer loop,
 ``exactpoly._leibniz``, on the monomial keys of ``Poly.num``.  The argument
 is its integer numerators over its denominator (``Poly.num`` /
-``Poly.den``); the images are put over one common denominator once per
-derivation and memoised in ``_scaled``, since its action is never changed
-after construction.  For each term c*x^m and each variable x_i with
+``Poly.den``); the images are put over one common denominator, each with
+its variable's bit offset, once per derivation and memoised in ``_scaled``,
+since its action is never changed after construction.  For each term c*x^m and each variable x_i with
 e = m_i > 0, c*e times every image term is added straight into one dict of
 Python ints.  ``linear_sum`` adds images and products f * g
 (``exactpoly._mul_into``) into that one dict; ``apply`` is its one-image
@@ -35,7 +35,8 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .exactpoly import (
-    Poly, PolyMap, Ring, RingMismatchError, _int_form, _leibniz, _mul_into, _unscaled,
+    Poly, PolyMap, Ring, RingMismatchError, _WIDTH, _int_form, _leibniz, _mul_into,
+    _unscaled,
 )
 
 
@@ -67,7 +68,8 @@ class Derivation:
         if self._scaled is None:
             D, parts = _int_form(self.action.values())
             ints = dict(zip(self.action, parts))
-            images = [(self.ring.index(v), t) for v, t in ints.items()]
+            shifts = [_WIDTH * self.ring.index(v) for v in ints]
+            images = [(s, 1 << s, t) for s, t in zip(shifts, ints.values())]
             self._scaled = (D, ints, images)
         return self._scaled
 
@@ -76,8 +78,6 @@ class Derivation:
 
     def apply(self, p: Poly) -> Poly:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
-        if p.ring != self.ring:
-            raise RingMismatchError("argument not in the derivation's ring")
         return linear_sum(self.ring, applied=[(self, p)])
 
     def on(self, var) -> Poly:
@@ -165,19 +165,22 @@ def linear_sum(ring: Ring, applied: Sequence = (), products: Sequence = ()) -> P
     """sum L(p) over the (L, p) of ``applied`` plus sum f * g over the (f, g)
     of ``products``, all of ``ring``, in one integer pass that builds no
     intermediate ``Poly`` or ``Fraction``; empty sums give zero."""
-    applied, products = tuple(applied), tuple(products)
-    for pair in (*applied, *products):
-        for x in pair:
-            if x.ring is not ring and x.ring != ring:
-                raise RingMismatchError("linear sum of operands from another ring")
-    scaled = [(L._scaled_action(), p) for L, p in applied]
-    den = lcm(*[D * p.den for (D, _, _), p in scaled],
-              *[f.den * g.den for f, g in products])
-    acc = {}
-    for (D, _, images), p in scaled:
-        _leibniz(acc, p.num, images, den // (D * p.den))
+    leibniz, mul = [], []
+    for L, p in applied:
+        if (L.ring is not ring or p.ring is not ring) and not L.ring == p.ring == ring:
+            raise RingMismatchError("linear sum of operands from another ring")
+        D, _, images = L._scaled_action()
+        leibniz.append((p.num, images, D * p.den))
     for f, g in products:
-        _mul_into(acc, f.num, g.num, den // (f.den * g.den))
+        if (f.ring is not ring or g.ring is not ring) and not f.ring == g.ring == ring:
+            raise RingMismatchError("linear sum of operands from another ring")
+        mul.append((f.num, g.num, f.den * g.den))
+    den = lcm(*[d for *_, d in leibniz], *[d for *_, d in mul])
+    acc = {}
+    for num, images, d in leibniz:
+        _leibniz(acc, num, images, den // d)
+    for a, b, d in mul:
+        _mul_into(acc, a, b, den // d)
     return _unscaled(ring, acc, den)
 
 

@@ -21,15 +21,14 @@ Text reaches a ``Poly`` through ``Ring.parse`` alone: it walks Python's
 from an environment, so displayed data written in auxiliary symbols parse
 straight into the ring they are checked in.
 
-Also provided: polynomial matrices with a fraction-free Bareiss determinant
-and a division-free minor-expansion determinant, exact division, and the
-Sylvester-matrix resultant.
+Also provided: polynomial matrices with a division-free minor-expansion
+determinant, which the runtime uses, and a fraction-free Bareiss determinant
+and exact division, which the tests use as second algorithms.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import operator
 from fractions import Fraction
@@ -556,9 +555,6 @@ class Poly:
             terms.append({"c": str(c), "m": mono})
         return {"terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
-
     @staticmethod
     def from_json_obj(ring: Ring, obj: Mapping) -> "Poly":
         out = {}
@@ -712,14 +708,14 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> dict:
 def _leibniz(acc: dict, terms: Mapping, images, f: int):
     """acc += f * sum_i images_i * d(terms)/dx_i, on monomial keys.
 
-    ``images`` lists (i, image terms) per acted-on x_i.  For each term c*x^m
-    with e = m_i > 0, c*e times every image term is added at the key
-    m - unit_i + k: lowering x_i by one and multiplying by x^k.
+    ``images`` lists (s, unit, image terms) per acted-on x_i, s = _WIDTH * i
+    the offset of x_i's field and unit = 1 << s.  For each term c*x^m with
+    e = m_i > 0, c*e times every image term is added at the key
+    m - unit + k: lowering x_i by one and multiplying by x^k.
     """
     get = acc.get
-    fields = [(_WIDTH * i, 1 << (_WIDTH * i), img) for i, img in images]
     for m, c in terms.items():
-        for s, unit, img in fields:
+        for s, unit, img in images:
             e = (m >> s) & _FIELD
             if e:
                 ce = f * c * e
@@ -839,70 +835,6 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
         prev_level = cur_level
 
     return _unscaled(ring, prev_level.get(full, {}), math.prod(d for d, _ in scaled))
-
-
-def det_cofactor(matrix: PolyMatrix) -> Poly:
-    """Naive recursive cofactor expansion along the first row (oracle use)."""
-    if not matrix.is_square:
-        raise ValueError("determinant requires a square matrix")
-    ring = matrix.ring
-
-    def rec(rows):
-        n = len(rows)
-        if n == 0:
-            return ring.one
-        if n == 1:
-            return rows[0][0]
-        total = ring.zero
-        first = rows[0]
-        rest = rows[1:]
-        for j, a in enumerate(first):
-            if a.is_zero():
-                continue
-            sub = [row[:j] + row[j + 1 :] for row in rest]
-            term = a * rec(sub)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return rec([list(r) for r in matrix.rows])
-
-
-def sylvester_matrix(f: Poly, h: Poly, var) -> PolyMatrix:
-    """The Sylvester matrix of f and h with respect to one variable.
-
-    Rows built from f's coefficients come first; this fixes the sign
-    convention of the resultant.
-    """
-    _same_ring(f, h)
-    if f.is_zero() or h.is_zero():
-        raise ValueError("resultant of zero polynomial")
-    ring = f.ring
-    i = ring.index(var)
-    fc = f.coeffs_in(var)
-    hc = h.coeffs_in(var)
-    m = max(fc)
-    n = max(hc)
-    if m < 1 or n < 1:
-        raise ValueError("both polynomials must have positive degree in var")
-    size = m + n
-    zero = ring.zero
-    rows = []
-    for r in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[r + k] = fc.get(m - k, zero)
-        rows.append(row)
-    for r in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[r + k] = hc.get(n - k, zero)
-        rows.append(row)
-    return PolyMatrix(ring, rows)
-
-
-def resultant(f: Poly, h: Poly, var) -> Poly:
-    """Resultant of f and h with respect to var (Sylvester determinant)."""
-    return det_bareiss(sylvester_matrix(f, h, var))
 
 
 # -- named polynomial maps ----------------------------------------------------

@@ -1,0 +1,73 @@
+"""Second algorithms the tests check the runtime against.
+
+Nothing in the package calls these: the suite computes R from the Bezout
+matrix by minor expansion, so the Sylvester resultant and the naive
+cofactor determinant live here, as independent oracles for the
+determinant routines and for R.
+"""
+
+from hyperlie import PolyMatrix, RingMismatchError, det_bareiss
+
+
+def det_cofactor(matrix: PolyMatrix):
+    """Naive recursive cofactor expansion along the first row."""
+    if not matrix.is_square:
+        raise ValueError("determinant requires a square matrix")
+    ring = matrix.ring
+
+    def rec(rows):
+        n = len(rows)
+        if n == 0:
+            return ring.one
+        if n == 1:
+            return rows[0][0]
+        total = ring.zero
+        first = rows[0]
+        rest = rows[1:]
+        for j, a in enumerate(first):
+            if a.is_zero():
+                continue
+            sub = [row[:j] + row[j + 1 :] for row in rest]
+            term = a * rec(sub)
+            total = total + term if j % 2 == 0 else total - term
+        return total
+
+    return rec([list(r) for r in matrix.rows])
+
+
+def sylvester_matrix(f, h, var) -> PolyMatrix:
+    """The Sylvester matrix of f and h with respect to one variable.
+
+    Rows built from f's coefficients come first; this fixes the sign
+    convention of the resultant.
+    """
+    if f.ring != h.ring:
+        raise RingMismatchError("polynomials belong to different rings")
+    if f.is_zero() or h.is_zero():
+        raise ValueError("resultant of zero polynomial")
+    ring = f.ring
+    fc = f.coeffs_in(var)
+    hc = h.coeffs_in(var)
+    m = max(fc)
+    n = max(hc)
+    if m < 1 or n < 1:
+        raise ValueError("both polynomials must have positive degree in var")
+    size = m + n
+    zero = ring.zero
+    rows = []
+    for r in range(n):
+        row = [zero] * size
+        for k in range(m + 1):
+            row[r + k] = fc.get(m - k, zero)
+        rows.append(row)
+    for r in range(m):
+        row = [zero] * size
+        for k in range(n + 1):
+            row[r + k] = hc.get(n - k, zero)
+        rows.append(row)
+    return PolyMatrix(ring, rows)
+
+
+def resultant(f, h, var):
+    """Resultant of f and h with respect to var (Sylvester determinant)."""
+    return det_bareiss(sylvester_matrix(f, h, var))

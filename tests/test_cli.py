@@ -463,6 +463,23 @@ def test_cli_bad_pit_bound_exits_2(capsys):
     assert code == 2
 
 
+def test_console_script_exits_through_the_freeze():
+    # the ``hyperlie`` script calls sys.exit(main()) in a fresh interpreter;
+    # a handler registered before main runs after its atexit gc.freeze
+    argv = ["export", "--what", "brackets", "--genus", "2", "--format", "latex"]
+    src = str(Path(hyperlie.__file__).resolve().parent.parent)
+    script = (
+        f"import atexit, gc, sys; sys.path.insert(0, {src!r})\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from hyperlie.cli import main\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "sys.exit(main())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    want = export("brackets", 2, "latex").encode()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"True\n")
+
+
 def test_cli_export_map_latex(capsys):
     code = main(["export", "--what", "map", "--genus", "2", "--format", "latex"])
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlie import Ring, cast, det_minor_expansion, divexact, sylvester_matrix
+from hyperlie import Ring, cast, det_minor_expansion, divexact
 from hyperlie.lambda_space import (
     CurveModel,
     bezout_f,
@@ -21,6 +21,8 @@ from hyperlie.lambda_space import (
 )
 from hyperlie import reference
 from hyperlie.suite import fraction_det
+
+from oracles import sylvester_matrix
 
 
 # -- division oracles: no runtime code divides; the tests' second algorithm -----
