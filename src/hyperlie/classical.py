@@ -86,7 +86,7 @@ def compare_tables(cat: FieldCatalog, classical_rows, table=()) -> dict:
     decided = {(rel.left.name, rel.right.name): (rel, res) for rel, res in table
                if cat.fields.get(rel.left.name) is rel.left}  # this catalog's rows
     mismatches = {}
-    for rel in read_relations(cat, classical_rows, symbol_env(cat, classical_rows)):
+    for rel in read_relations(cat.fields, classical_rows, symbol_env(cat, classical_rows)):
         shown, residual = decided.get((rel.left.name, rel.right.name), (None, None))
         if shown is None:
             residual = rel.residual()

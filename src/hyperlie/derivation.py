@@ -22,7 +22,8 @@ accumulates both halves X(Y(v)) - Y(X(v)) of every bracket term and every
 product c * Z(v).  No intermediate bracket, product, sum or ``Fraction`` is
 built.  ``Derivation.bracket`` is its one-bracket case, ``combination`` its
 linear-only case, and ``BracketRelation.residual`` the relation
-[X, Y] - sum c_k * Z_k.
+[X, Y] - sum c_k * Z_k.  A derivation's ``+``, ``-``, negation and
+``scale`` are each one ``combination``.
 
 ``ladder_complete`` reconstructs a field from its values on a set of seed
 variables plus a prescribed commutator with a partner field, walking a chain
@@ -96,28 +97,19 @@ class Derivation:
     # -- module structure --------------------------------------------------
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        if self.ring != other.ring:
-            raise RingMismatchError("sum of derivations on different rings")
-        action = {}
-        for vname in set(self.action) | set(other.action):
-            q = self.on(vname) + other.on(vname)
-            if not q.is_zero():
-                action[vname] = q
-        return Derivation(f"({self.name}+{other.name})", self.ring, action)
+        return combination([(1, self), (1, other)], self.ring,
+                           f"({self.name}+{other.name})")
 
     def __sub__(self, other: "Derivation") -> "Derivation":
-        return self + (-other)
+        return combination([(1, self), (-1, other)], self.ring,
+                           f"({self.name}+(-1)*{other.name})")
 
     def __neg__(self) -> "Derivation":
-        action = {v: -p for v, p in self.action.items()}
-        return Derivation(f"(-1)*{self.name}", self.ring, action)
+        return combination([(-1, self)], self.ring, f"(-1)*{self.name}")
 
     def scale(self, c) -> "Derivation":
         """Multiply by a polynomial (or rational) coefficient."""
-        if not isinstance(c, Poly):
-            c = self.ring.const(c)
-        action = {v: c * p for v, p in self.action.items()}
-        return Derivation(f"({c})*{self.name}", self.ring, action)
+        return combination([(c, self)], self.ring, f"({c})*{self.name}")
 
     def is_zero(self) -> bool:
         return not self.action

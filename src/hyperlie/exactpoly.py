@@ -23,7 +23,9 @@ straight into the ring they are checked in.
 
 Also provided: polynomial matrices with a division-free minor-expansion
 determinant, which the runtime uses, and a fraction-free Bareiss determinant
-and exact division, which the tests use as second algorithms.
+and exact division, which the tests use as second algorithms.  Numeric
+matrices have one exact eliminator, ``row_reduce`` (Gauss-Jordan over Q):
+the sampled determinants and the genus-2 normalization solve both call it.
 """
 
 from __future__ import annotations
@@ -802,7 +804,6 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
         row_sign = 1 if (r - 1) % 2 == 0 else -1
         for mask in masks_by_count[r]:
             acc: dict[int, int] = {}
-            get = acc.get
             sign = row_sign
             last_use = 1 << (full ^ mask).bit_length()
             rem = mask
@@ -816,18 +817,7 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
                 else:
                     sub = get_minor(mask ^ bit) if e else None
                 if e and sub:
-                    if sign > 0:
-                        for me, ce in e.items():
-                            for ms, cs in sub.items():
-                                k = me + ms
-                                v = get(k)
-                                acc[k] = ce * cs if v is None else v + ce * cs
-                    else:
-                        for me, ce in e.items():
-                            for ms, cs in sub.items():
-                                k = me + ms
-                                v = get(k)
-                                acc[k] = -ce * cs if v is None else v - ce * cs
+                    _mul_into(acc, e, sub, sign)
                 sign = -sign
             minor = {k: v for k, v in acc.items() if v}
             if minor:
@@ -835,6 +825,40 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
         prev_level = cur_level
 
     return _unscaled(ring, prev_level.get(full, {}), math.prod(d for d, _ in scaled))
+
+
+def row_reduce(
+    rows: Sequence[Sequence], ncols: int
+) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan elimination over Q of the first ``ncols`` columns of a
+    matrix of ints and Fractions; the exact eliminator for every numeric
+    determinant and linear solve.
+
+    Returns (reduced, pivots, det).  Row r < len(pivots) of ``reduced`` has
+    its leading 1 in column pivots[r], the only nonzero entry of that
+    column; every later row is zero in the first ``ncols`` columns.  ``det``
+    is the product of the pivots, negated for each row swap: the
+    determinant of a square matrix whose every column has a pivot.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots, det = [], Fraction(1)
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        if piv != top:
+            mat[top], mat[piv] = mat[piv], mat[top]
+            det = -det
+        p = mat[top][col]
+        det *= p
+        mat[top] = prow = [v / p for v in mat[top]]
+        for r, row in enumerate(mat):
+            if r != top and row[col]:
+                f = row[col]
+                mat[r] = [v - f * w for v, w in zip(row, prow)]
+        pivots.append(col)
+    return mat, pivots, det
 
 
 # -- named polynomial maps ----------------------------------------------------
@@ -867,11 +891,3 @@ class PolyMap:
         if p.ring != self.target:
             raise RingMismatchError("pullback argument not in target ring")
         return p.substitute(self.components, target=self.source)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "components": [
-                {"var": v, "poly": p.to_json_obj()} for v, p in self.components.items()
-            ],
-        }

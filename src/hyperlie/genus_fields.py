@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import reference
 from .derivation import (BracketRelation, Derivation, combination, ladder_complete,
                          linear_sum)
-from .exactpoly import Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion
+from .exactpoly import Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion, row_reduce
 from .lambda_space import CurveModel, build_T
 from .param_map import PARAM_NAMES, JacobiMap, RelVars, build_p, jacobi_map, x_name
 
@@ -132,15 +132,17 @@ def parse_coeff(cat: FieldCatalog, text: str) -> Poly:
     return cat.ring.parse(text, coeff_env(cat))
 
 
-def read_relations(cat: FieldCatalog, rows, env=None) -> list[BracketRelation]:
+def read_relations(
+    fields: dict[str, Derivation], rows, env: dict
+) -> list[BracketRelation]:
     """Displayed rows ``(left, right, {field: text})`` as the identities
-    [left, right] = sum of text * field of the catalog's fields.  Every
-    text is read by ``cat.ring.parse(text, env)``, ``env`` defaulting to
-    ``coeff_env(cat)``; the expansion is in field-name order."""
-    env = coeff_env(cat) if env is None else env
+    [left, right] = sum of text * field of ``fields``, a name -> field
+    mapping on one ring: a catalog's fields on generator space, or the
+    parameter-space fields.  Every text is read by that ring's
+    ``parse(text, env)``; the expansion is in field-name order."""
     return [
-        BracketRelation(cat.fields[left], cat.fields[right], [
-            (cat.ring.parse(text, env), cat.fields[f])
+        BracketRelation(fields[left], fields[right], [
+            (fields[left].ring.parse(text, env), fields[f])
             for f, text in sorted(coeffs.items())
         ])
         for left, right, coeffs in rows
@@ -275,27 +277,18 @@ def specialize_params(cat: FieldCatalog, values: dict) -> FieldCatalog:
 # -- bracket tables -------------------------------------------------------------
 
 
-def euler_relations(cat: FieldCatalog) -> list[BracketRelation]:
-    """[L0, Lk] = k Lk for every catalog member."""
-    rows = []
-    for name in cat.names:
-        if name == "L0":
-            continue
-        k = int(name[1:])
-        rows.append(
-            BracketRelation(
-                cat.fields["L0"],
-                cat.fields[name],
-                [(cat.ring.const(k), cat.fields[name])],
-                label=f"[L0,{name}]",
-            )
-        )
-    return rows
+def euler_relations(fields: dict[str, Derivation]) -> list[BracketRelation]:
+    """[L0, Lk] = k Lk for every Lk of the name -> field mapping ``fields``
+    but L0, in weight order, on either space."""
+    L0 = fields["L0"]
+    return [BracketRelation(L0, fields[f"L{k}"], [(L0.ring.const(k), fields[f"L{k}"])],
+                            label=f"[L0,L{k}]")
+            for k in sorted(int(name[1:]) for name in fields if name != "L0")]
 
 
 def table_relations(cat: FieldCatalog) -> list[BracketRelation]:
     """Every displayed commutator identity for the catalog's genus."""
-    return read_relations(cat, reference.BRACKET_TABLE[cat.genus])
+    return read_relations(cat.fields, reference.BRACKET_TABLE[cat.genus], coeff_env(cat))
 
 
 # -- action matrix and determinant factor ---------------------------------------
@@ -392,74 +385,33 @@ class NormalizationError(ValueError):
     pass
 
 
-def _solve_unique_linear(rows: list[list[Fraction]], n: int) -> list[Fraction]:
-    """Solve an overdetermined exact linear system with a unique solution.
-
-    Rows are [a_1 .. a_n | b] encoding a.x = b.  Raises NormalizationError if
-    the system is inconsistent or underdetermined.
-    """
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    row_at = 0
-    for col in range(n):
-        piv = None
-        for r in range(row_at, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row_at], mat[piv] = mat[piv], mat[row_at]
-        pr = mat[row_at]
-        inv = 1 / pr[col]
-        mat[row_at] = [v * inv for v in pr]
-        for r in range(len(mat)):
-            if r != row_at and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row_at])]
-        pivots.append(col)
-        row_at += 1
-    for r in range(row_at, len(mat)):
-        if mat[r][n] != 0:
-            raise NormalizationError("inconsistent normalization conditions")
-    if len(pivots) != n:
-        raise NormalizationError("normalization solution is not unique")
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = mat[r][n]
-    return sol
-
-
 def solve_genus2_normalization(cat: FieldCatalog) -> dict[str, Fraction]:
     """Find the parameter values forcing the depth-1 commutators into the
-    prescribed lower-triangular form; the solution is unique."""
+    prescribed lower-triangular form; the solution is unique.
+
+    Every residual component r is linear in the parameters p, so
+    r = r|_{p=0} + sum_p p * dr/dp, and each monomial m of the other
+    variables gives one equation sum_p (dr/dp)[m] * p = -r|_{p=0}[m]."""
     if cat.genus != 2:
         raise ValueError("normalization is a genus-2 computation")
-    ring = cat.ring
-    pidx = [ring.index(p) for p in PARAM_NAMES]
+    n = len(PARAM_NAMES)
     rows = []
-    for rel in read_relations(cat, reference.G2_NORMALIZATION):
-        for vname, poly in rel.residual().action.items():
-            equations: dict[tuple, list[Fraction]] = {}
-            for m, c in poly.terms.items():
-                pexp = [m[i] for i in pidx]
-                deg = sum(pexp)
-                base = list(m)
-                for i in pidx:
-                    base[i] = 0
-                base = tuple(base)
-                row = equations.setdefault(
-                    base, [Fraction(0)] * (len(PARAM_NAMES) + 1)
+    for rel in read_relations(cat.fields, reference.G2_NORMALIZATION, coeff_env(cat)):
+        for poly in rel.residual().action.values():
+            parts = [poly.partial(p) for p in PARAM_NAMES]
+            if any(q.variables_used() & set(PARAM_NAMES) for q in parts):
+                raise NormalizationError(
+                    "normalization residual is nonlinear in the parameters"
                 )
-                if deg == 0:
-                    row[-1] -= c  # move constant to the right-hand side
-                elif deg == 1:
-                    which = next(i for i, e in enumerate(pexp) if e)
-                    row[which] += c
-                else:
-                    raise NormalizationError(
-                        "normalization residual is nonlinear in the parameters"
-                    )
+            const = poly.substitute(dict.fromkeys(PARAM_NAMES, 0))
+            equations: dict[tuple, list] = {}
+            for i, q in enumerate([*parts, -const]):
+                for m, c in q.terms.items():
+                    equations.setdefault(m, [0] * (n + 1))[i] = c
             rows.extend(equations.values())
-    sol = _solve_unique_linear(rows, len(PARAM_NAMES))
-    return dict(zip(PARAM_NAMES, sol))
+    reduced, pivots, _ = row_reduce(rows, n)
+    if any(row[n] for row in reduced[len(pivots):]):
+        raise NormalizationError("inconsistent normalization conditions")
+    if len(pivots) != n:
+        raise NormalizationError("normalization solution is not unique")
+    return dict(zip(PARAM_NAMES, (row[n] for row in reduced)))

@@ -21,13 +21,7 @@ class ReportEntry(NamedTuple):
     wall_time: float = 0.0
 
     def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "residual": self.residual,
-            "wall_time": self.wall_time,
-        }
+        return self._asdict()
 
 
 class VerificationReport:

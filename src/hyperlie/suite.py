@@ -41,9 +41,8 @@ from typing import NamedTuple
 
 from . import reference
 from .classical import compare_tables
-from .derivation import (BracketRelation, Derivation, bracket_sum, linear_sum,
-                         verify_pushforward)
-from .exactpoly import Poly
+from .derivation import Derivation, bracket_sum, linear_sum, verify_pushforward
+from .exactpoly import Poly, row_reduce
 from .genus_fields import (
     build_by_ladder,
     build_Tcal,
@@ -53,6 +52,7 @@ from .genus_fields import (
     field_names,
     parse_coeff,
     pullback_T,
+    read_relations,
     seed_texts,
     solve_genus2_normalization,
     table_relations,
@@ -135,24 +135,9 @@ def _points(ring, pit: PitConfig, rng):
 
 
 def fraction_det(rows) -> Fraction:
-    """Exact determinant of a numeric matrix by Gaussian elimination."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if mat[r][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            det = -det
-        det *= mat[k][k]
-        inv = 1 / mat[k][k]
-        for r in range(k + 1, n):
-            if mat[r][k] != 0:
-                f = mat[r][k] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[k])]
-    return det
+    """Exact determinant of a square numeric matrix by ``row_reduce``."""
+    _, pivots, det = row_reduce(rows, len(rows))
+    return det if len(pivots) == len(rows) else Fraction(0)
 
 
 # -- suite context --------------------------------------------------------------
@@ -197,15 +182,13 @@ def _expansions(ctx):
 def _lam_rels(ctx):
     """{(a, b): [La, Lb] = sum_k c_ab^k Lk} on parameter space: the Euler
     rows and the even-field part of every displayed row with a and b even,
-    whose coefficients are written in l-symbols."""
-    L, ring = ctx.lam_fields, ctx.model.ring
-    rels = {(0, k): BracketRelation(L[0], L[k], [(k, L[k])]) for k in L if k}
-    for left, right, coeffs in reference.BRACKET_TABLE[ctx.genus]:
-        a, b = int(left[1:]), int(right[1:])
-        if a % 2 == b % 2 == 0:
-            rels[a, b] = BracketRelation(L[a], L[b], [(ring.parse(coeffs[f"L{k}"]), L[k])
-                                                      for k in L if f"L{k}" in coeffs])
-    return rels
+    whose coefficients are written in l-symbols, read by ``read_relations``."""
+    fields = {f"L{k}": L for k, L in ctx.lam_fields.items()}
+    even = [(a, b, {f: text for f, text in coeffs.items() if f in fields})
+            for a, b, coeffs in reference.BRACKET_TABLE[ctx.genus]
+            if a in fields and b in fields]
+    rels = euler_relations(fields) + read_relations(fields, even, {})
+    return {(rel.left.weight, rel.right.weight): rel for rel in rels}
 
 
 _BUILDS = {
@@ -228,7 +211,7 @@ _BUILDS = {
         for a, b in combinations(ctx.cat.names, 2)
     },
     "table_rels": lambda ctx: {r.label: r for r in table_relations(ctx.cat)},
-    "euler_rels": lambda ctx: {r.label: r for r in euler_relations(ctx.cat)},
+    "euler_rels": lambda ctx: {r.label: r for r in euler_relations(ctx.cat.fields)},
     "table_res": lambda ctx: {k: r.residual() for k, r in ctx.table_rels.items()},
     "euler_res": lambda ctx: {k: r.residual() for k, r in ctx.euler_rels.items()},
     "expansions": _expansions,

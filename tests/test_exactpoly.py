@@ -18,6 +18,8 @@ from hyperlie import (
     divexact,
 )
 
+from hyperlie.exactpoly import row_reduce
+from hyperlie.suite import fraction_det
 from oracles import det_cofactor, resultant, sylvester_matrix
 
 
@@ -250,6 +252,41 @@ def test_determinant_methods_agree_small():
             d = det_cofactor(m)
             assert det_bareiss(m) == d
             assert det_minor_expansion(m) == d
+
+
+def test_row_reduce_agrees_with_minor_expansion_and_solves():
+    """``fraction_det``, one ``row_reduce``, against the division-free minor
+    expansion of the same constants, on singular matrices and with a zero
+    leading pivot among them; each nonsingular A also solves A.x = b."""
+    ring = Ring([("a", 1)])
+    rng = random.Random(23)
+    seen = {"singular": 0, "swap": 0}
+    for n in range(1, 6):
+        for _ in range(12):
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            variants = [A]
+            if n > 1:
+                variants += [
+                    [[0, *A[0][1:]], *A[1:]],  # no leading pivot: a row swap
+                    [*A[:-1], [x + y for x, y in zip(A[0], A[1])]],  # singular
+                    [[0, *row[1:]] for row in A],  # a zero column
+                ]
+            for M in variants:
+                want = det_minor_expansion(
+                    PolyMatrix(ring, [[ring.const(x) for x in row] for row in M])
+                ).constant_value()
+                assert fraction_det(M) == want, M
+                b = [rng.randint(-5, 5) for _ in range(n)]
+                reduced, pivots, det = row_reduce([[*row, y] for row, y in zip(M, b)], n)
+                if want == 0:
+                    seen["singular"] += 1
+                    assert len(pivots) < n
+                    continue
+                seen["swap"] += M[0][0] == 0
+                assert pivots == list(range(n)) and det == want
+                x = [row[n] for row in reduced]
+                assert [sum(a * v for a, v in zip(row, x)) for row in M] == b, M
+    assert seen["singular"] >= 50 and seen["swap"] >= 20, seen
 
 
 def test_divexact():

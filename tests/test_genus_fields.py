@@ -8,6 +8,7 @@ from hyperlie.classical import compare_tables, symbol_env, symbol_image
 from hyperlie.derivation import Derivation, verify_pushforward
 from hyperlie.exactpoly import PolyMatrix
 from hyperlie.genus_fields import (
+    NormalizationError,
     block_sign,
     build_Tcal,
     build_by_ladder,
@@ -166,7 +167,7 @@ def test_fields_homogeneous(catalogs):
 
 def test_euler_rows_all_genera(catalogs):
     for cat in catalogs.values():
-        for rel in euler_relations(cat):
+        for rel in euler_relations(cat.fields):
             residual = rel.residual()
             assert residual.is_zero(), (cat.genus, rel.label)
 
@@ -283,6 +284,38 @@ def test_normalization_solution_is_zero(catalogs):
     assert sol == {"alpha": 0, "beta": 0, "gamma1": 0, "gamma2": 0}
 
 
+_NORMALIZATION = reference.G2_NORMALIZATION
+
+
+@pytest.mark.parametrize("rows, want", [
+    (_NORMALIZATION[::-1], {"alpha": 0, "beta": 0, "gamma1": 0, "gamma2": 0}),
+    # [L1,L4] = (y4 + alpha*x4)*L1 + x2*L3 on the symbolic catalog
+    ([*_NORMALIZATION[:2], ("L1", "L4", {"L1": "y4 + x4", "L3": "x2"}), _NORMALIZATION[3]],
+     {"alpha": 1, "beta": 0, "gamma1": 0, "gamma2": 0}),
+])
+def test_normalization_solves_any_row_order_and_right_side(monkeypatch, catalogs,
+                                                            rows, want):
+    monkeypatch.setattr(reference, "G2_NORMALIZATION", rows)
+    assert solve_genus2_normalization(catalogs[2]) == want
+
+
+@pytest.mark.parametrize("rows, message", [
+    # without the [L1,L6] row nothing pins beta, gamma1 or gamma2
+    (_NORMALIZATION[:3], "normalization solution is not unique"),
+    # a second [L1,L4] row forcing alpha = 1 against the displayed alpha = 0
+    ([*_NORMALIZATION, ("L1", "L4", {"L1": "y4 + x4", "L3": "x2"})],
+     "inconsistent normalization conditions"),
+    # the symbolic L4 adds alpha*x3*L1, so a coefficient alpha makes alpha^2 terms
+    ([*_NORMALIZATION, ("L1", "L4", {"L1": "y4", "L3": "x2", "L4": "alpha"})],
+     "normalization residual is nonlinear in the parameters"),
+])
+def test_normalization_failure_paths(monkeypatch, catalogs, rows, message):
+    monkeypatch.setattr(reference, "G2_NORMALIZATION", rows)
+    with pytest.raises(NormalizationError) as info:
+        solve_genus2_normalization(catalogs[2])
+    assert str(info.value) == message
+
+
 def test_normalized_bracket_row(catalogs_zero):
     # with the solution applied, the weight-(2,4) bracket takes the
     # parameter-free displayed form
@@ -300,19 +333,26 @@ def test_normalization_negative_control(catalogs):
 
 def test_every_displayed_table_is_read_through_read_relations(monkeypatch):
     from hyperlie import classical, genus_fields
+    from hyperlie.lambda_space import CurveModel
 
     original, seen = genus_fields.read_relations, []
 
-    def spy(cat, rows, env=None):
-        seen.append(rows)
-        return original(cat, rows, env)
+    def spy(fields, rows, env):
+        seen.append((next(iter(fields.values())).ring, rows))
+        return original(fields, rows, env)
 
-    for module in (genus_fields, classical):
+    for module in (genus_fields, classical, suite):
         monkeypatch.setattr(module, "read_relations", spy)
     assert suite.run_suite(2).passed
+    x_ring = genus_fields.catalog(2).ring
     for rows in (reference.BRACKET_TABLE[2], reference.CLASSICAL_TABLE[2],
                  reference.G2_NORMALIZATION):
-        assert any(r is rows for r in seen)
+        assert any(r is rows and ring == x_ring for ring, r in seen)
+    # Saito's tangency reads the even part of the same table on parameter space
+    evens = {f"L{k}" for k in range(0, 7, 2)}
+    even_part = [(a, b, {f: text for f, text in coeffs.items() if f in evens})
+                 for a, b, coeffs in reference.BRACKET_TABLE[2] if a in evens and b in evens]
+    assert even_part and (CurveModel(2).ring, even_part) in seen
 
 
 # -- classical translation ----------------------------------------------------------------
@@ -341,7 +381,7 @@ def test_classical_tables_translate_onto_computed(catalogs, catalogs_zero, g):
 def test_classical_row_read_in_symbol_env(catalogs):
     cat = catalogs[3]
     rows = [("L3", "L2", {"L1": "P1_3 - l4", "L5": "-3"})]
-    (rel,) = read_relations(cat, rows, symbol_env(cat, rows))
+    (rel,) = read_relations(cat.fields, rows, symbol_env(cat, rows))
     coeffs = {Z.name: c for c, Z in rel.expansion}
     assert coeffs["L1"] == cat.ring.var("y4") - cat.jm.lambda_exprs[4]
     assert coeffs["L5"] == cat.ring.const(-3)

@@ -318,7 +318,7 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
     row = next(r for r in reference.CLASSICAL_TABLE[genus] if r[:2] == pair)
     monkeypatch.setitem(row[2], field, text)
     rows = reference.CLASSICAL_TABLE[genus]
-    (rel,) = read_relations(ctx.cat, [row], symbol_env(ctx.cat, rows))
+    (rel,) = read_relations(ctx.cat.fields, [row], symbol_env(ctx.cat, rows))
     v, diff = min(rel.residual().action.items())
     want = f"[{pair[0]},{pair[1]}] on {v}: {diff.to_text()}"
     calls.clear()
