@@ -468,9 +468,6 @@ class Poly:
         """True when every term has the given weight (zero poly passes)."""
         return all(self.ring.key_weight(m) == weight for m in self.num)
 
-    def max_total_degree(self) -> int:
-        return max((sum(self.ring.unpack(m)) for m in self.num), default=0)
-
     def degree_in(self, var) -> int:
         s = _WIDTH * self.ring.index(var)
         return max(((m >> s) & _FIELD for m in self.num), default=0)
@@ -556,16 +553,6 @@ class Poly:
             }
             terms.append({"c": str(c), "m": mono})
         return {"terms": terms}
-
-    @staticmethod
-    def from_json_obj(ring: Ring, obj: Mapping) -> "Poly":
-        out = {}
-        for t in obj["terms"]:
-            exps = [0] * len(ring.vars)
-            for name, e in t["m"].items():
-                exps[ring.index(name)] = int(e)
-            out[tuple(exps)] = Fraction(t["c"])
-        return Poly(ring, out)
 
 
 def cast(p: Poly, target: Ring) -> Poly:

@@ -142,7 +142,7 @@ def _export_fields(genus: int, fmt: str) -> str:
                 continue
             coeff = d.on(v.name)
             body = latex_poly(coeff)
-            if len(coeff.terms) > 1 or body.startswith("-"):
+            if len(coeff.num) > 1 or body.startswith("-"):
                 body = rf"\left({body}\right)"
             parts.append(rf"{body}\,\partial_{{{latex_var(v.name)}}}")
         lines.append(rf"{_field_latex_name(n)} &= " + " + ".join(parts) + r", \\")

@@ -9,6 +9,12 @@ action grids, whose other entries are checks.  Parameter symbols
 l4, l6, ... appearing in displayed actions are always replaced by their
 expressions in x, so every field is a genuine derivation of the x-ring.
 
+Building judges no data: the elimination, the seeds and the auxiliary
+definitions are taken as displayed, and each identity they must satisfy
+is a suite entry (``map.relations_vanish``, ``fields.table``,
+``fields.aux_match``), so a wrong datum fails a named entry with its
+residual.
+
 The genus-2 catalog carries four weight-0 parameters; brackets and
 projectability hold identically in them, and a linear solve pins the
 normalised member of the family.
@@ -153,32 +159,19 @@ def read_relations(
 
 
 def build_aux(genus: int, ring: Ring, w_exprs, fields) -> dict[str, Poly]:
-    """Auxiliary polynomials from their defining field applications.
-
-    Every alternate definition listed for a symbol must agree; disagreement
-    signals a construction bug and raises immediately.
-    """
+    """Auxiliary polynomials: w6, w8, w10 from the elimination, every other
+    symbol from the first of its defining field applications in
+    ``reference.AUX_DEFS``.  Whether the other definitions agree is decided
+    by the suite, not here."""
     if genus == 1:
         return {}
-    aux: dict[str, Poly] = {}
-    aux["w6"] = w_exprs[(3, 3)]
+    aux = {"w6": w_exprs[(3, 3)]}
     if genus == 3:
-        aux["w8"] = w_exprs[(3, 5)]
-        aux["w10"] = w_exprs[(5, 5)]
-
-    def arg(token: str) -> Poly:
-        return aux[token] if token in aux else ring.var(token)
-
+        aux.update(w8=w_exprs[(3, 5)], w10=w_exprs[(5, 5)])
     for name, fname, argname in reference.AUX_DEFS[genus]:
-        val = fields[fname].apply(arg(argname))
-        if name in aux:
-            if aux[name] != val:
-                raise AssertionError(
-                    f"alternate definitions of {name} disagree: "
-                    f"{fname}({argname}) differs"
-                )
-        else:
-            aux[name] = val
+        if name not in aux:
+            arg = aux[argname] if argname in aux else ring.var(argname)
+            aux[name] = fields[fname].apply(arg)
     return aux
 
 

@@ -322,10 +322,6 @@ def build_p(jm: JacobiMap) -> PolyMap:
 
 
 def jacobi_map(genus: int) -> JacobiMap:
-    """Generate, eliminate and check in one step."""
-    rels = generate_relations(genus)
-    jm = eliminate(rels)
-    bad = verify_relations_vanish(rels, jm)
-    if bad:
-        raise AssertionError(f"relation system inconsistent: {sorted(bad)}")
-    return jm
+    """Generate the relations and eliminate them; whether the result solves
+    them is decided by ``verify_relations_vanish``."""
+    return eliminate(generate_relations(genus))

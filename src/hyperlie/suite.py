@@ -450,7 +450,8 @@ def _euler_rows(ctx, mode, pit, rng):
 
 @_claim("fields.displayed_actions", "field actions match every displayed coefficient")
 def _displayed_actions(ctx, mode, pit, rng):
-    """Every displayed action but the seeds, which the ladder build decides."""
+    """Every displayed action but the seeds, which the ladder takes as given
+    and the ``fields.table`` rows [L1, Lk] decide."""
     cat, seeds = ctx.cat_zero, seed_texts(ctx.genus)
     for name, actions in reference.FIELD_ACTIONS[ctx.genus].items():
         for v, text in actions.items():
@@ -484,8 +485,15 @@ def _even_ladder_agrees(ctx, mode, pit, rng):
 @_claim("fields.aux_match", "auxiliary polynomials equal their displayed forms",
         genera=(2, 3))
 def _aux_match(ctx, mode, pit, rng):
-    for name, text in reference.AUX[ctx.genus].items():
-        yield name, ctx.cat.aux[name] - parse_coeff(ctx.cat, text)
+    """w6, w8, w10 from the elimination, then each defining field
+    application of ``reference.AUX_DEFS``, against its displayed form."""
+    cat, shown = ctx.cat, reference.AUX[ctx.genus]
+    for name in ("w6", "w8", "w10"):
+        if name in shown:
+            yield name, cat.aux[name] - parse_coeff(cat, shown[name])
+    for name, fname, arg in reference.AUX_DEFS[ctx.genus]:
+        yield (f"{fname}({arg}) - {name}",
+               cat.fields[fname].apply(parse_coeff(cat, arg)) - parse_coeff(cat, shown[name]))
 
 
 def _pushforward(label, up, pmap, down):

@@ -3,10 +3,24 @@
 Nothing in the package calls these: the suite computes R from the Bezout
 matrix by minor expansion, so the Sylvester resultant and the naive
 cofactor determinant live here, as independent oracles for the
-determinant routines and for R.
+determinant routines and for R.  The package only writes the JSON form of
+a polynomial, so its reader lives here too, for the round-trip test.
 """
 
-from hyperlie import PolyMatrix, RingMismatchError, det_bareiss
+from fractions import Fraction
+
+from hyperlie import Poly, PolyMatrix, RingMismatchError, det_bareiss
+
+
+def poly_from_json_obj(ring, obj) -> Poly:
+    """The polynomial of ring whose ``Poly.to_json_obj`` form is obj."""
+    out = {}
+    for t in obj["terms"]:
+        exps = [0] * len(ring.vars)
+        for name, e in t["m"].items():
+            exps[ring.index(name)] = int(e)
+        out[tuple(exps)] = Fraction(t["c"])
+    return Poly(ring, out)
 
 
 def det_cofactor(matrix: PolyMatrix):

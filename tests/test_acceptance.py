@@ -90,7 +90,7 @@ def test_criterion_04_structure_matrix_relation():
         assert len(rows) == 10
         for rel in rows:
             residual = rel.residual()
-            assert residual.is_zero(), (rel.label, residual.to_json_obj())
+            assert residual.is_zero(), (rel.label, residual.action)
     _report(4, t, 10)
 
 
@@ -157,7 +157,7 @@ def test_criterion_09_full_commutator_tables():
             cat = catalog(g)  # genus-2 exact in the four parameters
             for rel in table_relations(cat):
                 residual = rel.residual()
-                assert residual.is_zero(), (g, rel.label, residual.to_json_obj())
+                assert residual.is_zero(), (g, rel.label, residual.action)
     _report(9, t, 300)
 
 
@@ -196,6 +196,9 @@ def test_criterion_11_property_suites():
         ring = Ring([("a", 1), ("b", 2), ("c", 3)])
         rng = random.Random(42)
 
+        def degree(p):
+            return max((sum(m) for m in p.terms), default=0)
+
         def rand_poly():
             return Poly(ring, {
                 tuple(rng.randint(0, 2) for _ in ring.vars):
@@ -207,9 +210,7 @@ def test_criterion_11_property_suites():
             d = Derivation("D", ring, {v.name: rand_poly() for v in ring.vars})
             p, q = rand_poly(), rand_poly()
             assert d.apply(p * q) == d.apply(p) * q + p * d.apply(q)
-            assert (p * q).max_total_degree() <= (
-                p.max_total_degree() + q.max_total_degree()
-            )
+            assert degree(p * q) <= degree(p) + degree(q)
         # pit mode agrees with exact mode on every suite entry
         for g in (1, 2, 3):
             exact = {e.id: e.status for e in run_suite(g, "exact").entries}

@@ -254,13 +254,15 @@ def test_ladder_restricted_to_seeds(catalogs):
             assert d.on(v) == d.action[v]  # seeds present verbatim
 
 
-def test_ladder_inconsistent_seeds_raise(g1fields, g1ring):
+def test_ladder_inconsistent_seeds_leave_a_residual(g1fields, g1ring):
+    """The walk only constructs: seeds inconsistent with the commutator give
+    a field whose relation residual is nonzero."""
     zero = Derivation("zero", g1ring, {})
-    with pytest.raises(LadderError):
-        ladder_complete(
-            "bad", {"x2": g1ring.parse("x2^2")}, g1fields["L1"], zero,
-            [("x2", "x3"), ("x3", "x4")],
-        )
+    d = ladder_complete(
+        "bad", {"x2": g1ring.parse("x2^2")}, g1fields["L1"], zero,
+        [("x2", "x3"), ("x3", "x4")],
+    )
+    assert not BracketRelation(g1fields["L1"], d, [(1, zero)]).residual().is_zero()
 
 
 def test_ladder_unknown_step_raises(g1fields, g1ring):
@@ -270,16 +272,6 @@ def test_ladder_unknown_step_raises(g1fields, g1ring):
             "bad", {"x2": g1ring.zero}, g1fields["L1"], zero,
             [("x3", "x4")],  # x3 has no seed
         )
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def test_derivation_json(g1fields):
-    obj = g1fields["L2"].to_json_obj()
-    assert obj["name"] == "L2"
-    assert obj["weight"] == 2
-    assert obj["action"]["x3"] == "3*x2*x3"
 
 
 # -- differential tests of the fused Leibniz kernel ----------------------------------

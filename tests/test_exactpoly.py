@@ -20,7 +20,7 @@ from hyperlie import (
 
 from hyperlie.exactpoly import row_reduce
 from hyperlie.suite import fraction_det
-from oracles import det_cofactor, resultant, sylvester_matrix
+from oracles import det_cofactor, poly_from_json_obj, resultant, sylvester_matrix
 
 
 @pytest.fixture
@@ -550,7 +550,7 @@ def test_text_roundtrip_randomized(xring3):
 def test_json_roundtrip(xring3):
     p = xring3.parse("-4/3*l4^3 + 1/2*x2*z8 - x3")
     obj = p.to_json_obj()
-    assert Poly.from_json_obj(xring3, obj) == p
+    assert poly_from_json_obj(xring3, obj) == p
 
 
 def test_json_form_matches_convention(lring):

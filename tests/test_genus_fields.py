@@ -176,7 +176,7 @@ def test_euler_rows_all_genera(catalogs):
 def test_full_bracket_tables(catalogs, g):
     for rel in table_relations(catalogs[g]):
         residual = rel.residual()
-        assert residual.is_zero(), (g, rel.label, residual.to_json_obj())
+        assert residual.is_zero(), (g, rel.label, residual.action)
 
 
 def test_specific_genus3_rows(catalogs):

@@ -270,7 +270,7 @@ def test_M_relation_rows_hold(models, lam_fields):
     assert len(rows) == 10
     for rel in rows:
         residual = rel.residual()
-        assert residual.is_zero(), (rel.label, residual.to_json_obj())
+        assert residual.is_zero(), (rel.label, residual.action)
 
 
 def test_M_relation_corrupted_entry_fails(models, lam_fields):

@@ -12,10 +12,9 @@ from itertools import combinations
 
 import pytest
 
-from hyperlie import Derivation, PolyMatrix, Ring, derivation, reference, suite
+from hyperlie import Derivation, PolyMatrix, Ring, derivation, param_map, reference, suite
 from hyperlie.classical import symbol_env
-from hyperlie.genus_fields import (_catalog_cached, catalog, parse_coeff, read_relations,
-                                   seed_texts)
+from hyperlie.genus_fields import _catalog_cached, parse_coeff, read_relations, seed_texts
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 
 
@@ -89,9 +88,8 @@ def test_perturbed_pair_bracket_fails_jacobi(monkeypatch):
     now fails its check, so ``g2.fields.table.L1_L2`` fails as well and the
     Jacobi entry falls back to the whole-field brackets.  The other entries
     that bracket L1 with L2 fail too: classical_table, normalization and
-    pushforward_homomorphism.  The catalog is built before the perturbation,
-    since its ladder check brackets L1 with every even field."""
-    catalog(2)
+    pushforward_homomorphism.  Building the catalog brackets no two fields,
+    so whether it is built before the perturbation does not matter."""
     bracket_sum = derivation.bracket_sum
 
     def perturbed(terms, *args, **kwargs):
@@ -271,26 +269,112 @@ def test_displayed_actions_yield_no_seed(genus):
     assert labels and not seeds & set(labels)
 
 
-@pytest.mark.parametrize("genus,name,var,text", [
-    (1, "L2", "x2", "2/3*x4 - 3*x2^2"),  # displayed: 2/3*x4 - 2*x2^2
-    (2, "L4", "y4", "-6/5*l6*x2 + 2*l4*y4 - 4*x2^2*y4 + x4*y4 - 3/2*x3*y5"),
-])
-def test_corrupted_seed_fails_the_catalog_build(monkeypatch, genus, name, var, text):
-    """A seed feeds the ladder, whose commutator check then fails: every
-    entry that reads the catalog fails with the ``LadderError``, and the
-    parameter-space entries still pass."""
-    monkeypatch.setitem(reference.FIELD_ACTIONS[genus][name], var, text)
+def _mutant_failures(monkeypatch, genus, mode, skip=()):
+    """{id: witness} of every failing entry of ``genus`` but those in
+    ``skip``, decided as ``run_suite`` does on a fresh catalog of the data
+    ``monkeypatch`` has changed; the data and the catalog cache are
+    restored after."""
     _catalog_cached.cache_clear()
     try:
-        report = run_suite(genus, "exact")
+        ctx, pit = SuiteContext(genus), PitConfig(seed=1)
+        entries = [suite._run_entry(ctx, entry_id, anchor, fn, mode, pit)
+                   for entry_id, anchor, fn in suite.suite_entries(genus)
+                   if entry_id not in skip]
     finally:
         monkeypatch.undo()
         _catalog_cached.cache_clear()
-    failures = {e.id: e.residual for e in report.failures()}
-    assert f"g{genus}.fields.displayed_actions" in failures
+    return {e.id: e.residual for e in entries if e.status == "fail"}
+
+
+# the witness of a nonzero Poly residual after its label, in each mode
+_RESIDUAL = {"exact": r": \S", "pit": r" at \{.*\} -> -?\d"}
+# what a build-time check turned into a witness of every entry that reads it
+_BUILD_ERRORS = ("exception: LadderError", "exception: AssertionError")
+
+
+def _seed_grid(genus, name):
+    """The displayed dict that holds the seeds of the even field ``name``."""
+    return reference.EVEN_SEEDS_G3[name] if genus == 3 else reference.FIELD_ACTIONS[genus][name]
+
+
+def _assert_seed_fails_its_row(failures, genus, name, mode):
+    """The row [L1, Lk] fails with a residual witness, no entry fails with
+    a build error, and the parameter-space entries pass."""
+    witness = failures.get(f"g{genus}.fields.table.L1_{name}", "")
+    assert re.match(rf"\[L1,{name}\]\.\w+" + _RESIDUAL[mode], witness, re.S), failures
     assert not any(".params." in entry_id for entry_id in failures)
     for witness in failures.values():
-        assert witness.startswith("exception: LadderError('inconsistent seeds"), witness
+        assert not witness.startswith(_BUILD_ERRORS), witness
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("genus,name,var,text", [
+    (1, "L2", "x2", "2/3*x4 - 3*x2^2"),  # displayed: 2/3*x4 - 2*x2^2
+    (2, "L4", "y4", "-6/5*l6*x2 + 2*l4*y4 - 4*x2^2*y4 + x4*y4 - 3/2*x3*y5"),
+], ids=["g1-L2-x2", "g2-L4-y4"])
+def test_corrupted_seed_fails_its_table_row(monkeypatch, genus, name, var, text, mode):
+    """The ladder takes a seed as given, so a wrong one builds a field whose
+    displayed row [L1, Lk] fails with its residual, not a build error."""
+    monkeypatch.setitem(_seed_grid(genus, name), var, text)
+    _assert_seed_fails_its_row(_mutant_failures(monkeypatch, genus, mode), genus, name, mode)
+
+
+# every displayed seed: (genus, field, variable)
+SEEDS = [(g, name, v) for g in (1, 2, 3) for name, texts in seed_texts(g).items()
+         for v in texts]
+
+
+def test_seed_sweep_covers_every_displayed_seed():
+    assert [sum(g == genus for g, _, _ in SEEDS) for genus in (1, 2, 3)] == [1, 6, 15]
+
+
+@pytest.mark.parametrize("genus,name,var,mode", [
+    (g, name, v, mode) for g, name, v in SEEDS
+    for mode in (["exact", "pit"] if (name, v) == ("L2", "x2") else ["exact"])
+])
+def test_every_seed_is_decided_by_its_table_row(monkeypatch, genus, name, var, mode):
+    """Each seed plus x2^n, a monomial of the seed's own weight, so no
+    homogeneity check can catch it.  ``g3.fields.jacobi`` is not decided:
+    with a row failing it brackets every field triple (about 1 s), and what
+    it reads is built by the entries before it."""
+    n = (int(name[1:]) + int(var[1:])) // 2
+    grid = _seed_grid(genus, name)
+    monkeypatch.setitem(grid, var, f"{grid[var]} + x2^{n}")
+    failures = _mutant_failures(monkeypatch, genus, mode, skip={"g3.fields.jacobi"})
+    _assert_seed_fails_its_row(failures, genus, name, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_alternate_aux_definition_fails_only_aux_match(monkeypatch, mode):
+    """The catalog reads only the first definition of each auxiliary
+    polynomial; a later one, p9 = L3(z6) with z6 swapped for y6 of the same
+    weight, fails exactly its own entry with its own label."""
+    rows = [("p9", "L3", "y6") if row == ("p9", "L3", "z6") else row
+            for row in reference.AUX_DEFS[3]]
+    assert rows != reference.AUX_DEFS[3]
+    monkeypatch.setitem(reference.AUX_DEFS, 3, rows)
+    failures = _mutant_failures(monkeypatch, 3, mode)
+    assert list(failures) == ["g3.fields.aux_match"]
+    assert re.match(r"L3\(y6\) - p9" + _RESIDUAL[mode], failures["g3.fields.aux_match"])
+
+
+def test_wrong_elimination_fails_relations_vanish(monkeypatch):
+    """An eliminated w6 plus x2^3, of its own weight: the map build takes it
+    as given, and ``map.relations_vanish`` fails with the label and residual
+    of a relation it breaks."""
+    eliminate = param_map.eliminate
+
+    def wrong(rels):
+        jm = eliminate(rels)
+        x2 = jm.ring.var("x2")
+        return jm._replace(w_exprs={**jm.w_exprs, (3, 3): jm.w_exprs[3, 3] + x2 ** 3})
+
+    monkeypatch.setattr(param_map, "eliminate", wrong)
+    failures = _mutant_failures(monkeypatch, 2, "exact")
+    witness = failures["g2.map.relations_vanish"]
+    assert re.match(r"\S+: \S", witness) and not witness.startswith("exception"), witness
+    for witness in failures.values():
+        assert not witness.startswith(_BUILD_ERRORS), witness
 
 
 @pytest.mark.parametrize("genus,pair,field,text", [
