@@ -24,8 +24,8 @@ straight into the ring they are checked in.
 Also provided: polynomial matrices with a division-free minor-expansion
 determinant, which the runtime uses, and a fraction-free Bareiss determinant
 and exact division, which the tests use as second algorithms.  Numeric
-matrices have one exact eliminator, ``row_reduce`` (Gauss-Jordan over Q):
-the sampled determinants and the genus-2 normalization solve both call it.
+matrices have one exact eliminator, ``row_reduce`` (sparse, over Q): the
+sampled determinants and ``solve_unique``'s linear solves call it.
 """
 
 from __future__ import annotations
@@ -814,38 +814,65 @@ def det_minor_expansion(matrix: PolyMatrix) -> Poly:
     return _unscaled(ring, prev_level.get(full, {}), math.prod(d for d, _ in scaled))
 
 
-def row_reduce(
-    rows: Sequence[Sequence], ncols: int
-) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Gauss-Jordan elimination over Q of the first ``ncols`` columns of a
-    matrix of ints and Fractions; the exact eliminator for every numeric
-    determinant and linear solve.
+def parity(seq: Sequence) -> int:
+    """The sign, 1 or -1, of the permutation that sorts the distinct ``seq``."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
 
-    Returns (reduced, pivots, det).  Row r < len(pivots) of ``reduced`` has
-    its leading 1 in column pivots[r], the only nonzero entry of that
-    column; every later row is zero in the first ``ncols`` columns.  ``det``
-    is the product of the pivots, negated for each row swap: the
-    determinant of a square matrix whose every column has a pivot.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots, det = [], Fraction(1)
-    for col in range(ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(mat)) if mat[r][col]), None)
-        if piv is None:
+
+def _subtract(row: dict, f, prow: Mapping):
+    """row -= f * prow in place, zero entries dropped."""
+    for c, v in prow.items():
+        if x := row.get(c, 0) - f * v:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def row_reduce(rows: Iterable[Mapping]) -> tuple[dict[int, dict], Fraction]:
+    """Sparse Gauss-Jordan elimination over Q of rows {column: int or Fraction}:
+    each step pivots on the lowest column of the shortest remaining row (H. M.
+    Markowitz, Management Science 3(3), 1957), then back substitution clears
+    the other pivots.  Returns (pivots, det): each pivot column's row, 1 there
+    and 0 in every other pivot column, and the pivot product signed by the
+    permutation row -> pivot column, or 0 when a row has no pivot."""
+    rest = {i: {c: v for c, v in row.items() if v} for i, row in enumerate(rows)}
+    heap = sorted((len(row), i) for i, row in rest.items())  # (length, row) entries
+    steps, det = [], Fraction(1)
+    while heap:
+        n, i = heapq.heappop(heap)
+        if i not in rest or len(rest[i]) != n:  # an outdated entry
             continue
-        if piv != top:
-            mat[top], mat[piv] = mat[piv], mat[top]
-            det = -det
-        p = mat[top][col]
+        prow = rest.pop(i)
+        if not prow:
+            det = Fraction(0)
+            continue
+        col = min(prow)
+        p = Fraction(prow[col])
         det *= p
-        mat[top] = prow = [v / p for v in mat[top]]
-        for r, row in enumerate(mat):
-            if r != top and row[col]:
-                f = row[col]
-                mat[r] = [v - f * w for v, w in zip(row, prow)]
-        pivots.append(col)
-    return mat, pivots, det
+        prow = {c: v / p for c, v in prow.items()}
+        for j, row in rest.items():
+            if col in row:
+                _subtract(row, row[col], prow)
+                heapq.heappush(heap, (len(row), j))
+        steps.append((i, col, prow))
+    pivots = {}
+    for _, col, prow in reversed(steps):
+        for c in [c for c in prow if c in pivots]:
+            _subtract(prow, prow[c], pivots[c])
+        pivots[col] = prow
+    return pivots, det and det * parity([c for _, c, _ in sorted(steps)])
+
+
+def solve_unique(rows: Iterable[Mapping], ncols: int) -> "list[Fraction] | str":
+    """The one x with sum_c row[c] * x[c] = row[ncols] for every row, or "no
+    solution" (a row reduced to column ncols alone pivots there) or "not unique"."""
+    pivots, _ = row_reduce(rows)
+    if ncols in pivots:
+        return "no solution"
+    if len(pivots) < ncols:
+        return "not unique"
+    return [pivots[c].get(ncols, Fraction(0)) for c in range(ncols)]
 
 
 # -- named polynomial maps ----------------------------------------------------

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import reference
 from .derivation import (BracketRelation, Derivation, combination, ladder_complete,
                          linear_sum)
-from .exactpoly import Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion, row_reduce
+from .exactpoly import (Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion, parity,
+                        solve_unique)
 from .lambda_space import CurveModel, build_T
 from .param_map import PARAM_NAMES, JacobiMap, RelVars, build_p, jacobi_map, x_name
 
@@ -284,6 +285,39 @@ def table_relations(cat: FieldCatalog) -> list[BracketRelation]:
     return read_relations(cat.fields, reference.BRACKET_TABLE[cat.genus], coeff_env(cat))
 
 
+def _exponents(weights: Sequence[int], weight: int, degree: int) -> list[tuple]:
+    """Exponent tuples of total ``weight``, their weight-0 part of degree <= ``degree``."""
+    if not weights:
+        return [()] if weight == 0 else []
+    w = weights[0]
+    return [(e, *tail) for e in range(degree + 1 if w == 0 else weight // w + 1)
+            for tail in _exponents(weights[1:], weight - e * w, degree - (0 if w else e))]
+
+
+def structure_functions(cat: FieldCatalog, a: str, b: str) -> dict[str, Poly] | str:
+    """The c_k of [La, Lb] = sum_k c_k Lk by ``solve_unique``, or its text:
+    c_k spans every monomial of weight wt(a) + wt(b) - wt(k), weight-0
+    parameters up to their total degree in the bracket, and each monomial
+    of each variable's image is one equation."""
+    ring = cat.ring
+    bracket = cat.fields[a].bracket(cat.fields[b])
+    degree = max((sum(e for e, w in zip(ring.unpack(m), ring.weights) if not w)
+                  for p in bracket.action.values() for m in p.num), default=0)
+    unknowns = [(k, e) for k in cat.names for e in
+                _exponents(ring.weights, int(a[1:]) + int(b[1:]) - int(k[1:]), degree)]
+    rows: dict[tuple, dict] = {}  # the bracket is the right side, column len(unknowns)
+    columns = [(cat.fields[k], ring.pack(e)) for k, e in unknowns] + [(bracket, 0)]
+    for col, (L, m) in enumerate(columns):
+        for v, p in L.action.items():
+            for t, c in p.num.items():
+                rows.setdefault((v, m + t), {})[col] = Fraction(c, p.den)
+    solution = solve_unique(rows.values(), len(unknowns))
+    if isinstance(solution, str):
+        return solution
+    return {k: c for k in cat.names if (c := Poly(ring, {
+        e: x for (j, e), x in zip(unknowns, solution) if j == k}))}
+
+
 # -- action matrix and determinant factor ---------------------------------------
 
 
@@ -313,14 +347,6 @@ def pullback_T(cat: FieldCatalog) -> PolyMatrix:
     return T.map(lambda p: cat.pmap.pullback(p))
 
 
-def _parity(order: list[int]) -> int:
-    """Sign of the permutation listing ``order``."""
-    inversions = sum(
-        a > b for i, a in enumerate(order) for b in order[i + 1:]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def block_sign(cat: FieldCatalog) -> int:
     """sigma * epsilon of ``det_factor_residuals``: the parities of the row
     order with odd fields first and of the column order with K moved last."""
@@ -328,7 +354,7 @@ def block_sign(cat: FieldCatalog) -> int:
     names = cat.names
     odd = [i for i, n in enumerate(names) if int(n[1:]) % 2]
     even = [i for i, n in enumerate(names) if not int(n[1:]) % 2]
-    return _parity(odd + even) * _parity(list(range(g, 3 * g)) + list(range(g)))
+    return parity(odd + even) * parity(list(range(g, 3 * g)) + list(range(g)))
 
 
 def det_factor_residuals(
@@ -374,37 +400,28 @@ def det_factor_residuals(
 # -- genus-2 normalization -------------------------------------------------------
 
 
-class NormalizationError(ValueError):
-    pass
-
-
-def solve_genus2_normalization(cat: FieldCatalog) -> dict[str, Fraction]:
+def solve_genus2_normalization(cat: FieldCatalog) -> dict[str, Fraction] | str:
     """Find the parameter values forcing the depth-1 commutators into the
-    prescribed lower-triangular form; the solution is unique.
+    prescribed lower-triangular form, or say why no unique values do.
 
     Every residual component r is linear in the parameters p, so
     r = r|_{p=0} + sum_p p * dr/dp, and each monomial m of the other
     variables gives one equation sum_p (dr/dp)[m] * p = -r|_{p=0}[m]."""
     if cat.genus != 2:
         raise ValueError("normalization is a genus-2 computation")
-    n = len(PARAM_NAMES)
-    rows = []
-    for rel in read_relations(cat.fields, reference.G2_NORMALIZATION, coeff_env(cat)):
-        for poly in rel.residual().action.values():
+    rows: dict[tuple, dict] = {}
+    rels = read_relations(cat.fields, reference.G2_NORMALIZATION, coeff_env(cat))
+    for r, rel in enumerate(rels):
+        for v, poly in rel.residual().action.items():
             parts = [poly.partial(p) for p in PARAM_NAMES]
             if any(q.variables_used() & set(PARAM_NAMES) for q in parts):
-                raise NormalizationError(
-                    "normalization residual is nonlinear in the parameters"
-                )
+                return "normalization residual is nonlinear in the parameters"
             const = poly.substitute(dict.fromkeys(PARAM_NAMES, 0))
-            equations: dict[tuple, list] = {}
             for i, q in enumerate([*parts, -const]):
                 for m, c in q.terms.items():
-                    equations.setdefault(m, [0] * (n + 1))[i] = c
-            rows.extend(equations.values())
-    reduced, pivots, _ = row_reduce(rows, n)
-    if any(row[n] for row in reduced[len(pivots):]):
-        raise NormalizationError("inconsistent normalization conditions")
-    if len(pivots) != n:
-        raise NormalizationError("normalization solution is not unique")
-    return dict(zip(PARAM_NAMES, (row[n] for row in reduced)))
+                    rows.setdefault((r, v, m), {})[i] = c
+    solution = solve_unique(rows.values(), len(PARAM_NAMES))
+    if isinstance(solution, str):
+        return {"no solution": "inconsistent normalization conditions",
+                "not unique": "normalization solution is not unique"}[solution]
+    return dict(zip(PARAM_NAMES, solution))

@@ -7,7 +7,6 @@ time, and on failure a serialized residual witness.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 SCHEMA_VERSION = "1"
@@ -59,6 +58,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:

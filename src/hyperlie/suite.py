@@ -25,10 +25,10 @@ Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
 entry on the calling thread, in ``suite_entries`` order, and orders the
 report by entry id.  ``fields.jacobi`` and ``fields.pushforward_homomorphism``
 sum the structure functions c_ab^k of [L_a, L_b] = sum_k c_ab^k L_k
-(Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) with ``linear_sum``,
-read from the table rows, the Euler rows and antisymmetry once every one of
-those rows holds exactly; otherwise they bracket the whole fields, so a
-wrong displayed row fails its own ``fields.table`` entry only.
+(Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) with ``linear_sum``:
+displayed where a table or Euler row holds, solved where it fails or no
+row covers the pair, so a wrong displayed row fails its own ``fields.table``
+entry only, and a pair without unique ones is a problem item ``[La,Lb]``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from . import reference
 from .classical import compare_tables
-from .derivation import Derivation, bracket_sum, linear_sum, verify_pushforward
+from .derivation import Derivation, linear_sum, verify_pushforward
 from .exactpoly import Poly, row_reduce
 from .genus_fields import (
     build_by_ladder,
@@ -55,6 +55,7 @@ from .genus_fields import (
     read_relations,
     seed_texts,
     solve_genus2_normalization,
+    structure_functions,
     table_relations,
     x1_coordinates,
 )
@@ -136,8 +137,7 @@ def _points(ring, pit: PitConfig, rng):
 
 def fraction_det(rows) -> Fraction:
     """Exact determinant of a square numeric matrix by ``row_reduce``."""
-    _, pivots, det = row_reduce(rows, len(rows))
-    return det if len(pivots) == len(rows) else Fraction(0)
+    return row_reduce(dict(enumerate(row)) for row in rows)[1]
 
 
 # -- suite context --------------------------------------------------------------
@@ -163,20 +163,21 @@ class SuiteContext:
 
 
 def _expansions(ctx):
-    """{(a, b): {k: c_ab^k}} with [La, Lb] = sum_k c_ab^k Lk, for every
-    ordered pair of distinct fields, from the table rows, the Euler rows and
-    c_ba = -c_ab; None unless every one of those rows holds exactly and
-    together they cover every pair."""
-    if not all(r.is_zero() for memo in (ctx.table_res, ctx.euler_res)
-               for r in memo.values()):
-        return None
-    out = {}
-    for rel in [*ctx.table_rels.values(), *ctx.euler_rels.values()]:
-        coeffs = {Z.name: c for c, Z in rel.expansion}
-        out[rel.left.name, rel.right.name] = coeffs
-        out[rel.right.name, rel.left.name] = {k: -c for k, c in coeffs.items()}
-    names = ctx.cat.names
-    return out if set(out) == {(a, b) for a in names for b in names if a != b} else None
+    """(exp, problem): exp[a, b] = {k: c_ab^k} with [La, Lb] = sum_k c_ab^k Lk
+    and c_ba = -c_ab, from each table and Euler row that holds exactly, else
+    by ``structure_functions`` in ``combinations(names, 2)`` order up to the
+    first pair without a unique solution, whose problem item is ``problem``."""
+    exp = {(rel.left.name, rel.right.name): {Z.name: c for c, Z in rel.expansion}
+           for rels, res in ((ctx.table_rels, ctx.table_res), (ctx.euler_rels, ctx.euler_res))
+           for label, rel in rels.items() if res[label].is_zero()}
+    for a, b in combinations(ctx.cat.names, 2):
+        if (a, b) not in exp and (b, a) not in exp:
+            solved = structure_functions(ctx.cat, a, b)
+            if isinstance(solved, str):
+                return exp, (f"[{a},{b}]", solved)
+            exp[a, b] = solved
+    exp.update({(b, a): {k: -c for k, c in cs.items()} for (a, b), cs in list(exp.items())})
+    return exp, None
 
 
 def _lam_rels(ctx):
@@ -205,11 +206,6 @@ _BUILDS = {
     "Tcal": lambda ctx: build_Tcal(ctx.cat_zero),
     "Tp": lambda ctx: pullback_T(ctx.cat_zero),
     "bezout": lambda ctx: bezout_f(ctx.model),
-    # every field-pair bracket [La, Lb], a before b, when expansions is None
-    "pairs": lambda ctx: {
-        (a, b): ctx.cat.fields[a].bracket(ctx.cat.fields[b])
-        for a, b in combinations(ctx.cat.names, 2)
-    },
     "table_rels": lambda ctx: {r.label: r for r in table_relations(ctx.cat)},
     "euler_rels": lambda ctx: {r.label: r for r in euler_relations(ctx.cat.fields)},
     "table_res": lambda ctx: {k: r.residual() for k, r in ctx.table_rels.items()},
@@ -496,18 +492,14 @@ def _aux_match(ctx, mode, pit, rng):
                cat.fields[fname].apply(parse_coeff(cat, arg)) - parse_coeff(cat, shown[name]))
 
 
-def _pushforward(label, up, pmap, down):
-    for v, diff in verify_pushforward(up, pmap, down)[1].items():
-        yield f"{label} on {v}", diff
-
-
 @_claim("fields.projectability.{0}",
         "{0} projects onto its parameter-space counterpart",
         members=lambda g: [(name,) for name in field_names(g)])
 def _projectable(ctx, mode, pit, rng, name):
     k = int(name[1:])
     down = None if k % 2 else ctx.lam_fields[k]
-    yield from _pushforward(name, ctx.cat.fields[name], ctx.cat.pmap, down)
+    for v, diff in verify_pushforward(ctx.cat.fields[name], ctx.cat.pmap, down)[1].items():
+        yield f"{name} on {v}", diff
 
 
 @_claim("fields.table.{0}_{1}", "[{0},{1}] matches its displayed expansion",
@@ -518,25 +510,24 @@ def _table_row(ctx, mode, pit, rng, left, right):
 
 @_claim("fields.pushforward_homomorphism", "bracket commutes with the pushforward")
 def _pushforward_homomorphism(ctx, mode, pit, rng):
-    """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd; with
-    expansions the left side sum_k c_ab^k Lk(p_j) is one ``linear_sum``."""
-    cat, exp, comps = ctx.cat, ctx.expansions, ctx.cat.pmap.components
-    if exp is not None:
-        images = {(k, v): cat.fields[k].apply(comps[v]) for k in cat.names for v in comps}
+    """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd; the
+    left side sum_k c_ab^k Lk(p_j) is one ``linear_sum``."""
+    exp, problem = ctx.expansions
+    if problem:
+        yield problem
+        return
+    cat, comps = ctx.cat, ctx.cat.pmap.components
+    images = {(k, v): cat.fields[k].apply(comps[v]) for k in cat.names for v in comps}
     for na, nb in combinations(cat.names, 2):
         ka, kb = int(na[1:]), int(nb[1:])
         even = ka % 2 == 0 and kb % 2 == 0
         down = ctx.lam_fields[ka].bracket(ctx.lam_fields[kb]) if even else None
-        label = f"[{na},{nb}]"
-        if exp is None:
-            yield from _pushforward(label, ctx.pairs[na, nb], cat.pmap, down)
-            continue
         for v in comps:
             lhs = linear_sum(cat.ring, products=[(c, images[k, v])
                                                  for k, c in exp[na, nb].items()])
             rhs = cat.ring.zero if down is None else cat.pmap.pullback(down.on(v))
             if lhs != rhs:
-                yield f"{label} on {v}", lhs - rhs
+                yield f"[{na},{nb}] on {v}", lhs - rhs
 
 
 @_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")
@@ -555,9 +546,8 @@ def _dettcal_factor(ctx, mode, pit, rng):
 @_claim("fields.normalization",
         "triangular depth-1 normalization forces zero parameters", genera=(2,))
 def _normalization(ctx, mode, pit, rng):
-    for param, value in solve_genus2_normalization(ctx.cat).items():
-        if value != 0:
-            yield param, f"forced to {value}, not 0"
+    solved = solve_genus2_normalization(ctx.cat)
+    yield from [("normalization", solved)] if isinstance(solved, str) else solved.items()
 
 
 @_claim("fields.classical_table",
@@ -590,16 +580,11 @@ def _structure_jacobi(cat, expansions):
 
 @_claim("fields.jacobi", "Jacobi identity over all field triples")
 def _jacobi(ctx, mode, pit, rng):
-    if ctx.expansions is not None:
-        yield from _structure_jacobi(ctx.cat, ctx.expansions)
+    exp, problem = ctx.expansions
+    if problem:
+        yield problem
         return
-    # only the inner brackets [A, B] with A before B are built, since
-    # [C, A] = -[A, C] by the definition of the commutator
-    fields, pair = ctx.cat.fields, ctx.pairs
-    for a, b, c in combinations(ctx.cat.names, 3):
-        res = bracket_sum([(1, fields[a], pair[b, c]), (-1, fields[b], pair[a, c]),
-                           (1, fields[c], pair[a, b])])
-        yield f"jacobi({a},{b},{c})", res
+    yield from _structure_jacobi(ctx.cat, exp)
 
 
 def _registered(genus: int):

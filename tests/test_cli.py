@@ -417,8 +417,9 @@ def test_each_command_imports_only_what_it_runs():
     )
     assert "hyperlie.suite" in loaded
     assert "hyperlie.export" not in loaded
-    # exact mode draws no random numbers, so it loads no RNG or hash module
-    assert loaded & {"hashlib", "random"} == set()
+    # exact mode draws no random numbers, so it loads no RNG or hash module,
+    # and a text report loads no JSON encoder
+    assert loaded & {"hashlib", "random", "json"} == set()
     assert "dataclasses" not in _modules_loaded_by("import hyperlie")
     # Ring.parse imports ast when called, so a command that reads no
     # displayed text does not load it

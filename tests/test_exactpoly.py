@@ -18,7 +18,7 @@ from hyperlie import (
     divexact,
 )
 
-from hyperlie.exactpoly import row_reduce
+from hyperlie.exactpoly import row_reduce, solve_unique
 from hyperlie.suite import fraction_det
 from oracles import det_cofactor, poly_from_json_obj, resultant, sylvester_matrix
 
@@ -277,16 +277,28 @@ def test_row_reduce_agrees_with_minor_expansion_and_solves():
                 ).constant_value()
                 assert fraction_det(M) == want, M
                 b = [rng.randint(-5, 5) for _ in range(n)]
-                reduced, pivots, det = row_reduce([[*row, y] for row, y in zip(M, b)], n)
+                pivots, det = row_reduce(dict(enumerate([*row, y])) for row, y in zip(M, b))
                 if want == 0:
                     seen["singular"] += 1
-                    assert len(pivots) < n
+                    assert len(set(pivots) - {n}) < n
                     continue
                 seen["swap"] += M[0][0] == 0
-                assert pivots == list(range(n)) and det == want
-                x = [row[n] for row in reduced]
+                assert sorted(pivots) == list(range(n)) and det == want
+                x = [pivots[c].get(n, 0) for c in range(n)]
                 assert [sum(a * v for a, v in zip(row, x)) for row in M] == b, M
     assert seen["singular"] >= 50 and seen["swap"] >= 20, seen
+
+
+@pytest.mark.parametrize("rows, ncols, want", [
+    # x + y = 3, x - y = 1, 2x = 4: overdetermined and consistent
+    ([{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}, {0: 2, 2: 4}], 2, [2, 1]),
+    # the same with 2x = 5: overdetermined and inconsistent
+    ([{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}, {0: 2, 2: 5}], 2, "no solution"),
+    # x + y + z = 1, x - z = 0: underdetermined
+    ([{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 2: -1}], 3, "not unique"),
+], ids=["consistent", "inconsistent", "underdetermined"])
+def test_solve_unique_on_over_and_underdetermined_systems(rows, ncols, want):
+    assert solve_unique(rows, ncols) == want
 
 
 def test_divexact():

@@ -8,7 +8,6 @@ from hyperlie.classical import compare_tables, symbol_env, symbol_image
 from hyperlie.derivation import Derivation, verify_pushforward
 from hyperlie.exactpoly import PolyMatrix
 from hyperlie.genus_fields import (
-    NormalizationError,
     block_sign,
     build_Tcal,
     build_by_ladder,
@@ -311,9 +310,7 @@ def test_normalization_solves_any_row_order_and_right_side(monkeypatch, catalogs
 ])
 def test_normalization_failure_paths(monkeypatch, catalogs, rows, message):
     monkeypatch.setattr(reference, "G2_NORMALIZATION", rows)
-    with pytest.raises(NormalizationError) as info:
-        solve_genus2_normalization(catalogs[2])
-    assert str(info.value) == message
+    assert solve_genus2_normalization(catalogs[2]) == message
 
 
 def test_normalized_bracket_row(catalogs_zero):

@@ -14,7 +14,8 @@ import pytest
 
 from hyperlie import Derivation, PolyMatrix, Ring, derivation, param_map, reference, suite
 from hyperlie.classical import symbol_env
-from hyperlie.genus_fields import _catalog_cached, parse_coeff, read_relations, seed_texts
+from hyperlie.genus_fields import (_catalog_cached, parse_coeff, read_relations, seed_texts,
+                                   structure_functions)
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 
 
@@ -83,13 +84,12 @@ def _three_bracket_jacobi(ctx, mode, pit, rng):
 def test_perturbed_pair_bracket_fails_jacobi(monkeypatch):
     """The one-bracket ``bracket_sum`` for (L1, L2), which both
     ``Derivation.bracket`` and ``BracketRelation.residual`` call, gains
-    x2*d/dx2.  The Jacobi entry must fail in both modes, and its exact
-    witness must be the one the three-bracket form gives.  The [L1,L2] row
-    now fails its check, so ``g2.fields.table.L1_L2`` fails as well and the
-    Jacobi entry falls back to the whole-field brackets.  The other entries
-    that bracket L1 with L2 fail too: classical_table, normalization and
-    pushforward_homomorphism.  Building the catalog brackets no two fields,
-    so whether it is built before the perturbation does not matter."""
+    x2*d/dx2.  The [L1,L2] row now fails its check, so
+    ``g2.fields.table.L1_L2`` fails, and the pair is solved from the
+    perturbed bracket, which no structure functions of weight 3 - wt(k)
+    reproduce: the Jacobi entry must fail in both modes with the problem
+    item of that pair.  Building the catalog brackets no two fields, so
+    whether it is built before the perturbation does not matter."""
     bracket_sum = derivation.bracket_sum
 
     def perturbed(terms, *args, **kwargs):
@@ -99,16 +99,10 @@ def test_perturbed_pair_bracket_fails_jacobi(monkeypatch):
         return out
 
     monkeypatch.setattr(derivation, "bracket_sum", perturbed)
-    witness = {}
     for mode in ("exact", "pit"):
         failures = {e.id: e.residual for e in run_suite(2, mode, PitConfig(seed=1)).failures()}
         assert "g2.fields.table.L1_L2" in failures, mode
-        witness[mode] = failures.get("g2.fields.jacobi")
-        assert witness[mode] is not None, mode
-    assert re.match(r"jacobi\(L\d,L\d,L\d\)\.\w+ at \{.*\} -> -?\d", witness["pit"])
-    ok, want = _decide(_three_bracket_jacobi, (), SuiteContext(2), "exact", PitConfig(), None)
-    assert not ok
-    assert witness["exact"] == want
+        assert failures.get("g2.fields.jacobi") == "[L1,L2]: no solution", failures
 
 
 def test_corrupted_genus3_table_row_keeps_its_witness(monkeypatch):
@@ -122,38 +116,54 @@ def test_corrupted_genus3_table_row_keeps_its_witness(monkeypatch):
     }
 
 
-def test_clean_suite_never_builds_pairs(monkeypatch):
+def test_clean_suite_never_solves_structure_functions(monkeypatch):
     """A clean run decides Jacobi and the pushforward homomorphism on the
-    checked expansions, so the whole-field ``pairs`` build never runs; a
-    wrong displayed row brings it back for that genus."""
-    built = []
-    get = SuiteContext._get
+    displayed expansions, so it solves no structure functions; a wrong
+    displayed row is solved for its own pair only, once for both entries,
+    which pass on the solution."""
+    calls = []
+    solve = suite.structure_functions
 
-    def counting(self, key, builder):
-        if key not in self._memo:
-            built.append((self.genus, key))
-        return get(self, key, builder)
+    def counting(cat, a, b):
+        calls.append((cat.genus, a, b))
+        return solve(cat, a, b)
 
-    monkeypatch.setattr(SuiteContext, "_get", counting)
+    monkeypatch.setattr(suite, "structure_functions", counting)
     for g in (1, 2, 3):
         for mode in ("exact", "pit"):
             assert run_suite(g, mode, PitConfig(seed=1)).passed
-    assert {g for g, key in built if key == "expansions"} == {1, 2, 3}
-    assert [b for b in built if b[1] == "pairs"] == []
+    assert calls == []
     monkeypatch.setitem(_table_row(1, "L1", "L2")[2], "L1", "2*x2")  # displayed: x2
-    assert not run_suite(1, "exact").passed
-    assert (1, "pairs") in built
+    failures = [e.id for e in run_suite(1, "exact").failures()]
+    assert "g1.fields.table.L1_L2" in failures
+    assert not {"g1.fields.jacobi", "g1.fields.pushforward_homomorphism"} & set(failures)
+    assert calls == [(1, "L1", "L2")]
 
 
-def test_pair_without_a_row_falls_back(monkeypatch):
-    """A pair that no displayed row covers leaves both entries on the
-    whole-field brackets, where they still pass."""
+def test_pair_without_a_row_is_solved(monkeypatch):
+    """With no displayed table row, the pair the Euler rows leave out is
+    solved, and both entries pass on the solved coefficients, which are the
+    displayed ones."""
+    want = SuiteContext(1).expansions[0]["L1", "L2"]
     monkeypatch.setitem(reference.BRACKET_TABLE, 1, [])
     ctx = SuiteContext(1)
-    assert ctx.expansions is None
+    assert ctx.table_rels == {}
     for claim in (suite._jacobi, suite._pushforward_homomorphism):
         assert _decide(claim, (), ctx, "exact", PitConfig(), None) == (True, None)
-    assert "pairs" in ctx._memo
+    assert ctx.expansions[0]["L1", "L2"] == {k: c for k, c in want.items() if c}
+
+
+@pytest.mark.parametrize("genus,pairs", [
+    (1, None), (2, None), (3, [("L3", "L4"), ("L8", "L10")]),
+])
+def test_solved_structure_functions_equal_the_displayed(genus, pairs):
+    """The weight ansatz has a unique solution, the displayed coefficients,
+    on every pair at genus 1 and 2 (on the symbolic genus-2 catalog), and
+    on the cheapest and the dearest genus-3 pair."""
+    ctx = SuiteContext(genus)
+    for a, b in pairs or combinations(ctx.cat.names, 2):
+        want = {k: c for k, c in ctx.expansions[0][a, b].items() if c}
+        assert structure_functions(ctx.cat, a, b) == want, (a, b)
 
 
 def test_nonzero_residual_fails_in_pit_mode_where_every_point_vanishes():
@@ -183,11 +193,11 @@ def _perturbed_expansions(genus, pair, field, delta):
     """A genus's checked expansions with c_pair^field + delta, and -delta on
     the reversed pair, fed straight to the claims past the row checks."""
     ctx = SuiteContext(genus)
-    exp = {p: dict(coeffs) for p, coeffs in ctx.expansions.items()}
+    exp = {p: dict(coeffs) for p, coeffs in ctx.expansions[0].items()}
     delta = parse_coeff(ctx.cat, delta)
     for (a, b), sign in ((pair, 1), (pair[::-1], -1)):
         exp[a, b][field] = exp[a, b].get(field, ctx.cat.ring.zero) + sign * delta
-    ctx._memo["expansions"] = exp
+    ctx._memo["expansions"] = exp, None
     return ctx
 
 
@@ -198,7 +208,7 @@ def _perturbed_expansions(genus, pair, field, delta):
 def test_structure_jacobi_fails_on_a_perturbed_expansion(genus, pair, field, delta, triples):
     ctx = _perturbed_expansions(genus, pair, field, delta)
     failing = {label.split(" on ")[0]
-               for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions)}
+               for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions[0])}
     assert len(failing) == triples
     ok, witness = _decide(suite._jacobi, (), ctx, "exact", PitConfig(), None)
     assert not ok and re.match(r"jacobi\(L\d+,L\d+,L\d+\) on L\d+: \S", witness), witness
@@ -216,7 +226,7 @@ def test_expanded_pushforward_fails_on_a_perturbed_expansion():
 def test_structure_jacobi_agrees_with_three_brackets(genus):
     ctx = SuiteContext(genus)
     structure = {label.split(" on ")[0]
-                 for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions)}
+                 for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions[0])}
     three = {label for label, res in _three_bracket_jacobi(ctx, "exact", None, None)
              if not res.is_zero()}
     assert structure == three == set()
@@ -269,27 +279,26 @@ def test_displayed_actions_yield_no_seed(genus):
     assert labels and not seeds & set(labels)
 
 
-def _mutant_failures(monkeypatch, genus, mode, skip=()):
-    """{id: witness} of every failing entry of ``genus`` but those in
-    ``skip``, decided as ``run_suite`` does on a fresh catalog of the data
-    ``monkeypatch`` has changed; the data and the catalog cache are
-    restored after."""
+def _mutant_failures(monkeypatch, genus, mode):
+    """{id: witness} of every failing entry of ``genus``, decided as
+    ``run_suite`` does on a fresh catalog of the data ``monkeypatch`` has
+    changed, after checking that no entry failed by raising; the data and
+    the catalog cache are restored after."""
     _catalog_cached.cache_clear()
     try:
         ctx, pit = SuiteContext(genus), PitConfig(seed=1)
         entries = [suite._run_entry(ctx, entry_id, anchor, fn, mode, pit)
-                   for entry_id, anchor, fn in suite.suite_entries(genus)
-                   if entry_id not in skip]
+                   for entry_id, anchor, fn in suite.suite_entries(genus)]
     finally:
         monkeypatch.undo()
         _catalog_cached.cache_clear()
-    return {e.id: e.residual for e in entries if e.status == "fail"}
+    failures = {e.id: e.residual for e in entries if e.status == "fail"}
+    assert not [w for w in failures.values() if w.startswith("exception:")], failures
+    return failures
 
 
 # the witness of a nonzero Poly residual after its label, in each mode
 _RESIDUAL = {"exact": r": \S", "pit": r" at \{.*\} -> -?\d"}
-# what a build-time check turned into a witness of every entry that reads it
-_BUILD_ERRORS = ("exception: LadderError", "exception: AssertionError")
 
 
 def _seed_grid(genus, name):
@@ -298,13 +307,11 @@ def _seed_grid(genus, name):
 
 
 def _assert_seed_fails_its_row(failures, genus, name, mode):
-    """The row [L1, Lk] fails with a residual witness, no entry fails with
-    a build error, and the parameter-space entries pass."""
+    """The row [L1, Lk] fails with a residual witness, and the
+    parameter-space entries pass."""
     witness = failures.get(f"g{genus}.fields.table.L1_{name}", "")
     assert re.match(rf"\[L1,{name}\]\.\w+" + _RESIDUAL[mode], witness, re.S), failures
     assert not any(".params." in entry_id for entry_id in failures)
-    for witness in failures.values():
-        assert not witness.startswith(_BUILD_ERRORS), witness
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
@@ -334,13 +341,11 @@ def test_seed_sweep_covers_every_displayed_seed():
 ])
 def test_every_seed_is_decided_by_its_table_row(monkeypatch, genus, name, var, mode):
     """Each seed plus x2^n, a monomial of the seed's own weight, so no
-    homogeneity check can catch it.  ``g3.fields.jacobi`` is not decided:
-    with a row failing it brackets every field triple (about 1 s), and what
-    it reads is built by the entries before it."""
+    homogeneity check can catch it."""
     n = (int(name[1:]) + int(var[1:])) // 2
     grid = _seed_grid(genus, name)
     monkeypatch.setitem(grid, var, f"{grid[var]} + x2^{n}")
-    failures = _mutant_failures(monkeypatch, genus, mode, skip={"g3.fields.jacobi"})
+    failures = _mutant_failures(monkeypatch, genus, mode)
     _assert_seed_fails_its_row(failures, genus, name, mode)
 
 
@@ -372,9 +377,7 @@ def test_wrong_elimination_fails_relations_vanish(monkeypatch):
     monkeypatch.setattr(param_map, "eliminate", wrong)
     failures = _mutant_failures(monkeypatch, 2, "exact")
     witness = failures["g2.map.relations_vanish"]
-    assert re.match(r"\S+: \S", witness) and not witness.startswith("exception"), witness
-    for witness in failures.values():
-        assert not witness.startswith(_BUILD_ERRORS), witness
+    assert re.match(r"\S+: \S", witness), witness
 
 
 @pytest.mark.parametrize("genus,pair,field,text", [
