@@ -5,8 +5,9 @@ The commutator tables are classically written with symbols P{i}_{k1k2...}
 On generator space those symbols become polynomials: depth-1 entries are the
 coordinates themselves, the depth-2 symbols with leading index 0 are the
 w-expressions, and deeper symbols resolve recursively by applying the odd
-fields.  Translating a classical table entry-wise must land exactly on the
-computed polynomial table.
+fields.  Translated entry-wise, a classical table must land exactly on the
+structure functions of the computed Lie algebra, which ``compare_tables``
+reads and does not recompute: it brackets no fields.
 """
 
 from __future__ import annotations
@@ -65,38 +66,30 @@ def symbol_env(cat: FieldCatalog, rows) -> dict:
     return env
 
 
-def compare_tables(cat: FieldCatalog, classical_rows, table=()) -> dict:
+def compare_tables(cat: FieldCatalog, classical_rows, exp) -> dict:
     """Check a classical table against the catalog's actual Lie algebra.
 
-    Each classical row is read as a bracket identity of the catalog's
-    fields, its symbols standing for their images, so a wrong catalog (or a
-    wrong table) shows up as a nonzero residual.  Returns
-    {(left, right): {var: residual}} for rows that fail; empty means the
-    algebra realises the table exactly.
-
-    ``table`` holds (relation, residual) pairs of displayed rows already
-    decided.  A classical row [La, Lb] = sum_k c'_k Lk whose pair is there,
-    on this catalog's own fields, is decided without a bracket by the exact
-    identity [La, Lb] - sum_k c'_k Lk = residual + sum_k (c_k - c'_k) Lk,
-    c the displayed row's coefficients, summing only nonzero differences.
+    ``exp`` holds the structure functions {(a, b): {k: c_ab^k}} of
+    ``genus_fields.structure`` for every pair: exact identities
+    [La, Lb] = sum_k c_ab^k Lk of the family the catalog belongs to, which
+    hold on its fields once read at its parameter values.  A classical row
+    [La, Lb] = sum_k c'_k Lk, its symbols standing for their images, then
+    has the residual sum_k (c_k - c'_k) Lk: one ``combination`` of the
+    nonzero differences and no bracket.  Returns {(left, right): {var:
+    residual}} for rows that fail; empty means the algebra realises the
+    table exactly.
 
     For genus 2 pass a catalog with the parameters specialised: the
     classical table is the zero-parameter member of the family.
     """
-    decided = {(rel.left.name, rel.right.name): (rel, res) for rel, res in table
-               if cat.fields.get(rel.left.name) is rel.left}  # this catalog's rows
+    values = dict(cat.param_values)
     mismatches = {}
     for rel in read_relations(cat.fields, classical_rows, symbol_env(cat, classical_rows)):
-        shown, residual = decided.get((rel.left.name, rel.right.name), (None, None))
-        if shown is None:
-            residual = rel.residual()
-        else:
-            diff = {Z.name: c for c, Z in shown.expansion}
-            for c, Z in rel.expansion:
-                diff[Z.name] = diff.get(Z.name, 0) - c
-            terms = [(c, cat.fields[name]) for name, c in diff.items() if c]
-            if terms:
-                residual = combination([(1, residual), *terms], cat.ring)
-        if not residual.is_zero():
-            mismatches[(rel.left.name, rel.right.name)] = dict(residual.action)
+        pair = (rel.left.name, rel.right.name)
+        diff = {k: c.substitute(values) if values else c for k, c in exp[pair].items()}
+        for c, Z in rel.expansion:
+            diff[Z.name] = diff.get(Z.name, 0) - c
+        terms = [(c, cat.fields[k]) for k, c in diff.items() if c]
+        if terms and not (residual := combination(terms, cat.ring)).is_zero():
+            mismatches[pair] = dict(residual.action)
     return mismatches

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import reference
@@ -294,19 +295,20 @@ def _exponents(weights: Sequence[int], weight: int, degree: int) -> list[tuple]:
             for tail in _exponents(weights[1:], weight - e * w, degree - (0 if w else e))]
 
 
-def structure_functions(cat: FieldCatalog, a: str, b: str) -> dict[str, Poly] | str:
-    """The c_k of [La, Lb] = sum_k c_k Lk by ``solve_unique``, or its text:
-    c_k spans every monomial of weight wt(a) + wt(b) - wt(k), weight-0
-    parameters up to their total degree in the bracket, and each monomial
-    of each variable's image is one equation."""
-    ring = cat.ring
-    bracket = cat.fields[a].bracket(cat.fields[b])
+def structure_functions(fields: dict[str, Derivation], a: str, b: str) -> dict[str, Poly] | str:
+    """The c_k of [La, Lb] = sum_k c_k Lk by ``solve_unique``, or its text,
+    for a name -> field mapping on either space: c_k spans every monomial
+    of weight wt(a) + wt(b) - wt(k), weight-0 parameters up to their total
+    degree in the bracket, and each monomial of each variable's image is
+    one equation."""
+    ring, names = fields[a].ring, sorted(fields, key=lambda n: int(n[1:]))
+    bracket = fields[a].bracket(fields[b])
     degree = max((sum(e for e, w in zip(ring.unpack(m), ring.weights) if not w)
                   for p in bracket.action.values() for m in p.num), default=0)
-    unknowns = [(k, e) for k in cat.names for e in
+    unknowns = [(k, e) for k in names for e in
                 _exponents(ring.weights, int(a[1:]) + int(b[1:]) - int(k[1:]), degree)]
     rows: dict[tuple, dict] = {}  # the bracket is the right side, column len(unknowns)
-    columns = [(cat.fields[k], ring.pack(e)) for k, e in unknowns] + [(bracket, 0)]
+    columns = [(fields[k], ring.pack(e)) for k, e in unknowns] + [(bracket, 0)]
     for col, (L, m) in enumerate(columns):
         for v, p in L.action.items():
             for t, c in p.num.items():
@@ -314,8 +316,31 @@ def structure_functions(cat: FieldCatalog, a: str, b: str) -> dict[str, Poly] | 
     solution = solve_unique(rows.values(), len(unknowns))
     if isinstance(solution, str):
         return solution
-    return {k: c for k in cat.names if (c := Poly(ring, {
+    return {k: c for k in names if (c := Poly(ring, {
         e: x for (j, e), x in zip(unknowns, solution) if j == k}))}
+
+
+def structure(fields: dict[str, Derivation], rels) -> tuple[dict, dict, tuple | None]:
+    """(residuals, exp, problem) of a name -> field mapping on either space
+    and its displayed relations: every relation's residual by label;
+    exp[a, b] = {k: c_ab^k} with [La, Lb] = sum_k c_ab^k Lk and c_ba = -c_ab,
+    the coefficients of each relation that holds exactly, every other pair
+    solved by ``structure_functions`` in weight order up to the first
+    without a unique solution, whose problem item ``("[La,Lb]", text)`` is
+    ``problem`` (else None)."""
+    residuals = {rel.label: rel.residual() for rel in rels}
+    exp = {(rel.left.name, rel.right.name): {Z.name: c for c, Z in rel.expansion}
+           for rel in rels if residuals[rel.label].is_zero()}
+    problem = None
+    for a, b in combinations(sorted(fields, key=lambda n: int(n[1:])), 2):
+        if (a, b) not in exp and (b, a) not in exp:
+            solved = structure_functions(fields, a, b)
+            if isinstance(solved, str):
+                problem = (f"[{a},{b}]", solved)
+                break
+            exp[a, b] = solved
+    exp.update({(b, a): {k: -c for k, c in cs.items()} for (a, b), cs in list(exp.items())})
+    return residuals, exp, problem
 
 
 # -- action matrix and determinant factor ---------------------------------------

@@ -120,8 +120,6 @@ def discriminant_R(model: CurveModel) -> Poly:
 
 def t_entry(model: CurveModel, k: int, m: int) -> Poly:
     """Entry T_{2k,2m} of the pairwise-action matrix (half-index form)."""
-    if k > m:
-        k, m = m, k
     g = model.genus
     p = 2 * (k + m) * model.lam(2 * k + 2 * m)
     for s in range(2, k):

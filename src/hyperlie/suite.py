@@ -23,12 +23,13 @@ Saito's identity (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980).
 
 Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
 entry on the calling thread, in ``suite_entries`` order, and orders the
-report by entry id.  ``fields.jacobi`` and ``fields.pushforward_homomorphism``
-sum the structure functions c_ab^k of [L_a, L_b] = sum_k c_ab^k L_k
-(Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) with ``linear_sum``:
-displayed where a table or Euler row holds, solved where it fails or no
-row covers the pair, so a wrong displayed row fails its own ``fields.table``
-entry only, and a pair without unique ones is a problem item ``[La,Lb]``.
+report by entry id.  The structure functions c_ab^k of
+[L_a, L_b] = sum_k c_ab^k L_k (Buchstaber & Leykin, Funct. Anal. Appl. 36,
+2002) are decided once per space by ``genus_fields.structure``, from the
+table and Euler rows (``ctx.structure``) and from the Euler rows and the
+table's even part (``ctx.lam_structure``).  Every bracket entry reads
+them, so a wrong displayed row fails only the entries that check it: its
+``fields.table`` row and, for a pair of even fields, ``params.tangency``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .genus_fields import (
     read_relations,
     seed_texts,
     solve_genus2_normalization,
-    structure_functions,
+    structure,
     table_relations,
     x1_coordinates,
 )
@@ -162,34 +163,15 @@ class SuiteContext:
         return self._get(key, lambda: _BUILDS[key](self))
 
 
-def _expansions(ctx):
-    """(exp, problem): exp[a, b] = {k: c_ab^k} with [La, Lb] = sum_k c_ab^k Lk
-    and c_ba = -c_ab, from each table and Euler row that holds exactly, else
-    by ``structure_functions`` in ``combinations(names, 2)`` order up to the
-    first pair without a unique solution, whose problem item is ``problem``."""
-    exp = {(rel.left.name, rel.right.name): {Z.name: c for c, Z in rel.expansion}
-           for rels, res in ((ctx.table_rels, ctx.table_res), (ctx.euler_rels, ctx.euler_res))
-           for label, rel in rels.items() if res[label].is_zero()}
-    for a, b in combinations(ctx.cat.names, 2):
-        if (a, b) not in exp and (b, a) not in exp:
-            solved = structure_functions(ctx.cat, a, b)
-            if isinstance(solved, str):
-                return exp, (f"[{a},{b}]", solved)
-            exp[a, b] = solved
-    exp.update({(b, a): {k: -c for k, c in cs.items()} for (a, b), cs in list(exp.items())})
-    return exp, None
-
-
-def _lam_rels(ctx):
-    """{(a, b): [La, Lb] = sum_k c_ab^k Lk} on parameter space: the Euler
-    rows and the even-field part of every displayed row with a and b even,
-    whose coefficients are written in l-symbols, read by ``read_relations``."""
+def _lam_structure(ctx):
+    """``structure`` on parameter space: the Euler rows and the even-field
+    part of every displayed row with a and b even, whose coefficients are
+    written in l-symbols, read by ``read_relations``."""
     fields = {f"L{k}": L for k, L in ctx.lam_fields.items()}
     even = [(a, b, {f: text for f, text in coeffs.items() if f in fields})
             for a, b, coeffs in reference.BRACKET_TABLE[ctx.genus]
             if a in fields and b in fields]
-    rels = euler_relations(fields) + read_relations(fields, even, {})
-    return {(rel.left.weight, rel.right.weight): rel for rel in rels}
+    return structure(fields, euler_relations(fields) + read_relations(fields, even, {}))
 
 
 _BUILDS = {
@@ -206,12 +188,9 @@ _BUILDS = {
     "Tcal": lambda ctx: build_Tcal(ctx.cat_zero),
     "Tp": lambda ctx: pullback_T(ctx.cat_zero),
     "bezout": lambda ctx: bezout_f(ctx.model),
-    "table_rels": lambda ctx: {r.label: r for r in table_relations(ctx.cat)},
-    "euler_rels": lambda ctx: {r.label: r for r in euler_relations(ctx.cat.fields)},
-    "table_res": lambda ctx: {k: r.residual() for k, r in ctx.table_rels.items()},
-    "euler_res": lambda ctx: {k: r.residual() for k, r in ctx.euler_rels.items()},
-    "expansions": _expansions,
-    "lam_rels": _lam_rels,
+    "structure": lambda ctx: structure(
+        ctx.cat.fields, table_relations(ctx.cat) + euler_relations(ctx.cat.fields)),
+    "lam_structure": _lam_structure,
     "m_rels": lambda ctx: {
         r.label: r for r in m_relation_rows(ctx.model, ctx.lam_fields)
     },
@@ -317,15 +296,14 @@ def _euler_eigen(ctx, mode, pit, rng):
 
 @_claim("params.euler_brackets", "[L0, Lk] = k Lk on parameter space")
 def _euler_brackets(ctx, mode, pit, rng):
+    residuals = ctx.lam_structure[0]
     for k in sorted(ctx.lam_fields)[1:]:
-        rel = ctx.lam_rels[0, k]
-        yield rel.label, rel.residual()
+        yield f"[L0,L{k}]", residuals[f"[L0,L{k}]"]
 
 
 @_claim("params.cross_actions", "pairwise field actions commute across indices")
 def _cross_actions(ctx, mode, pit, rng):
-    # L_{2k}(l_{2s+4}) = L_{2s}(l_{2k+4}), equivalent to T symmetry;
-    # check both independently.
+    # L_{2k}(l_{2s+4}) = L_{2s}(l_{2k+4}), equivalent to T symmetry
     fields, lam = ctx.lam_fields, ctx.model.lam
     for a in fields:
         for b in fields:
@@ -333,8 +311,6 @@ def _cross_actions(ctx, mode, pit, rng):
             if sa in ctx.model.indices and sb in ctx.model.indices:
                 yield (f"L{a}(l{sb}) - L{b}(l{sa})",
                        fields[a].apply(lam(sb)) - fields[b].apply(lam(sa)))
-    if not ctx.T.is_symmetric():
-        yield "T", "not symmetric"
 
 
 @_claim("params.detT_eq_cR", "det T = ({dett_c}) * R")
@@ -359,29 +335,26 @@ def _dett_eq_cr(ctx, mode, pit, rng):
 
 def _saito_multipliers(ctx) -> list[Poly]:
     """div L_k + sum_i c_ki^i, div L_k = sum_s d(L_k(l_s))/dl_s, for every
-    field in weight order; c_ki^i is read from the row [L_k, L_i] of
-    ``ctx.lam_rels``, or as minus the L_k coefficient of [L_i, L_k]."""
-    ring = ctx.model.ring
-    out = {k: sum((L.on(v).partial(v) for v in ring.names), ring.zero)
-           for k, L in ctx.lam_fields.items()}
-    for (a, b), rel in ctx.lam_rels.items():
-        for c, Z in rel.expansion:
-            if Z.weight == b:
-                out[a] = out[a] + c
-            elif Z.weight == a:
-                out[b] = out[b] - c
-    return [out[k] for k in sorted(out)]
+    field in weight order, c_ki^i read from ``ctx.lam_structure``."""
+    ring, exp = ctx.model.ring, ctx.lam_structure[1]
+    out = []
+    for k, L in sorted(ctx.lam_fields.items()):
+        div = sum((L.on(v).partial(v) for v in ring.names), ring.zero)
+        out.append(sum((exp[f"L{k}", f"L{i}"].get(f"L{i}", ring.zero)
+                        for i in ctx.lam_fields if i != k), div))
+    return out
 
 
 @_claim("params.tangency", "fields rescale det T by the stated multipliers")
 def _tangency(ctx, mode, pit, rng):
-    """Saito's identity: the relations hold and cover every pair, and m_k
-    is div L_k + tr c_k.  No determinant is built in either mode."""
-    for rel in ctx.lam_rels.values():
-        yield rel.label, rel.residual()
-    for a, b in combinations(sorted(ctx.lam_fields), 2):
-        if (a, b) not in ctx.lam_rels and (b, a) not in ctx.lam_rels:
-            yield f"[L{a},L{b}]", "no relation expands this pair"
+    """Saito's identity: the displayed relations hold, and m_k is
+    div L_k + tr c_k on the structure functions of ``ctx.lam_structure``.
+    No determinant is built in either mode."""
+    residuals, _, problem = ctx.lam_structure
+    yield from residuals.items()
+    if problem:
+        yield problem
+        return
     mults = reference.TANGENCY_MULTIPLIERS[ctx.genus]
     for k, derived, text in zip(sorted(ctx.lam_fields), _saito_multipliers(ctx), mults):
         yield f"div L{k} + tr c_{k} - m", derived - ctx.model.ring.parse(text)
@@ -441,7 +414,9 @@ def _homogeneous(ctx, mode, pit, rng):
 
 @_claim("fields.euler_rows", "[L0, Lk] = k Lk on generator space")
 def _euler_rows(ctx, mode, pit, rng):
-    yield from ctx.euler_res.items()
+    residuals = ctx.structure[0]
+    for name in ctx.cat.names[1:]:
+        yield f"[L0,{name}]", residuals[f"[L0,{name}]"]
 
 
 @_claim("fields.displayed_actions", "field actions match every displayed coefficient")
@@ -505,14 +480,14 @@ def _projectable(ctx, mode, pit, rng, name):
 @_claim("fields.table.{0}_{1}", "[{0},{1}] matches its displayed expansion",
         members=lambda g: [r[:2] for r in reference.BRACKET_TABLE[g]])
 def _table_row(ctx, mode, pit, rng, left, right):
-    yield f"[{left},{right}]", ctx.table_res[f"[{left},{right}]"]
+    yield f"[{left},{right}]", ctx.structure[0][f"[{left},{right}]"]
 
 
 @_claim("fields.pushforward_homomorphism", "bracket commutes with the pushforward")
 def _pushforward_homomorphism(ctx, mode, pit, rng):
     """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd; the
     left side sum_k c_ab^k Lk(p_j) is one ``linear_sum``."""
-    exp, problem = ctx.expansions
+    _, exp, problem = ctx.structure
     if problem:
         yield problem
         return
@@ -553,8 +528,11 @@ def _normalization(ctx, mode, pit, rng):
 @_claim("fields.classical_table",
         "classical-notation table translates onto the computed table")
 def _classical_table(ctx, mode, pit, rng):
-    table = zip(ctx.table_rels.values(), ctx.table_res.values())
-    mism = compare_tables(ctx.cat_zero, reference.CLASSICAL_TABLE[ctx.genus], table)
+    _, exp, problem = ctx.structure
+    if problem:
+        yield problem
+        return
+    mism = compare_tables(ctx.cat_zero, reference.CLASSICAL_TABLE[ctx.genus], exp)
     for (left, right), diffs in sorted(mism.items()):
         for fname, d in sorted(diffs.items()):
             yield f"[{left},{right}] on {fname}", d.to_text()
@@ -580,7 +558,7 @@ def _structure_jacobi(cat, expansions):
 
 @_claim("fields.jacobi", "Jacobi identity over all field triples")
 def _jacobi(ctx, mode, pit, rng):
-    exp, problem = ctx.expansions
+    _, exp, problem = ctx.structure
     if problem:
         yield problem
         return

@@ -324,7 +324,7 @@ def test_normalized_bracket_row(catalogs_zero):
 def test_normalization_negative_control(catalogs):
     # forcing alpha = 1 contradicts the classical table
     forced = specialize_params(catalogs[2], {"alpha": 1})
-    mism = compare_tables(forced, reference.CLASSICAL_TABLE[2])
+    mism = compare_tables(forced, reference.CLASSICAL_TABLE[2], SuiteContext(2).structure[1])
     assert mism
 
 
@@ -372,7 +372,7 @@ def test_symbol_image_missing_symbol(catalogs):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_classical_tables_translate_onto_computed(catalogs, catalogs_zero, g):
     cat = catalogs_zero[2] if g == 2 else catalogs[g]
-    assert compare_tables(cat, reference.CLASSICAL_TABLE[g]) == {}
+    assert compare_tables(cat, reference.CLASSICAL_TABLE[g], SuiteContext(g).structure[1]) == {}
 
 
 def test_classical_row_read_in_symbol_env(catalogs):

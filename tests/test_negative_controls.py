@@ -12,7 +12,8 @@ from itertools import combinations
 
 import pytest
 
-from hyperlie import Derivation, PolyMatrix, Ring, derivation, param_map, reference, suite
+from hyperlie import (Derivation, PolyMatrix, Ring, derivation, genus_fields, param_map,
+                      reference, suite)
 from hyperlie.classical import symbol_env
 from hyperlie.genus_fields import (_catalog_cached, parse_coeff, read_relations, seed_texts,
                                    structure_functions)
@@ -117,18 +118,19 @@ def test_corrupted_genus3_table_row_keeps_its_witness(monkeypatch):
 
 
 def test_clean_suite_never_solves_structure_functions(monkeypatch):
-    """A clean run decides Jacobi and the pushforward homomorphism on the
-    displayed expansions, so it solves no structure functions; a wrong
-    displayed row is solved for its own pair only, once for both entries,
-    which pass on the solution."""
+    """A clean run decides Jacobi, the pushforward homomorphism and tangency
+    on the displayed expansions, so it solves no structure functions on
+    either space; a wrong displayed row is solved for its own pair only,
+    once on each space that reads it, and the entries that read the
+    structure functions pass on the solution."""
     calls = []
-    solve = suite.structure_functions
+    solve = genus_fields.structure_functions
 
-    def counting(cat, a, b):
-        calls.append((cat.genus, a, b))
-        return solve(cat, a, b)
+    def counting(fields, a, b):
+        calls.append((sorted(fields), a, b))
+        return solve(fields, a, b)
 
-    monkeypatch.setattr(suite, "structure_functions", counting)
+    monkeypatch.setattr(genus_fields, "structure_functions", counting)
     for g in (1, 2, 3):
         for mode in ("exact", "pit"):
             assert run_suite(g, mode, PitConfig(seed=1)).passed
@@ -137,20 +139,27 @@ def test_clean_suite_never_solves_structure_functions(monkeypatch):
     failures = [e.id for e in run_suite(1, "exact").failures()]
     assert "g1.fields.table.L1_L2" in failures
     assert not {"g1.fields.jacobi", "g1.fields.pushforward_homomorphism"} & set(failures)
-    assert calls == [(1, "L1", "L2")]
+    assert calls == [(["L0", "L1", "L2"], "L1", "L2")]
+    # an l-symbol coefficient is read on both spaces, and solved on both
+    calls.clear()
+    monkeypatch.setitem(_table_row(2, "L2", "L4")[2], "L0", "9/5*l6")  # displayed: 8/5*l6
+    failures = [e.id for e in run_suite(2, "exact").failures()]
+    assert failures == ["g2.fields.table.L2_L4", "g2.params.tangency"]
+    assert sorted(calls) == [(["L0", "L1", "L2", "L3", "L4", "L6"], "L2", "L4"),
+                             (["L0", "L2", "L4", "L6"], "L2", "L4")]
 
 
 def test_pair_without_a_row_is_solved(monkeypatch):
     """With no displayed table row, the pair the Euler rows leave out is
     solved, and both entries pass on the solved coefficients, which are the
     displayed ones."""
-    want = SuiteContext(1).expansions[0]["L1", "L2"]
+    want = SuiteContext(1).structure[1]["L1", "L2"]
     monkeypatch.setitem(reference.BRACKET_TABLE, 1, [])
     ctx = SuiteContext(1)
-    assert ctx.table_rels == {}
+    assert list(ctx.structure[0]) == ["[L0,L1]", "[L0,L2]"]  # the Euler rows only
     for claim in (suite._jacobi, suite._pushforward_homomorphism):
         assert _decide(claim, (), ctx, "exact", PitConfig(), None) == (True, None)
-    assert ctx.expansions[0]["L1", "L2"] == {k: c for k, c in want.items() if c}
+    assert ctx.structure[1]["L1", "L2"] == {k: c for k, c in want.items() if c}
 
 
 @pytest.mark.parametrize("genus,pairs", [
@@ -162,8 +171,24 @@ def test_solved_structure_functions_equal_the_displayed(genus, pairs):
     on the cheapest and the dearest genus-3 pair."""
     ctx = SuiteContext(genus)
     for a, b in pairs or combinations(ctx.cat.names, 2):
-        want = {k: c for k, c in ctx.expansions[0][a, b].items() if c}
-        assert structure_functions(ctx.cat, a, b) == want, (a, b)
+        want = {k: c for k, c in ctx.structure[1][a, b].items() if c}
+        assert structure_functions(ctx.cat.fields, a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_solved_parameter_space_structure_functions_equal_the_displayed(genus):
+    """On parameter space too the weight ansatz has a unique solution on
+    every pair (1, 6 and 15 pairs), the displayed coefficients."""
+    ctx = SuiteContext(genus)
+    fields = {f"L{k}": L for k, L in ctx.lam_fields.items()}
+    _, exp, problem = ctx.lam_structure
+    assert problem is None
+    pairs = list(combinations(sorted(ctx.lam_fields), 2))
+    assert len(pairs) == [1, 6, 15][genus - 1]
+    for i, j in pairs:
+        a, b = f"L{i}", f"L{j}"
+        want = {k: c for k, c in exp[a, b].items() if c}
+        assert structure_functions(fields, a, b) == want, (a, b)
 
 
 def test_nonzero_residual_fails_in_pit_mode_where_every_point_vanishes():
@@ -193,11 +218,12 @@ def _perturbed_expansions(genus, pair, field, delta):
     """A genus's checked expansions with c_pair^field + delta, and -delta on
     the reversed pair, fed straight to the claims past the row checks."""
     ctx = SuiteContext(genus)
-    exp = {p: dict(coeffs) for p, coeffs in ctx.expansions[0].items()}
+    residuals, exp, _ = ctx.structure
+    exp = {p: dict(coeffs) for p, coeffs in exp.items()}
     delta = parse_coeff(ctx.cat, delta)
     for (a, b), sign in ((pair, 1), (pair[::-1], -1)):
         exp[a, b][field] = exp[a, b].get(field, ctx.cat.ring.zero) + sign * delta
-    ctx._memo["expansions"] = exp, None
+    ctx._memo["structure"] = residuals, exp, None
     return ctx
 
 
@@ -208,7 +234,7 @@ def _perturbed_expansions(genus, pair, field, delta):
 def test_structure_jacobi_fails_on_a_perturbed_expansion(genus, pair, field, delta, triples):
     ctx = _perturbed_expansions(genus, pair, field, delta)
     failing = {label.split(" on ")[0]
-               for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions[0])}
+               for label, _ in suite._structure_jacobi(ctx.cat, ctx.structure[1])}
     assert len(failing) == triples
     ok, witness = _decide(suite._jacobi, (), ctx, "exact", PitConfig(), None)
     assert not ok and re.match(r"jacobi\(L\d+,L\d+,L\d+\) on L\d+: \S", witness), witness
@@ -226,7 +252,7 @@ def test_expanded_pushforward_fails_on_a_perturbed_expansion():
 def test_structure_jacobi_agrees_with_three_brackets(genus):
     ctx = SuiteContext(genus)
     structure = {label.split(" on ")[0]
-                 for label, _ in suite._structure_jacobi(ctx.cat, ctx.expansions[0])}
+                 for label, _ in suite._structure_jacobi(ctx.cat, ctx.structure[1])}
     three = {label for label, res in _three_bracket_jacobi(ctx, "exact", None, None)
              if not res.is_zero()}
     assert structure == three == set()
@@ -383,12 +409,14 @@ def test_wrong_elimination_fails_relations_vanish(monkeypatch):
 @pytest.mark.parametrize("genus,pair,field,text", [
     (1, ("L1", "L2"), "L1", "2*P2"),  # displayed: P2
     (3, ("L1", "L4"), "L3", "2*P2"),  # displayed: P2
+    (2, ("L1", "L4"), "L3", "2*P2"),  # displayed: P2
 ])
 def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
         monkeypatch, genus, pair, field, text):
-    """On the table's own catalog a classical row is decided from the
-    displayed row's residual with no bracket; a corrupted row still gives
-    the witness of its own bracket relation."""
+    """A classical row is decided from the structure functions with no
+    bracket, on the zero-parameter genus-2 catalog too (its coefficients
+    read at the parameters' value 0); a corrupted row still gives the
+    witness of its own bracket relation."""
     calls = []
     bracket_sum = derivation.bracket_sum
 
@@ -397,7 +425,7 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
         return bracket_sum(terms, *args, **kwargs)
 
     ctx = SuiteContext(genus)
-    ctx.table_res  # the displayed rows' brackets, made before counting
+    ctx.structure  # the displayed rows' brackets, made before counting
     monkeypatch.setattr(derivation, "bracket_sum", counting)
     assert _decide(suite._classical_table, (), ctx, "exact", None, None) == (True, None)
     assert calls == []
@@ -405,7 +433,7 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
     row = next(r for r in reference.CLASSICAL_TABLE[genus] if r[:2] == pair)
     monkeypatch.setitem(row[2], field, text)
     rows = reference.CLASSICAL_TABLE[genus]
-    (rel,) = read_relations(ctx.cat.fields, [row], symbol_env(ctx.cat, rows))
+    (rel,) = read_relations(ctx.cat_zero.fields, [row], symbol_env(ctx.cat_zero, rows))
     v, diff = min(rel.residual().action.items())
     want = f"[{pair[0]},{pair[1]}] on {v}: {diff.to_text()}"
     calls.clear()
@@ -447,12 +475,18 @@ def test_perturbed_even_coefficient_fails_tangency_and_its_row(monkeypatch, mode
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
-def test_missing_parameter_space_relation_fails_tangency(mode):
+def test_uncovered_parameter_space_pair_is_solved(monkeypatch, mode):
+    """Without the genus-2 [L2,L4] row no displayed relation covers that
+    parameter-space pair: it is solved, to the displayed coefficients, and
+    tangency passes on the solution."""
+    want = SuiteContext(2).lam_structure[1]["L2", "L4"]
+    rows = [r for r in reference.BRACKET_TABLE[2] if r[:2] != ("L2", "L4")]
+    monkeypatch.setitem(reference.BRACKET_TABLE, 2, rows)
     ctx = SuiteContext(2)
-    del ctx.lam_rels[2, 4]
+    assert "[L2,L4]" not in ctx.lam_structure[0]
     assert _decide(suite._tangency, (), ctx, mode, PitConfig(seed=1),
-                   suite._entry_rng(1, "g2.params.tangency")) == (
-        False, "[L2,L4]: no relation expands this pair")
+                   suite._entry_rng(1, "g2.params.tangency")) == (True, None)
+    assert ctx.lam_structure[1]["L2", "L4"] == {k: c for k, c in want.items() if c}
 
 
 def _plus(matrix, cells, text):
