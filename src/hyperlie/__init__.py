@@ -21,9 +21,7 @@ from .exactpoly import (
     Ring,
     RingMismatchError,
     cast,
-    det_bareiss,
     det_minor_expansion,
-    divexact,
 )
 from .derivation import BracketRelation, Derivation, ladder_complete
 
@@ -39,9 +37,7 @@ __all__ = [
     "Ring",
     "RingMismatchError",
     "cast",
-    "det_bareiss",
     "det_minor_expansion",
-    "divexact",
     "ladder_complete",
     "__version__",
 ]

@@ -79,8 +79,9 @@ def compare_tables(cat: FieldCatalog, classical_rows, exp) -> dict:
     residual}} for rows that fail; empty means the algebra realises the
     table exactly.
 
-    For genus 2 pass a catalog with the parameters specialised: the
-    classical table is the zero-parameter member of the family.
+    For genus 2 pass ``catalog(2, "zero")``: the classical table is the
+    zero-parameter member of the family, and each c_k is read at the
+    catalog's ``param_values``.
     """
     values = dict(cat.param_values)
     mismatches = {}

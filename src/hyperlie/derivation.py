@@ -253,22 +253,15 @@ def ladder_complete(
     """The unique field D with the given seed values that can satisfy
     [partner, D] = rhs.
 
-    ``ladder`` lists pairs (src, dst) with partner(src) = dst as variables;
+    ``seeds`` maps variable names to ``Poly`` values, and ``ladder`` lists
+    pairs (src, dst) of variable names with partner(src) = dst;
     each step forces D(dst) = partner(D(src)) - rhs(src).  D satisfies the
     identity exactly when the seeds are consistent with rhs; the residual of
     ``BracketRelation(partner, D, [(1, rhs)])`` decides that.
     """
     ring = partner.ring
-    action: dict[str, Poly] = {}
-    for key, p in seeds.items():
-        vname = key if isinstance(key, str) else key.name
-        ring.index(vname)
-        if not isinstance(p, Poly):
-            p = ring.const(p)
-        action[vname] = p
+    action = dict(seeds)
     for src, dst in ladder:
-        src = src if isinstance(src, str) else src.name
-        dst = dst if isinstance(dst, str) else dst.name
         if src not in action:
             raise LadderError(f"ladder reaches {dst} before {src} is known")
         if partner.on(src) != ring.var(dst):

@@ -17,7 +17,8 @@ residual.
 
 The genus-2 catalog carries four weight-0 parameters; brackets and
 projectability hold identically in them, and a linear solve pins the
-normalised member of the family.
+normalised member of the family, which the same construction builds with
+every parameter read as 0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .derivation import (BracketRelation, Derivation, combination, ladder_comple
                          linear_sum)
 from .exactpoly import (Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion, parity,
                         solve_unique)
-from .lambda_space import CurveModel, build_T
 from .param_map import PARAM_NAMES, JacobiMap, RelVars, build_p, jacobi_map, x_name
 
 
@@ -112,7 +112,7 @@ class FieldCatalog(NamedTuple):
     jm: JacobiMap
     pmap: PolyMap
     aux: dict[str, Poly]
-    param_values: tuple = ()  # (name, value) pairs when specialised
+    param_values: tuple = ()  # (name, value) pairs the parameters read as
 
     @property
     def names(self) -> list[str]:
@@ -135,8 +135,8 @@ def coeff_env(cat: FieldCatalog) -> dict:
 
 def parse_coeff(cat: FieldCatalog, text: str) -> Poly:
     """Read a displayed coefficient into the catalog's ring: l-, aux- and
-    parameter names read as their ``coeff_env`` values, so a specialised
-    catalog's coefficients match its specialised fields."""
+    parameter names read as their ``coeff_env`` values, so the zero
+    catalog's hatted terms and table coefficients read its parameters as 0."""
     return cat.ring.parse(text, coeff_env(cat))
 
 
@@ -209,8 +209,6 @@ def build_by_ladder(cat: FieldCatalog, k: int, seeds: dict) -> Derivation:
 
 @lru_cache(maxsize=None)
 def _catalog_cached(genus: int, params: str) -> FieldCatalog:
-    if params == "zero":
-        return specialize_params(_catalog_cached(genus, "symbolic"), {})
     jm = jacobi_map(genus)
     ring = jm.ring
     pmap = build_p(jm)
@@ -221,7 +219,8 @@ def _catalog_cached(genus: int, params: str) -> FieldCatalog:
         fields[f"L{s}"] = build_odd(genus, s, ring, jm.w_exprs, fields["L1"])
     aux = build_aux(genus, ring, jm.w_exprs, fields)
 
-    cat = FieldCatalog(genus, ring, fields, jm, pmap, aux)
+    values = tuple((p, 0) for p in PARAM_NAMES) if params == "zero" else ()
+    cat = FieldCatalog(genus, ring, fields, jm, pmap, aux, values)
     for name, texts in seed_texts(genus).items():
         seeds = {v: parse_coeff(cat, text) for v, text in texts.items()}
         fields[name] = build_by_ladder(cat, int(name[1:]), seeds)
@@ -238,35 +237,15 @@ def catalog(genus: int, params: str = "symbolic") -> FieldCatalog:
 
     ``params`` is only meaningful for genus 2: "symbolic" keeps the four
     structure constants as weight-0 variables, "zero" is the normalised
-    member, ``specialize_params`` of the symbolic catalog at 0.  Genus 1
-    and 3 have no parameters, so both values give the one catalog.
+    member: the same construction with ``param_values`` reading each
+    parameter as 0.  Genus 1 and 3 have no parameters, so both values give
+    the one catalog.
     """
     if genus not in (1, 2, 3):
         raise ValueError("catalogs exist for genus 1, 2, 3")
     if genus != 2:
         params = "symbolic"
     return _catalog_cached(genus, params)
-
-
-def specialize_params(cat: FieldCatalog, values: dict) -> FieldCatalog:
-    """Substitute explicit rational values for the genus-2 parameters."""
-    assignment = {p: values.get(p, 0) for p in PARAM_NAMES}
-    fields = {
-        n: Derivation(
-            n,
-            cat.ring,
-            {
-                v: q.substitute(assignment, target=cat.ring)
-                for v, q in d.action.items()
-            },
-            weight=d.weight,
-        )
-        for n, d in cat.fields.items()
-    }
-    return FieldCatalog(
-        cat.genus, cat.ring, fields, cat.jm, cat.pmap, cat.aux,
-        tuple(sorted((p, Fraction(assignment[p])) for p in PARAM_NAMES)),
-    )
 
 
 # -- bracket tables -------------------------------------------------------------
@@ -365,11 +344,9 @@ def build_Tcal(cat: FieldCatalog) -> PolyMatrix:
     return PolyMatrix(cat.ring, rows)
 
 
-def pullback_T(cat: FieldCatalog) -> PolyMatrix:
+def pullback_T(cat: FieldCatalog, T: PolyMatrix) -> PolyMatrix:
     """The parameter-space matrix T with the map substituted entry-wise."""
-    model = CurveModel(cat.genus)
-    T = build_T(model)
-    return T.map(lambda p: cat.pmap.pullback(p))
+    return T.map(cat.pmap.pullback)
 
 
 def block_sign(cat: FieldCatalog) -> int:

@@ -4,7 +4,8 @@ For genus g the curve is Y^2 = f(X) with f monic of degree 2g+1 and no
 X^{2g} term; the parameters l4, l6, ..., l{4g+2} carry their index as
 weight.  This module builds f, the discriminant resultant R, the symmetric
 matrix T of pairwise field actions (a scaled Schur complement of R's Bezout
-matrix), the fields L0, L2, ..., L{4g-2}, and (genus 3) their structure matrix.
+matrix), the fields L0, L2, ..., L{4g-2}, which are T's rows, and (genus 3)
+their structure matrix.
 """
 
 from __future__ import annotations
@@ -136,22 +137,11 @@ def build_T(model: CurveModel) -> PolyMatrix:
     return PolyMatrix(model.ring, [[t_entry(model, k, m) for m in r] for k in r])
 
 
-def build_L(model: CurveModel, k: int) -> Derivation:
-    """The weight-k parameter-space field, k even in 0..4g-2.
-
-    Acts by L_k(l_{2s}) = T_{k+2, 2s-2}.
-    """
-    g = model.genus
-    if k % 2 != 0 or not 0 <= k <= 4 * g - 2:
-        raise ValueError(f"field index {k} out of range for genus {g}")
-    action = {}
-    for s in range(2, 2 * g + 2):
-        action[f"l{2 * s}"] = t_entry(model, (k + 2) // 2, s - 1)
-    return Derivation(f"L{k}", model.ring, action, weight=k)
-
-
-def all_L(model: CurveModel) -> dict[int, Derivation]:
-    return {k: build_L(model, k) for k in range(0, 4 * model.genus - 1, 2)}
+def all_L(T: PolyMatrix) -> dict[int, Derivation]:
+    """The parameter-space fields {k: L_k}, k = 0, 2, ..., 4g-2: row k/2 of
+    T is L_k, acting by L_k(l_{2s}) = T_{k+2, 2s-2} on T's ring variables."""
+    return {2 * i: Derivation(f"L{2 * i}", T.ring, dict(zip(T.ring.names, row)),
+                              weight=2 * i) for i, row in enumerate(T.rows)}
 
 
 # -- genus-3 commutator structure matrix -------------------------------------

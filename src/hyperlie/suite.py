@@ -178,7 +178,7 @@ _BUILDS = {
     "model": lambda ctx: CurveModel(ctx.genus),
     "R": lambda ctx: discriminant_R(ctx.model),
     "T": lambda ctx: build_T(ctx.model),
-    "lam_fields": lambda ctx: all_L(ctx.model),
+    "lam_fields": lambda ctx: all_L(ctx.T),
     "rels": lambda ctx: generate_relations(ctx.genus),
     "jm": lambda ctx: ctx.cat.jm,
     "cat": lambda ctx: catalog(ctx.genus, params="symbolic"),
@@ -186,7 +186,7 @@ _BUILDS = {
     # for g = 1 and 3 the same object as cat
     "cat_zero": lambda ctx: catalog(ctx.genus, params="zero"),
     "Tcal": lambda ctx: build_Tcal(ctx.cat_zero),
-    "Tp": lambda ctx: pullback_T(ctx.cat_zero),
+    "Tp": lambda ctx: pullback_T(ctx.cat_zero, ctx.T),
     "bezout": lambda ctx: bezout_f(ctx.model),
     "structure": lambda ctx: structure(
         ctx.cat.fields, table_relations(ctx.cat) + euler_relations(ctx.cat.fields)),

@@ -22,7 +22,7 @@ def models():
 
 @pytest.fixture(scope="session")
 def lam_fields(models):
-    return {g: all_L(models[g]) for g in (1, 2, 3)}
+    return {g: all_L(build_T(models[g])) for g in (1, 2, 3)}
 
 
 @pytest.fixture(scope="session")

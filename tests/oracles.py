@@ -9,7 +9,8 @@ a polynomial, so its reader lives here too, for the round-trip test.
 
 from fractions import Fraction
 
-from hyperlie import Poly, PolyMatrix, RingMismatchError, det_bareiss
+from hyperlie import Poly, PolyMatrix, RingMismatchError
+from hyperlie.exactpoly import det_bareiss
 
 
 def poly_from_json_obj(ring, obj) -> Poly:

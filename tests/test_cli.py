@@ -175,6 +175,33 @@ def test_suite_and_exports_make_no_bareiss_or_division_call(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_suite_computes_each_entry_of_T_once_per_genus(monkeypatch, mode):
+    # The parameter-space fields are T's rows and T o p pulls back ctx.T,
+    # so a clean run builds T once per genus and each entry once.
+    from hyperlie import lambda_space
+
+    genera, entries = [], []
+    build_T, t_entry = lambda_space.build_T, lambda_space.t_entry
+
+    def counted_T(model):
+        genera.append(model.genus)
+        return build_T(model)
+
+    def counted_entry(model, k, m):
+        entries.append(model.genus)
+        return t_entry(model, k, m)
+
+    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "hyperlie"]:
+        if getattr(module, "build_T", None) is build_T:
+            monkeypatch.setattr(module, "build_T", counted_T)
+    monkeypatch.setattr(lambda_space, "t_entry", counted_entry)
+    report = run_suite("all", mode)
+    assert report.passed, [(e.id, e.residual) for e in report.failures()]
+    assert sorted(genera) == [1, 2, 3]
+    assert {g: entries.count(g) for g in genera} == {g: (2 * g) ** 2 for g in genera}
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypatch, mode):
     # Tangency, the relation substitution and the action-matrix factor run
     # one exact proof in both modes: none evaluates a matrix or calls

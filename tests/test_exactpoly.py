@@ -13,12 +13,10 @@ from hyperlie import (
     Ring,
     RingMismatchError,
     cast,
-    det_bareiss,
     det_minor_expansion,
-    divexact,
 )
 
-from hyperlie.exactpoly import row_reduce, solve_unique
+from hyperlie.exactpoly import det_bareiss, divexact, row_reduce, solve_unique
 from hyperlie.suite import fraction_det
 from oracles import det_cofactor, poly_from_json_obj, resultant, sylvester_matrix
 

@@ -16,9 +16,10 @@ from hyperlie.genus_fields import (
     pullback_T,
     read_relations,
     solve_genus2_normalization,
-    specialize_params,
     table_relations,
 )
+from hyperlie.lambda_space import CurveModel, build_T
+from hyperlie.param_map import PARAM_NAMES
 from hyperlie.suite import PitConfig, SuiteContext, _entry_rng, suite_entries
 
 
@@ -132,6 +133,26 @@ def test_genus1_weight2_row(catalogs):
     assert d.on("x4") == cat.ring.parse("2*x2*x4 + 3*x3^2")
 
 
+def _specialized(cat, values):
+    """The member of the genus-2 family at ``values`` (0 for a parameter
+    it omits), by substituting each parameter in every field's action."""
+    assignment = {p: values.get(p, 0) for p in PARAM_NAMES}
+    fields = {n: Derivation(n, cat.ring, {v: q.substitute(assignment, target=cat.ring)
+                                          for v, q in d.action.items()}, weight=d.weight)
+              for n, d in cat.fields.items()}
+    return cat._replace(fields=fields, param_values=tuple(sorted(assignment.items())))
+
+
+def test_zero_catalog_is_the_symbolic_catalog_at_zero(catalogs, catalogs_zero):
+    # the zero catalog is its own build with the parameters read as 0; every
+    # field equals the symbolic field with each parameter substituted by 0
+    zero, at_zero = catalogs_zero[2], _specialized(catalogs[2], {})
+    assert zero is not catalogs[2] and zero.param_values == at_zero.param_values
+    assert sorted(zero.fields) == sorted(at_zero.fields)
+    for name, d in at_zero.fields.items():
+        assert zero.fields[name] == d and zero.fields[name].weight == d.weight, name
+
+
 def test_genus2_zero_params_unhats(catalogs, catalogs_zero):
     # with all parameters zero the hatted combinations reduce to the bases,
     # the displayed actions, which carry no parameter
@@ -219,10 +240,10 @@ def test_pushforward_homomorphism_genus3(catalogs, lam_fields):
 
 
 @pytest.mark.parametrize("g", [1, 2])
-def test_detTcal_factor_small(catalogs_zero, g):
+def test_detTcal_factor_small(catalogs_zero, models, g):
     cat = catalogs_zero[g]
     lhs = det_minor_expansion(build_Tcal(cat))
-    rhs = det_minor_expansion(pullback_T(cat))
+    rhs = det_minor_expansion(pullback_T(cat, build_T(models[g])))
     assert lhs == reference.DET_TCAL_FACTOR[g] * rhs
 
 
@@ -268,11 +289,12 @@ def test_detTcal_factor_entry_fails_on_perturbed_odd_row(monkeypatch, g, mode):
         assert witness.startswith("(Tcal.J_p^T)[L1,l")
 
 
-def test_pullback_det_equals_det_pullback(catalogs_zero, detTs):
+def test_pullback_det_equals_det_pullback(catalogs_zero, models, detTs):
     # substitution commutes with the determinant
     for g in (1, 2):
         cat = catalogs_zero[g]
-        assert det_minor_expansion(pullback_T(cat)) == cat.pmap.pullback(detTs[g])
+        T = build_T(models[g])
+        assert det_minor_expansion(pullback_T(cat, T)) == cat.pmap.pullback(detTs[g])
 
 
 # -- normalization ----------------------------------------------------------------------
@@ -323,14 +345,13 @@ def test_normalized_bracket_row(catalogs_zero):
 
 def test_normalization_negative_control(catalogs):
     # forcing alpha = 1 contradicts the classical table
-    forced = specialize_params(catalogs[2], {"alpha": 1})
+    forced = _specialized(catalogs[2], {"alpha": 1})
     mism = compare_tables(forced, reference.CLASSICAL_TABLE[2], SuiteContext(2).structure[1])
     assert mism
 
 
 def test_every_displayed_table_is_read_through_read_relations(monkeypatch):
     from hyperlie import classical, genus_fields
-    from hyperlie.lambda_space import CurveModel
 
     original, seen = genus_fields.read_relations, []
 

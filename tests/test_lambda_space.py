@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlie import Ring, cast, det_minor_expansion, divexact
+from hyperlie import Ring, cast, det_minor_expansion
 from hyperlie.lambda_space import (
     CurveModel,
+    all_L,
     bezout_f,
     bezout_matrix,
-    build_L,
     build_M,
     build_T,
     build_f,
@@ -20,6 +20,7 @@ from hyperlie.lambda_space import (
     t_entry,
 )
 from hyperlie import reference
+from hyperlie.exactpoly import divexact
 from hyperlie.suite import fraction_det
 
 from oracles import sylvester_matrix
@@ -157,21 +158,25 @@ def test_t_entry_symmetry_in_indices(models):
             assert t_entry(m, k, mm) == t_entry(m, mm, k)
 
 
-def test_build_L_genus1(models):
+def test_all_L_genus1(models):
     m = models[1]
-    L0 = build_L(m, 0)
+    L0, L2 = all_L(build_T(m)).values()
     assert L0.on("l4") == m.ring.parse("4*l4")
     assert L0.on("l6") == m.ring.parse("6*l6")
-    L2 = build_L(m, 2)
     assert L2.on("l4") == m.ring.parse("6*l6")
     assert L2.on("l6") == m.ring.parse("-4/3*l4^2")
 
 
-def test_build_L_rejects_bad_index(models):
-    with pytest.raises(ValueError):
-        build_L(models[1], 4)
-    with pytest.raises(ValueError):
-        build_L(models[2], 3)
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_all_L_acts_by_T_entries(g):
+    # L_k(l_{2s}) = T_{k+2,2s-2}, entry by entry against t_entry
+    model = CurveModel(g)
+    fields = all_L(build_T(model))
+    assert sorted(fields) == list(range(0, 4 * g - 1, 2))
+    for k, L in fields.items():
+        assert (L.name, L.weight, L.ring) == (f"L{k}", k, model.ring)
+        for s in range(2, 2 * g + 2):
+            assert L.on(f"l{2 * s}") == t_entry(model, (k + 2) // 2, s - 1), (g, k, s)
 
 
 def test_euler_field_eigenvalues(models, lam_fields):
