@@ -10,16 +10,17 @@ problem string, which always fails.  One runner, ``_decide``, returns
 evaluates it at ``sample_count`` random points of [-B, B]^n for the
 witness ``label at {point} -> value``, falling back to ``label: poly`` when
 it vanishes at every one.  A number fails as ``label -> value``, a problem
-as ``label: problem``.  No claim expands det T: exact ``detT_eq_cR`` checks
-n*T = -2*J*S*J, J the reversal and S = n*A - b*b^T for the Bezout matrix
-[[A, b], [b^T, n]] of f, f' (det = +-R; Cox, Little & O'Shea, GTM 185), and
-Schur's formula (F. Zhang (ed.), *The Schur Complement and Its
-Applications*, Springer 2005) gives det T = (-4)^g/n * R.  Pit mode, the one
-branch on the mode, samples det T and R: a nonzero identity of degree d
-vanishes at a point with probability at most d/(2B+1) (Schwartz-Zippel).
-Tangency: as [L_k, L_i] = sum_m c_ki^m L_m (Buchstaber & Leykin,
-Funct. Anal. Appl. 42, 2008), L_k(det T) = (div L_k + sum_i c_ki^i) det T by
-Saito's identity (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980).
+as ``label: problem``.  No claim expands det T, nor R beyond genus 1:
+``R_weight`` reads the entry weights of the Bezout matrix B = [[A, b],
+[b^T, n]] of f, f' (det B = +-R; Cox, Little & O'Shea, GTM 185) and det B
+at one point, and exact ``detT_eq_cR`` checks n*T = -2*J*S*J, J the
+reversal and S = n*A - b*b^T; Schur's formula (F. Zhang (ed.), *The Schur
+Complement and Its Applications*, Springer 2005) gives det T = (-4)^g/n * R.
+Pit mode, the one branch on the mode, samples det T and R: a nonzero identity
+of degree d vanishes at a point with probability at most d/(2B+1)
+(Schwartz-Zippel).  Tangency: as [L_k, L_i] = sum_m c_ki^m L_m (Buchstaber &
+Leykin, Funct. Anal. Appl. 42, 2008), L_k(det T) = (div L_k + sum_i c_ki^i)
+det T by Saito's identity (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980).
 
 Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
 entry on the calling thread, in ``suite_entries`` order, and orders the
@@ -257,8 +258,18 @@ def _curve_poly(ctx, mode, pit, rng):
 
 @_claim("params.R_weight", "discriminant resultant homogeneous of weight {r_weight}")
 def _r_weight(ctx, mode, pit, rng):
-    if not ctx.R.is_homogeneous_of(reference.r_weight(ctx.genus)) or ctx.R.is_zero():
-        yield "R", f"weight_check -> {ctx.R.weight_check()}"
+    """R = +-det B, B = ``ctx.bezout``, unexpanded: entry (i, j), the x^i y^j
+    coefficient of (f(x) f'(y) - f(y) f'(x))/(x - y) for x, y of weight 2, is
+    homogeneous of weight u_i + u_j, u_i = 4g - 2i, so every term of det B
+    has weight 2 * sum u, and det B != 0 at l = 1 shows that R != 0."""
+    u = [4 * ctx.genus - 2 * i for i in range(ctx.bezout.nrows)]
+    yield "2 * sum u - r_weight", 2 * sum(u) - reference.r_weight(ctx.genus)
+    for i, row in enumerate(ctx.bezout.rows):
+        for j, e in enumerate(row):
+            if not e.is_homogeneous_of(u[i] + u[j]):
+                yield f"B({i + 1},{j + 1})", f"not homogeneous of weight {u[i] + u[j]}"
+    if not fraction_det(ctx.bezout.evaluate(dict.fromkeys(ctx.model.ring.names, 1))):
+        yield "det B at l = 1", "0, so nothing shows R != 0"
 
 
 @_claim("params.R_value", "R = 4 l4^3 + 27 l6^2", genera=(1,))
@@ -485,24 +496,22 @@ def _table_row(ctx, mode, pit, rng, left, right):
 
 @_claim("fields.pushforward_homomorphism", "bracket commutes with the pushforward")
 def _pushforward_homomorphism(ctx, mode, pit, rng):
-    """[La, Lb](p_j) = p*([La^l, Lb^l] l_j), or 0 when a or b is odd; the
-    left side sum_k c_ab^k Lk(p_j) is one ``linear_sum``."""
-    _, exp, problem = ctx.structure
-    if problem:
+    """[La, Lb](p_j) = p*([La^l, Lb^l] l_j) on the c_ab^k of ``ctx.structure``
+    and the c^l_ab^k of ``ctx.lam_structure``, c^l_ab = 0 when a or b is odd.
+    As Lk(p_j) = p*(Lk^l l_j) for even k and 0 for odd k
+    (``fields.projectability.*``), it reads sum_{k even} (c_ab^k -
+    p*(c^l_ab^k)) p*(Lk^l l_j) = 0: it holds if c_ab^k = p*(c^l_ab^k) for
+    every even k, and only if, as the p*(Lk^l l_j) are the rows of T o p
+    and det(T o p) != 0."""
+    if problem := ctx.structure[2] or ctx.lam_structure[2]:
         yield problem
         return
-    cat, comps = ctx.cat, ctx.cat.pmap.components
-    images = {(k, v): cat.fields[k].apply(comps[v]) for k in cat.names for v in comps}
-    for na, nb in combinations(cat.names, 2):
-        ka, kb = int(na[1:]), int(nb[1:])
-        even = ka % 2 == 0 and kb % 2 == 0
-        down = ctx.lam_fields[ka].bracket(ctx.lam_fields[kb]) if even else None
-        for v in comps:
-            lhs = linear_sum(cat.ring, products=[(c, images[k, v])
-                                                 for k, c in exp[na, nb].items()])
-            rhs = cat.ring.zero if down is None else cat.pmap.pullback(down.on(v))
-            if lhs != rhs:
-                yield f"[{na},{nb}] on {v}", lhs - rhs
+    cat, exp, lexp = ctx.cat, ctx.structure[1], ctx.lam_structure[1]
+    for a, b in combinations(cat.names, 2):
+        down = lexp.get((a, b), {})
+        for k in (f"L{i}" for i in ctx.lam_fields):
+            lhs = exp[a, b].get(k, cat.ring.zero)
+            yield f"[{a},{b}] on {k}", lhs - cat.pmap.pullback(down[k]) if k in down else lhs
 
 
 @_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")

@@ -202,6 +202,22 @@ def test_suite_computes_each_entry_of_T_once_per_genus(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_suite_expands_R_at_genus_1_only(monkeypatch, mode):
+    # params.R_weight reads the Bezout matrix, so only genus 1's
+    # params.R_value expands R.
+    genera, expand = [], suite.discriminant_R
+
+    def counted(model):
+        genera.append(model.genus)
+        return expand(model)
+
+    monkeypatch.setattr(suite, "discriminant_R", counted)
+    for g in (1, 2, 3):
+        assert run_suite(g, mode, PitConfig(seed=1)).passed
+    assert genera == [1]
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypatch, mode):
     # Tangency, the relation substitution and the action-matrix factor run
     # one exact proof in both modes: none evaluates a matrix or calls
@@ -209,7 +225,9 @@ def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypat
     # generator-space minors det A and det J_minor.  Exact detT_eq_cR
     # proves det T = c*R from the Schur complement of the Bezout matrix: it
     # expands no determinant and reads no R.  Pit detT_eq_cR samples det T
-    # and det B, so with the counters raising it must fail.
+    # and det B, so with the counters raising it must fail.  (params.R_weight
+    # evaluates B too, at the one fixed point l = 1 in both modes, as its
+    # certificate that det B != 0; no sample is drawn there.)
     from hyperlie import exactpoly, genus_fields, lambda_space
 
     calls, minors = [], []

@@ -240,12 +240,44 @@ def test_structure_jacobi_fails_on_a_perturbed_expansion(genus, pair, field, del
     assert not ok and re.match(r"jacobi\(L\d+,L\d+,L\d+\) on L\d+: \S", witness), witness
 
 
+def _pushforward_failures(ctx):
+    return [(label, r) for label, r in
+            suite._pushforward_homomorphism(ctx, "exact", PitConfig(), None) if r]
+
+
 def test_expanded_pushforward_fails_on_a_perturbed_expansion():
+    """The pushforward homomorphism compares c_ab^k with p*(c^l_ab^k), so a
+    perturbed c_{L2,L4}^{L0} fails that one coefficient, by the perturbation."""
     ctx = _perturbed_expansions(3, ("L2", "L4"), "L0", "1")
-    failing = [label for label, _ in
-               suite._pushforward_homomorphism(ctx, "exact", PitConfig(), None)]
-    assert len(failing) == 6
-    assert all(label.startswith("[L2,L4] on ") for label in failing)
+    assert _pushforward_failures(ctx) == [("[L2,L4] on L0", ctx.cat.ring.one)]
+    ok, witness = _decide(suite._pushforward_homomorphism, (), ctx, "exact", PitConfig(), None)
+    assert (ok, witness) == (False, "[L2,L4] on L0: 1")
+
+
+def test_pushforward_fails_on_a_perturbed_parameter_space_coefficient():
+    """A parameter-space c^l_{L4,L6}^{L2} made c + l4 fails its coefficient
+    with the pulled-back perturbation -p*(l4), in both modes."""
+    ctx = SuiteContext(3)
+    residuals, lexp, _ = ctx.lam_structure
+    lexp = {p: dict(coeffs) for p, coeffs in lexp.items()}
+    l4 = ctx.model.ring.var("l4")
+    for pair, sign in ((("L4", "L6"), 1), (("L6", "L4"), -1)):
+        lexp[pair]["L2"] = lexp[pair].get("L2", ctx.model.ring.zero) + sign * l4
+    ctx._memo["lam_structure"] = residuals, lexp, None
+    assert _pushforward_failures(ctx) == [("[L4,L6] on L2", -ctx.cat.pmap.pullback(l4))]
+    for mode, pattern in (("exact", r"\[L4,L6\] on L2: \S"),
+                          ("pit", r"\[L4,L6\] on L2 at \{.*\} -> -?\d")):
+        rng = suite._entry_rng(1, "g3.fields.pushforward_homomorphism")
+        ok, witness = _decide(suite._pushforward_homomorphism, (), ctx, mode, PitConfig(), rng)
+        assert not ok and re.match(pattern, witness), witness
+
+
+def test_pushforward_fails_on_an_odd_pair_with_an_even_field_coefficient():
+    """[L1, L2] projects to 0, so its coefficient on an even field must be 0:
+    given c_{L1,L2}^{L2} = x2 it fails there, and only there."""
+    ctx = _perturbed_expansions(3, ("L1", "L2"), "L2", "x2")
+    assert "L2" not in SuiteContext(3).structure[1]["L1", "L2"]
+    assert _pushforward_failures(ctx) == [("[L1,L2] on L2", parse_coeff(ctx.cat, "x2"))]
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -528,3 +560,44 @@ def test_perturbed_constant_fails_detT_eq_cR_exactly(monkeypatch, genus, constan
     monkeypatch.setitem(reference.DETT_R_CONSTANT, genus, constant)
     failures = {e.id: e.residual for e in run_suite(genus, "exact").failures()}
     assert failures == {f"g{genus}.params.detT_eq_cR": f"detT - c*R: {residual}"}
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("genus,cell,text,witness", [
+    (1, (0, 1), "l4", "B(1,2): not homogeneous of weight 6"),
+    (2, (1, 3), "l4", "B(2,4): not homogeneous of weight 8"),
+    (3, (0, 0), "l6^2*l10", "B(1,1): not homogeneous of weight 24"),
+])
+def test_wrong_weight_bezout_entry_fails_R_weight(monkeypatch, genus, cell, text, witness,
+                                                 mode):
+    """``params.R_weight`` reads R's weight off the Bezout entries, so one
+    term of the wrong weight in one entry fails it, in both modes."""
+    original = suite._BUILDS["bezout"]
+    monkeypatch.setitem(suite._BUILDS, "bezout",
+                        lambda ctx: _plus(original(ctx), [cell], text))
+    rng = suite._entry_rng(1, f"g{genus}.params.R_weight")
+    assert _decide(suite._r_weight, (), SuiteContext(genus), mode, PitConfig(seed=1),
+                   rng) == (False, witness)
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_bezout_singular_at_the_certificate_point_fails_R_weight(monkeypatch, genus, mode):
+    """B(1,1) plus t*l4^(2g), of its own weight, with t chosen so that det B
+    vanishes at l = 1 but not at l = 2: every entry keeps its weight, and
+    the certificate det B(1) != 0 alone fails."""
+    original = suite._BUILDS["bezout"]
+
+    def singular_at_one(ctx):
+        B = original(ctx)
+        one = dict.fromkeys(B.ring.names, 1)
+        minor = [row[1:] for row in B.evaluate(one)[1:]]
+        t = -suite.fraction_det(B.evaluate(one)) / suite.fraction_det(minor)
+        return _plus(B, [(0, 0)], f"{t}*l4^{2 * genus}")
+
+    monkeypatch.setitem(suite._BUILDS, "bezout", singular_at_one)
+    ctx = SuiteContext(genus)
+    assert suite.fraction_det(ctx.bezout.evaluate(dict.fromkeys(ctx.model.ring.names, 2)))
+    rng = suite._entry_rng(1, f"g{genus}.params.R_weight")
+    assert _decide(suite._r_weight, (), ctx, mode, PitConfig(seed=1), rng) == (
+        False, "det B at l = 1: 0, so nothing shows R != 0")
