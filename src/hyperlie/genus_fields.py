@@ -29,8 +29,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import reference
-from .derivation import (BracketRelation, Derivation, combination, ladder_complete,
-                         linear_sum)
+from .derivation import BracketRelation, Derivation, combination, ladder_complete
 from .exactpoly import (Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion, parity,
                         solve_unique)
 from .param_map import PARAM_NAMES, JacobiMap, RelVars, build_p, jacobi_map, x_name
@@ -208,19 +207,22 @@ def build_by_ladder(cat: FieldCatalog, k: int, seeds: dict) -> Derivation:
 
 
 @lru_cache(maxsize=None)
-def _catalog_cached(genus: int, params: str) -> FieldCatalog:
-    jm = jacobi_map(genus)
-    ring = jm.ring
-    pmap = build_p(jm)
-    fields: dict[str, Derivation] = {}
-    fields["L0"] = build_euler(genus, ring)
-    fields["L1"] = build_depth1(genus, ring)
-    for s in range(3, 2 * genus, 2):
-        fields[f"L{s}"] = build_odd(genus, s, ring, jm.w_exprs, fields["L1"])
-    aux = build_aux(genus, ring, jm.w_exprs, fields)
-
+def _catalog_cached(genus: int, params: str | None) -> FieldCatalog:
+    """``catalog``'s one cache.  ``params`` None is the parameter-free base
+    that every member of the genus shares: the elimination, ring, map, L0,
+    L1, the other odd fields and aux; a member adds its even fields to it.
+    So one ``cache_clear`` resets every build."""
+    if params is None:
+        jm = jacobi_map(genus)
+        fields = {"L0": build_euler(genus, jm.ring), "L1": build_depth1(genus, jm.ring)}
+        for s in range(3, 2 * genus, 2):
+            fields[f"L{s}"] = build_odd(genus, s, jm.ring, jm.w_exprs, fields["L1"])
+        aux = build_aux(genus, jm.ring, jm.w_exprs, fields)
+        return FieldCatalog(genus, jm.ring, fields, jm, build_p(jm), aux)
+    base = _catalog_cached(genus, None)
+    fields = dict(base.fields)
     values = tuple((p, 0) for p in PARAM_NAMES) if params == "zero" else ()
-    cat = FieldCatalog(genus, ring, fields, jm, pmap, aux, values)
+    cat = base._replace(fields=fields, param_values=values)
     for name, texts in seed_texts(genus).items():
         seeds = {v: parse_coeff(cat, text) for v, text in texts.items()}
         fields[name] = build_by_ladder(cat, int(name[1:]), seeds)
@@ -237,9 +239,9 @@ def catalog(genus: int, params: str = "symbolic") -> FieldCatalog:
 
     ``params`` is only meaningful for genus 2: "symbolic" keeps the four
     structure constants as weight-0 variables, "zero" is the normalised
-    member: the same construction with ``param_values`` reading each
-    parameter as 0.  Genus 1 and 3 have no parameters, so both values give
-    the one catalog.
+    member: the same even-field construction with ``param_values`` reading
+    each parameter as 0, on the same base (map, odd fields, aux).  Genus 1
+    and 3 have no parameters, so both values give the one catalog.
     """
     if genus not in (1, 2, 3):
         raise ValueError("catalogs exist for genus 1, 2, 3")
@@ -359,44 +361,28 @@ def block_sign(cat: FieldCatalog) -> int:
     return parity(odd + even) * parity(list(range(g, 3 * g)) + list(range(g)))
 
 
-def det_factor_residuals(
-    cat: FieldCatalog, Tcal: PolyMatrix, Tp: PolyMatrix, factor
-) -> tuple[dict[str, Poly], Poly]:
-    """Reduce det Tcal = factor * det(T o p) to small exact checks.
+def det_factor_residuals(cat: FieldCatalog, factor) -> tuple[Poly, Poly]:
+    """Reduce det Tcal = factor * det(T o p) to two small determinants.
 
     J_p is the Jacobian of the map over the Tcal columns and E_K the unit
-    columns of K = the first g coordinates.  Projectability makes the odd
-    rows of Tcal . [J_p^T | E_K] equal [0 | A] (A: odd-field actions on K)
-    and the even rows [T o p | *], so
+    columns of K = the first g coordinates.  The odd rows of
+    Tcal . [J_p^T | E_K] are [0 | A] (A: odd-field actions on K) and the
+    even rows [T o p | *]: that block form is exactly L_odd(p_j) = 0 and
+    L_even(p_j) = p*(L^l l_j), the ``fields.projectability.*`` entries
+    (the zero genus-2 member is the symbolic one at parameters 0).  So
     det Tcal * epsilon * det J_minor = sigma * det A * det(T o p), with
-    J_minor = J_p on the other 2g columns.  Given det J_minor != 0, the claim
-    is then det A = sigma * epsilon * factor * det J_minor.
+    J_minor = J_p on the other 2g columns, and given det J_minor != 0 the
+    claim is det A = sigma * epsilon * factor * det J_minor.
 
-    Returns (residuals, det J_minor): every residual must vanish, and
-    det J_minor must not.
+    Returns (det A - sigma * epsilon * factor * det J_minor, det J_minor):
+    the first must vanish, and the second must not.
     """
-    g = cat.genus
-    ring = cat.ring
-    comps = list(cat.pmap.components.items())  # l4, l6, ...: the T columns
-    jac = [[comp.partial(c) for c in _coordinates(cat)] for _, comp in comps]
-    residuals = {}
-    odd_rows = []
-    tp_rows = iter(Tp.rows)  # T o p rows follow the even fields in order
-    for name, row in zip(cat.names, Tcal.rows):
-        if int(name[1:]) % 2:
-            odd_rows.append(row)
-            targets = [ring.zero] * len(comps)
-        else:
-            targets = next(tp_rows)
-        for (lname, _), jrow, want in zip(comps, jac, targets):
-            entry = linear_sum(ring, products=zip(row, jrow))
-            residuals[f"(Tcal.J_p^T)[{name},{lname}] - target"] = entry - want
-    A = PolyMatrix(ring, [row[:g] for row in odd_rows])
-    minor = det_minor_expansion(PolyMatrix(ring, [r[g:] for r in jac]))
-    residuals["det A - sign * factor * det J_minor"] = (
-        det_minor_expansion(A) - minor * (block_sign(cat) * factor)
-    )
-    return residuals, minor
+    cols = _coordinates(cat)
+    g, ring = cat.genus, cat.ring
+    A = PolyMatrix(ring, [[L.on(c) for c in cols[:g]] for L in cat.odd_fields()])
+    minor = det_minor_expansion(PolyMatrix(ring, [
+        [comp.partial(c) for c in cols[g:]] for comp in cat.pmap.components.values()]))
+    return det_minor_expansion(A) - minor * (block_sign(cat) * factor), minor
 
 
 # -- genus-2 normalization -------------------------------------------------------

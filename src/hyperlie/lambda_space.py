@@ -5,7 +5,10 @@ X^{2g} term; the parameters l4, l6, ..., l{4g+2} carry their index as
 weight.  This module builds f, the discriminant resultant R, the symmetric
 matrix T of pairwise field actions (a scaled Schur complement of R's Bezout
 matrix), the fields L0, L2, ..., L{4g-2}, which are T's rows, and (genus 3)
-their structure matrix.
+the displayed structure matrix M of their brackets.  M is read as data:
+the suite compares each row with the structure functions that
+``genus_fields.structure`` decides on this space, so no bracket is
+expanded against M here.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import reference
-from .derivation import BracketRelation, Derivation, linear_sum
+from .derivation import Derivation, linear_sum
 from .exactpoly import Poly, PolyMatrix, Ring, det_minor_expansion
 
 
@@ -160,11 +163,3 @@ def build_M(model: CurveModel) -> PolyMatrix:
         for row in reference.STRUCTURE_MATRIX
     ]
     return PolyMatrix(model.ring, rows)
-
-
-def m_relation_rows(model: CurveModel, fields) -> list[BracketRelation]:
-    """The ten claimed identities [L_{2i}, L_{2j}] = M-row . (L0..L10)."""
-    M = build_M(model)
-    ordered = [fields[k] for k in sorted(fields)]
-    return [BracketRelation(fields[i], fields[j], list(zip(M.rows[r], ordered)),
-                            label=f"[L{i},L{j}]") for r, (i, j) in enumerate(M_PAIRS)]

@@ -234,6 +234,7 @@ class JacobiMap(NamedTuple):
     ring: Ring  # pure x-ring the expressions live in
     lambda_exprs: dict[int, Poly]  # index s -> poly of weight s
     w_exprs: dict[tuple[int, int], Poly]  # (k,l) -> poly of weight k+l
+    rels: RelationSet  # the relation system it solved
 
 
 def _solve_linear(rel: Relation) -> Poly:
@@ -292,16 +293,16 @@ def eliminate(rels: RelationSet) -> JacobiMap:
     for k in range(3, 2 * genus, 2):
         for l in range(k, 2 * genus, 2):
             w_exprs[(k, l)] = cast(resolved[w_name(genus, k, l)], xr)
-    return JacobiMap(genus, xr, lambda_exprs, w_exprs)
+    return JacobiMap(genus, xr, lambda_exprs, w_exprs, rels)
 
 
-def verify_relations_vanish(rels: RelationSet, jm: JacobiMap) -> dict[str, Poly]:
-    """Substitute the solved expressions into every relation.
+def verify_relations_vanish(jm: JacobiMap) -> dict[str, Poly]:
+    """Substitute the solved expressions into every relation of ``jm.rels``.
 
     Returns {label: residual} for relations that do not vanish; an empty
     result certifies the elimination solved the whole system.
     """
-    assignment = {}
+    rels, assignment = jm.rels, {}
     for s, p in jm.lambda_exprs.items():
         assignment[f"l{s}"] = cast(p, rels.ring)
     for (k, l), p in jm.w_exprs.items():
@@ -323,5 +324,5 @@ def build_p(jm: JacobiMap) -> PolyMap:
 
 def jacobi_map(genus: int) -> JacobiMap:
     """Generate the relations and eliminate them; whether the result solves
-    them is decided by ``verify_relations_vanish``."""
+    them, ``jm.rels``, is decided by ``verify_relations_vanish``."""
     return eliminate(generate_relations(genus))

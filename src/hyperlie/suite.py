@@ -22,15 +22,22 @@ of degree d vanishes at a point with probability at most d/(2B+1)
 Leykin, Funct. Anal. Appl. 42, 2008), L_k(det T) = (div L_k + sum_i c_ki^i)
 det T by Saito's identity (K. Saito, J. Fac. Sci. Univ. Tokyo 27, 1980).
 
-Each genus has one shared ``SuiteContext``; ``run_suite`` decides every
-entry on the calling thread, in ``suite_entries`` order, and orders the
-report by entry id.  The structure functions c_ab^k of
-[L_a, L_b] = sum_k c_ab^k L_k (Buchstaber & Leykin, Funct. Anal. Appl. 36,
-2002) are decided once per space by ``genus_fields.structure``, from the
-table and Euler rows (``ctx.structure``) and from the Euler rows and the
-table's even part (``ctx.lam_structure``).  Every bracket entry reads
-them, so a wrong displayed row fails only the entries that check it: its
-``fields.table`` row and, for a pair of even fields, ``params.tangency``.
+Each genus has one shared ``SuiteContext``, and each object is built once
+in it: the catalogs share one elimination, map and odd fields
+(``genus_fields.catalog``), and the map entries read the relation system
+that elimination solved.  ``run_suite`` decides every entry on the calling
+thread, in ``suite_entries`` order, and orders the report by entry id.
+The structure functions c_ab^k of [L_a, L_b] = sum_k c_ab^k L_k
+(Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) are decided once per
+space by ``genus_fields.structure``, from the table and Euler rows
+(``ctx.structure``) and from the Euler rows and the table's even part
+(``ctx.lam_structure``).  Every bracket entry reads them, so a wrong
+displayed row fails only the entries that check it: its ``fields.table``
+row and, for a pair of even fields, ``params.tangency``.  Three entries
+rest on others rather than recompute them:
+``fields.pushforward_homomorphism`` and ``fields.detTcal_factor`` on
+``fields.projectability.*``, and ``params.structure.*`` on
+``ctx.lam_structure`` with det T != 0.
 """
 
 from __future__ import annotations
@@ -47,13 +54,11 @@ from .derivation import Derivation, linear_sum, verify_pushforward
 from .exactpoly import Poly, row_reduce
 from .genus_fields import (
     build_by_ladder,
-    build_Tcal,
     catalog,
     det_factor_residuals,
     euler_relations,
     field_names,
     parse_coeff,
-    pullback_T,
     read_relations,
     seed_texts,
     solve_genus2_normalization,
@@ -67,16 +72,12 @@ from .lambda_space import (
     all_L,
     bezout_f,
     build_f,
+    build_M,
     build_T,
     discriminant_R,
-    m_relation_rows,
     schur_identity,
 )
-from .param_map import (
-    generate_relations,
-    verify_relations_vanish,
-    w_name,
-)
+from .param_map import verify_relations_vanish, w_name
 from .report import ReportEntry, VerificationReport
 
 _RESIDUAL_CAP = 1500
@@ -180,21 +181,16 @@ _BUILDS = {
     "R": lambda ctx: discriminant_R(ctx.model),
     "T": lambda ctx: build_T(ctx.model),
     "lam_fields": lambda ctx: all_L(ctx.T),
-    "rels": lambda ctx: generate_relations(ctx.genus),
+    "M": lambda ctx: build_M(ctx.model),
     "jm": lambda ctx: ctx.cat.jm,
     "cat": lambda ctx: catalog(ctx.genus, params="symbolic"),
     # the catalog the displayed tables describe: zero parameters for g = 2,
     # for g = 1 and 3 the same object as cat
     "cat_zero": lambda ctx: catalog(ctx.genus, params="zero"),
-    "Tcal": lambda ctx: build_Tcal(ctx.cat_zero),
-    "Tp": lambda ctx: pullback_T(ctx.cat_zero, ctx.T),
     "bezout": lambda ctx: bezout_f(ctx.model),
     "structure": lambda ctx: structure(
         ctx.cat.fields, table_relations(ctx.cat) + euler_relations(ctx.cat.fields)),
     "lam_structure": _lam_structure,
-    "m_rels": lambda ctx: {
-        r.label: r for r in m_relation_rows(ctx.model, ctx.lam_fields)
-    },
 }
 
 
@@ -374,20 +370,29 @@ def _tangency(ctx, mode, pit, rng):
 @_claim("params.structure.{0}_{1}", "[{0},{1}] expands in the structure matrix",
         genera=(3,), members=lambda g: [(f"L{i}", f"L{j}") for i, j in M_PAIRS])
 def _structure_row(ctx, mode, pit, rng, left, right):
-    rel = ctx.m_rels[f"[{left},{right}]"]
-    yield rel.label, rel.residual()
+    """The M row of [left, right] against its c^l of ``ctx.lam_structure``:
+    the L_k^l are independent, as det T != 0, so the row expands the
+    bracket exactly when it equals those coefficients."""
+    _, exp, problem = ctx.lam_structure
+    if problem:
+        yield problem
+        return
+    row = ctx.M.rows[M_PAIRS.index((int(left[1:]), int(right[1:])))]
+    for k, m in zip(sorted(ctx.lam_fields), row):
+        yield (f"[{left},{right}] on L{k}",
+               m - exp[left, right].get(f"L{k}", ctx.model.ring.zero))
 
 
 @_claim("map.relation_count", "relation count g(g+3)/2")
 def _relation_count(ctx, mode, pit, rng):
-    n, want = len(ctx.rels), ctx.genus * (ctx.genus + 3) // 2
+    n, want = len(ctx.jm.rels), ctx.genus * (ctx.genus + 3) // 2
     if n != want:
         yield "relations", f"{n} != {want}"
 
 
 @_claim("map.relations_homogeneous", "every relation homogeneous")
 def _relations_homogeneous(ctx, mode, pit, rng):
-    for r in ctx.rels.relations:
+    for r in ctx.jm.rels.relations:
         if r.poly.weight_check() is None:
             yield r.label, "not homogeneous"
 
@@ -413,7 +418,7 @@ def _components_homogeneous(ctx, mode, pit, rng):
 
 @_claim("map.relations_vanish", "all relations vanish after substitution")
 def _relations_vanish(ctx, mode, pit, rng):
-    yield from sorted(verify_relations_vanish(ctx.rels, ctx.jm).items())
+    yield from sorted(verify_relations_vanish(ctx.jm).items())
 
 
 @_claim("fields.homogeneous", "fields homogeneous of their weights")
@@ -516,15 +521,13 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
 
 @_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")
 def _dettcal_factor(ctx, mode, pit, rng):
-    """Proves det Tcal = c * det(T o p) on small matrices
-    (``genus_fields.det_factor_residuals``): the block product, det J_minor
-    != 0 (else it says nothing about det Tcal) and det A = sigma * eps * c *
-    det J_minor; the ring has no zero divisors, so the identity follows."""
+    """det Tcal = c * det(T o p) as det A against det J_minor, on the block
+    form that ``fields.projectability.*`` proves (``det_factor_residuals``)."""
     c = reference.DET_TCAL_FACTOR[ctx.genus]
-    residuals, minor = det_factor_residuals(ctx.cat_zero, ctx.Tcal, ctx.Tp, c)
+    residual, minor = det_factor_residuals(ctx.cat_zero, c)
     if minor.is_zero():
         yield "det J_minor = 0", "the block product proves nothing"
-    yield from residuals.items()
+    yield "det A - sign * factor * det J_minor", residual
 
 
 @_claim("fields.normalization",

@@ -4,13 +4,18 @@ Nothing in the package calls these: the suite computes R from the Bezout
 matrix by minor expansion, so the Sylvester resultant and the naive
 cofactor determinant live here, as independent oracles for the
 determinant routines and for R.  The package only writes the JSON form of
-a polynomial, so its reader lives here too, for the round-trip test.
+a polynomial, so its reader lives here too, for the round-trip test.  The
+suite decides the genus-3 structure matrix M on the parameter-space
+structure functions; its rows as bracket identities, expanded field by
+field, are the independent check.
 """
 
 from fractions import Fraction
 
 from hyperlie import Poly, PolyMatrix, RingMismatchError
+from hyperlie.derivation import BracketRelation
 from hyperlie.exactpoly import det_bareiss
+from hyperlie.lambda_space import M_PAIRS, build_M
 
 
 def poly_from_json_obj(ring, obj) -> Poly:
@@ -86,3 +91,11 @@ def sylvester_matrix(f, h, var) -> PolyMatrix:
 def resultant(f, h, var):
     """Resultant of f and h with respect to var (Sylvester determinant)."""
     return det_bareiss(sylvester_matrix(f, h, var))
+
+
+def m_relation_rows(model, fields) -> list[BracketRelation]:
+    """The ten claimed identities [L_{2i}, L_{2j}] = M-row . (L0..L10)."""
+    M = build_M(model)
+    ordered = [fields[k] for k in sorted(fields)]
+    return [BracketRelation(fields[i], fields[j], list(zip(M.rows[r], ordered)),
+                            label=f"[L{i},L{j}]") for r, (i, j) in enumerate(M_PAIRS)]

@@ -218,6 +218,63 @@ def test_suite_expands_R_at_genus_1_only(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_suite_eliminates_each_genus_once_and_pulls_back_no_matrix(monkeypatch, mode):
+    # Both genus-2 catalogs share one elimination, and the map entries read
+    # the relation system it solved; det Tcal rests on projectability, so
+    # no entry pulls T back.  The catalog cache is cleared so the run is
+    # clean.
+    from hyperlie import genus_fields, param_map
+
+    calls = {"jacobi_map": [], "generate_relations": [], "pullback_T": []}
+    originals = {name: getattr(param_map, name) for name in calls if name != "pullback_T"}
+    originals["pullback_T"] = genus_fields.pullback_T
+    for name, original in originals.items():
+        def counted(genus_or_cat, *args, _name=name, _original=original):
+            calls[_name].append(getattr(genus_or_cat, "genus", genus_or_cat))
+            return _original(genus_or_cat, *args)
+
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "hyperlie"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    genus_fields._catalog_cached.cache_clear()
+    try:
+        report = run_suite("all", mode)
+    finally:
+        genus_fields._catalog_cached.cache_clear()
+    assert report.passed, [(e.id, e.residual) for e in report.failures()]
+    assert calls == {"jacobi_map": [1, 2, 3], "generate_relations": [1, 2, 3],
+                     "pullback_T": []}
+    assert not {"rels", "Tcal", "Tp", "m_rels"} & set(suite._BUILDS)
+
+
+def test_genus2_catalogs_share_one_base(monkeypatch):
+    # the zero member alone, as the matrices export builds it, ladders only
+    # its own even fields; both members share the elimination, ring, map,
+    # odd fields and aux by identity
+    from hyperlie import genus_fields
+
+    ladders, ladder = [], genus_fields.build_by_ladder
+
+    def counted(cat, k, seeds):
+        ladders.append((cat.param_values != (), k))
+        return ladder(cat, k, seeds)
+
+    monkeypatch.setattr(genus_fields, "build_by_ladder", counted)
+    genus_fields._catalog_cached.cache_clear()
+    try:
+        zero = genus_fields.catalog(2, "zero")
+        assert ladders == [(True, 2), (True, 4), (True, 6)]
+        symbolic = genus_fields.catalog(2)
+    finally:
+        genus_fields._catalog_cached.cache_clear()
+    assert ladders[3:] == [(False, 2), (False, 4), (False, 6)]
+    for attr in ("jm", "ring", "pmap", "aux"):
+        assert getattr(zero, attr) is getattr(symbolic, attr), attr
+    for name in ("L0", "L1", "L3"):
+        assert zero.fields[name] is symbolic.fields[name], name
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_only_detT_eq_cR_evaluates_or_expands_a_parameter_space_matrix(monkeypatch, mode):
     # Tangency, the relation substitution and the action-matrix factor run
     # one exact proof in both modes: none evaluates a matrix or calls
@@ -392,6 +449,8 @@ def _references(tree) -> list[str]:
 # each one stays.
 _USED_FROM_OUTSIDE = {
     "det_bareiss": "the benchmark's tracer wraps it by name; ROADMAP item 3",
+    "pullback_T": "the benchmark's tracer wraps it by name, and criterion 7 uses it "
+                  "as its T o p oracle",
     "schema_text": "the benchmark's gate validates reports against it",
 }
 
@@ -430,6 +489,17 @@ def test_runtime_definitions_are_all_referenced():
                 f"{path.name}:{node.lineno} defines {node.name}, used nowhere in the package"
             )
     assert set(_USED_FROM_OUTSIDE) <= defined
+
+
+def test_tracer_installs_on_every_name_it_wraps():
+    # perfbench/tracer.py wraps layer functions and reads the catalog cache
+    # by name; installing it fails on any name the package no longer defines
+    root = Path(hyperlie.__file__).resolve().parent.parent.parent
+    script = ("import sys; sys.path[:0] = ['src', 'perfbench']; import tracer; "
+              "_, counts = tracer.install(tracer.Tracer()); print(sorted(counts()))")
+    out = subprocess.run([sys.executable, "-c", script], cwd=root,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['genus_fields.catalog.hits', 'genus_fields.catalog.misses']"
 
 
 def _modules_loaded_by(code: str) -> set[str]:

@@ -8,11 +8,11 @@ from hyperlie import det_minor_expansion
 from hyperlie import reference, suite
 from hyperlie.classical import compare_tables, symbol_env, symbol_image
 from hyperlie.derivation import Derivation, verify_pushforward
-from hyperlie.exactpoly import PolyMatrix
 from hyperlie.genus_fields import (
     block_sign,
     build_Tcal,
     build_by_ladder,
+    catalog,
     euler_relations,
     parse_coeff,
     pullback_T,
@@ -260,40 +260,61 @@ def test_block_sign(catalogs_zero, g, sign):
     assert block_sign(catalogs_zero[g]) == sign
 
 
-def _dettcal_entry(g, mode):
-    entry_id = f"g{g}.fields.detTcal_factor"
+def _entry(g, name, mode, ctx=None):
+    entry_id = f"g{g}.{name}"
     fn = next(fn for eid, _, fn in suite_entries(g) if eid == entry_id)
-    return fn(SuiteContext(g), mode, PitConfig(seed=1), _entry_rng(1, entry_id))
+    return fn(ctx or SuiteContext(g), mode, PitConfig(seed=1), _entry_rng(1, entry_id))
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 @pytest.mark.parametrize("g", [1, 2])
 def test_detTcal_factor_entry_fails_on_wrong_factor(monkeypatch, g, mode):
-    assert _dettcal_entry(g, mode) == (True, None)
+    assert _entry(g, "fields.detTcal_factor", mode) == (True, None)
     monkeypatch.setitem(
         reference.DET_TCAL_FACTOR, g, 2 * reference.DET_TCAL_FACTOR[g]
     )
-    ok, witness = _dettcal_entry(g, mode)
+    ok, witness = _entry(g, "fields.detTcal_factor", mode)
     assert not ok
     if mode == "exact":
         assert witness.startswith("det A - sign * factor * det J_minor")
 
 
+def _context_with_L1_doubled_on(monkeypatch, g, v):
+    """A context whose catalogs, symbolic and zero, act by L1 as twice the
+    built L1 on the coordinate ``v``."""
+    def doubled(cat):
+        L1 = cat.fields["L1"]
+        L1 = Derivation("L1", cat.ring, {**L1.action, v: 2 * L1.on(v)}, weight=1)
+        return cat._replace(fields={**cat.fields, "L1": L1})
+
+    for key in ("cat", "cat_zero"):
+        monkeypatch.setitem(suite._BUILDS, key, lambda ctx, _build=suite._BUILDS[key]:
+                            doubled(_build(ctx)))
+    return SuiteContext(g)
+
+
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 @pytest.mark.parametrize("g", [1, 2])
 def test_detTcal_factor_entry_fails_on_perturbed_odd_row(monkeypatch, g, mode):
-    def perturbed(cat):
-        rows = [list(r) for r in build_Tcal(cat).rows]
-        # the L1 action on the last coordinate, outside K: only the block
-        # product sees it in exact mode
-        rows[1][-1] = rows[1][-1] + cat.ring.one
-        return PolyMatrix(cat.ring, rows)
-
-    monkeypatch.setattr(suite, "build_Tcal", perturbed)
-    ok, witness = _dettcal_entry(g, mode)
+    # L1 on x2, a coordinate of K: the odd block A changes
+    ctx = _context_with_L1_doubled_on(monkeypatch, g, "x2")
+    ok, witness = _entry(g, "fields.detTcal_factor", mode, ctx)
     assert not ok
     if mode == "exact":
-        assert witness.startswith("(Tcal.J_p^T)[L1,l")
+        assert witness.startswith("det A - sign * factor * det J_minor: ")
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("g", [1, 2])
+def test_odd_row_perturbed_outside_K_fails_projectability(monkeypatch, g, mode):
+    # L1 on the last coordinate, outside K: A is unchanged, so the factor
+    # entry, which rests on projectability for the block form, passes and
+    # fields.projectability.L1 fails
+    last = [v.name for v in catalog(g).ring.vars if v.name not in PARAM_NAMES][-1]
+    ctx = _context_with_L1_doubled_on(monkeypatch, g, last)
+    assert _entry(g, "fields.detTcal_factor", mode, ctx) == (True, None)
+    ok, witness = _entry(g, "fields.projectability.L1", mode, ctx)
+    assert not ok and witness.startswith("L1 on l"), witness
 
 
 def test_pullback_det_equals_det_pullback(catalogs_zero, models, detTs):

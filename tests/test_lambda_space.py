@@ -15,7 +15,6 @@ from hyperlie.lambda_space import (
     build_M,
     build_T,
     build_f,
-    m_relation_rows,
     schur_identity,
     t_entry,
 )
@@ -23,7 +22,7 @@ from hyperlie import reference
 from hyperlie.exactpoly import divexact
 from hyperlie.suite import fraction_det
 
-from oracles import sylvester_matrix
+from oracles import m_relation_rows, sylvester_matrix
 
 
 # -- division oracles: no runtime code divides; the tests' second algorithm -----

@@ -507,6 +507,32 @@ def test_perturbed_even_coefficient_fails_tangency_and_its_row(monkeypatch, mode
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_perturbed_structure_matrix_entry_fails_only_its_row(monkeypatch, mode):
+    """The [L2,L4] row of M, coefficient of L2, against the parameter-space
+    structure functions: exactly its own entry fails, on that field."""
+    rows = [list(row) for row in reference.STRUCTURE_MATRIX]
+    rows[0][1] = "-9*l4"  # displayed: -8*l4
+    monkeypatch.setattr(reference, "STRUCTURE_MATRIX", rows)
+    failures = _mutant_failures(monkeypatch, 3, mode)
+    assert list(failures) == ["g3.params.structure.L2_L4"]
+    witness = failures["g3.params.structure.L2_L4"]
+    if mode == "exact":
+        assert witness == "[L2,L4] on L2: -2/7*l4"
+    else:
+        assert re.match(r"\[L2,L4\] on L2" + _RESIDUAL[mode], witness), witness
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_perturbed_even_row_fails_no_structure_matrix_row(monkeypatch, mode):
+    """A wrong even-field coefficient in the genus-3 [L2,L4] table row fails
+    that row and tangency; the pair is solved on parameter space, so its M
+    row still agrees."""
+    monkeypatch.setitem(_table_row(3, "L2", "L4")[2], "L0", "2/7*9*l6")  # displayed: 2/7*8*l6
+    failures = _mutant_failures(monkeypatch, 3, mode)
+    assert sorted(failures) == ["g3.fields.table.L2_L4", "g3.params.tangency"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_uncovered_parameter_space_pair_is_solved(monkeypatch, mode):
     """Without the genus-2 [L2,L4] row no displayed relation covers that
     parameter-space pair: it is solved, to the displayed coefficients, and
