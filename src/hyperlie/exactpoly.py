@@ -655,15 +655,6 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
-
     def evaluate(self, point: Mapping) -> list[list]:
         return [[p.evaluate(point) for p in row] for row in self.rows]
 

@@ -1,10 +1,10 @@
 """Lifted polynomial vector fields on generator space for genus 1, 2, 3.
 
-The Euler field and the depth-1 field come from closed formulas; the other
-odd fields are assembled from the w-expressions by iterated application of
-the depth-1 field; every even field is reconstructed by ladder completion
-from its displayed seed values on (x2, y4, z6) under the prescribed
-depth-1 commutators.  Genus 1 and 2 read their seeds off the displayed
+The Euler field and the depth-1 field come from closed formulas; every
+other field is one ladder completion from its values on (x2, y4, z6)
+under the prescribed depth-1 commutator: an odd L_s commutes with L1 and
+takes x_{2,s} on x2 and L1(w_{s,j}) on the other x_{1,j}, an even field
+its displayed seeds.  Genus 1 and 2 read their seeds off the displayed
 action grids, whose other entries are checks.  Parameter symbols
 l4, l6, ... appearing in displayed actions are always replaced by their
 expressions in x, so every field is a genuine derivation of the x-ring.
@@ -62,31 +62,6 @@ def build_depth1(genus: int, ring: Ring) -> Derivation:
             2 * x(1, 1) * x(2, j) + x(2, 1) * x(1, j) + x(2, j + 2)
         )
     return Derivation("L1", ring, action, weight=1)
-
-
-def build_odd(genus: int, s: int, ring: Ring, w_exprs, l1: Derivation) -> Derivation:
-    """The weight-s odd field (s in 3..2g-1), from the w-expressions.
-
-    Acts on the depth-1 triple by x2 -> x_{2,s}, x3 -> x_{3,s},
-    x4 -> L1(x_{3,s}); on the j-th triple (j >= 3) by iterated L1 application
-    to the expression of w_{s,j}.
-    """
-    if s % 2 == 0 or not 3 <= s <= 2 * genus - 1:
-        raise ValueError(f"odd field index {s} out of range for genus {genus}")
-    x = RelVars(genus, ring).x
-    action = {
-        x_name(genus, 1, 1): x(2, s),
-        x_name(genus, 2, 1): x(3, s),
-        x_name(genus, 3, 1): l1.on(x_name(genus, 3, s)),
-    }
-    for j in range(3, 2 * genus, 2):
-        w = w_exprs[(min(s, j), max(s, j))]
-        first = l1.apply(w)
-        second = l1.apply(first)
-        action[x_name(genus, 1, j)] = first
-        action[x_name(genus, 2, j)] = second
-        action[x_name(genus, 3, j)] = l1.apply(second)
-    return Derivation(f"L{s}", ring, action, weight=s)
 
 
 def depth1_commutator_coeffs(genus: int, ring: Ring, k: int) -> list[Poly]:
@@ -197,10 +172,11 @@ def seed_texts(genus: int) -> dict[str, dict[str, str]]:
 def build_by_ladder(cat: FieldCatalog, k: int, seeds: dict) -> Derivation:
     """The field of weight k from its values on the x_{1,j} under the
     prescribed [L1, Lk], walking x_{1,j} -> x_{2,j} -> x_{3,j}: zero for
-    odd k, for even k the odd fields times ``depth1_commutator_coeffs``."""
+    odd k, so an odd field reads no other, for even k the odd fields times
+    ``depth1_commutator_coeffs``."""
     g = cat.genus
-    coeffs = [] if k % 2 else depth1_commutator_coeffs(g, cat.ring, k)
-    rhs = combination(list(zip(coeffs, cat.odd_fields())), cat.ring, name=f"rhs{k}")
+    terms = [] if k % 2 else zip(depth1_commutator_coeffs(g, cat.ring, k), cat.odd_fields())
+    rhs = combination(list(terms), cat.ring, name=f"rhs{k}")
     steps = [(x_name(g, i, j), x_name(g, i + 1, j))
              for j in range(1, 2 * g, 2) for i in (1, 2)]
     return ladder_complete(f"L{k}", seeds, cat.fields["L1"], rhs, steps, weight=k)
@@ -214,11 +190,15 @@ def _catalog_cached(genus: int, params: str | None) -> FieldCatalog:
     So one ``cache_clear`` resets every build."""
     if params is None:
         jm = jacobi_map(genus)
-        fields = {"L0": build_euler(genus, jm.ring), "L1": build_depth1(genus, jm.ring)}
+        ring, L1 = jm.ring, build_depth1(genus, jm.ring)
+        base = FieldCatalog(genus, ring, {"L0": build_euler(genus, ring), "L1": L1},
+                            jm, build_p(jm), {})
         for s in range(3, 2 * genus, 2):
-            fields[f"L{s}"] = build_odd(genus, s, jm.ring, jm.w_exprs, fields["L1"])
-        aux = build_aux(genus, jm.ring, jm.w_exprs, fields)
-        return FieldCatalog(genus, jm.ring, fields, jm, build_p(jm), aux)
+            seeds = {x_name(genus, 1, j): L1.apply(jm.w_exprs[min(s, j), max(s, j)])
+                     for j in range(3, 2 * genus, 2)}
+            seeds[x_name(genus, 1, 1)] = ring.var(x_name(genus, 2, s))
+            base.fields[f"L{s}"] = build_by_ladder(base, s, seeds)
+        return base._replace(aux=build_aux(genus, ring, jm.w_exprs, base.fields))
     base = _catalog_cached(genus, None)
     fields = dict(base.fields)
     values = tuple((p, 0) for p in PARAM_NAMES) if params == "zero" else ()
@@ -237,14 +217,16 @@ def _catalog_cached(genus: int, params: str | None) -> FieldCatalog:
 def catalog(genus: int, params: str = "symbolic") -> FieldCatalog:
     """Build (and cache) the full field catalog for one genus.
 
-    ``params`` is only meaningful for genus 2: "symbolic" keeps the four
-    structure constants as weight-0 variables, "zero" is the normalised
-    member: the same even-field construction with ``param_values`` reading
-    each parameter as 0, on the same base (map, odd fields, aux).  Genus 1
-    and 3 have no parameters, so both values give the one catalog.
+    ``params``, "symbolic" or "zero", matters only at genus 2: "symbolic"
+    keeps the four structure constants as weight-0 variables, "zero" is the
+    normalised member: the same even-field construction with
+    ``param_values`` reading each parameter as 0, on the same base (map,
+    odd fields, aux).  Genus 1 and 3 have no parameters: one catalog.
     """
     if genus not in (1, 2, 3):
         raise ValueError("catalogs exist for genus 1, 2, 3")
+    if params not in ("symbolic", "zero"):
+        raise ValueError("params must be 'symbolic' or 'zero'")
     if genus != 2:
         params = "symbolic"
     return _catalog_cached(genus, params)

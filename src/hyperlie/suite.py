@@ -33,11 +33,12 @@ space by ``genus_fields.structure``, from the table and Euler rows
 (``ctx.structure``) and from the Euler rows and the table's even part
 (``ctx.lam_structure``).  Every bracket entry reads them, so a wrong
 displayed row fails only the entries that check it: its ``fields.table``
-row and, for a pair of even fields, ``params.tangency``.  Three entries
-rest on others rather than recompute them:
-``fields.pushforward_homomorphism`` and ``fields.detTcal_factor`` on
-``fields.projectability.*``, and ``params.structure.*`` on
-``ctx.lam_structure`` with det T != 0.
+row and, for a pair of even fields, ``params.tangency``.  Four entries
+rest on others rather than recompute them: ``fields.pushforward_homomorphism``
+and ``fields.detTcal_factor`` on ``fields.projectability.*``,
+``params.structure.*`` on ``ctx.lam_structure`` with det T != 0, and
+``fields.jacobi`` on ``ctx.structure`` with det Tcal != 0.
+``params.cross_actions`` is ``params.T_symmetric`` under a second id.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ from typing import NamedTuple
 
 from . import reference
 from .classical import compare_tables
-from .derivation import Derivation, linear_sum, verify_pushforward
+from .derivation import Derivation, verify_pushforward
 from .exactpoly import Poly, row_reduce
 from .genus_fields import (
-    build_by_ladder,
     catalog,
     det_factor_residuals,
     euler_relations,
@@ -275,8 +275,11 @@ def _r_value(ctx, mode, pit, rng):
 
 @_claim("params.T_symmetric", "T matrix symmetry")
 def _t_symmetric(ctx, mode, pit, rng):
-    if not ctx.T.is_symmetric():
-        yield "T", "not symmetric"
+    """T(i,j) - T(j,i) for i < j.  As ``all_L`` reads L_{2a}(l_{2b+4}) =
+    T(a+1,b+1), the same residuals are L_{2a}(l_{2b+4}) - L_{2b}(l_{2a+4}),
+    so ``params.cross_actions`` is this claim."""
+    for i, j in combinations(range(ctx.T.nrows), 2):
+        yield f"T({i + 1},{j + 1}) - T({j + 1},{i + 1})", ctx.T.entry(i, j) - ctx.T.entry(j, i)
 
 
 @_claim("params.T_weights", "T entries homogeneous of weight 2k+2m")
@@ -308,16 +311,7 @@ def _euler_brackets(ctx, mode, pit, rng):
         yield f"[L0,L{k}]", residuals[f"[L0,L{k}]"]
 
 
-@_claim("params.cross_actions", "pairwise field actions commute across indices")
-def _cross_actions(ctx, mode, pit, rng):
-    # L_{2k}(l_{2s+4}) = L_{2s}(l_{2k+4}), equivalent to T symmetry
-    fields, lam = ctx.lam_fields, ctx.model.lam
-    for a in fields:
-        for b in fields:
-            sa, sb = a + 4, b + 4
-            if sa in ctx.model.indices and sb in ctx.model.indices:
-                yield (f"L{a}(l{sb}) - L{b}(l{sa})",
-                       fields[a].apply(lam(sb)) - fields[b].apply(lam(sa)))
+_claim("params.cross_actions", "pairwise field actions commute across indices")(_t_symmetric)
 
 
 @_claim("params.detT_eq_cR", "det T = ({dett_c}) * R")
@@ -435,38 +429,46 @@ def _euler_rows(ctx, mode, pit, rng):
         yield f"[L0,{name}]", residuals[f"[L0,{name}]"]
 
 
+def _odd_seeds(genus):
+    """{Ls: the x_{1,j}} for every odd field but L1: where its ladder seeds sit."""
+    return {f"L{s}": x1_coordinates(genus) for s in range(3, 2 * genus, 2)}
+
+
 @_claim("fields.displayed_actions", "field actions match every displayed coefficient")
 def _displayed_actions(ctx, mode, pit, rng):
-    """Every displayed action but the seeds, which the ladder takes as given
-    and the ``fields.table`` rows [L1, Lk] decide."""
-    cat, seeds = ctx.cat_zero, seed_texts(ctx.genus)
+    """Every displayed action but the ladder seeds: the even ones, which the
+    ``fields.table`` rows [L1, Lk] decide, and the odd ones, which
+    ``fields.odd_ladder_agrees`` decides."""
+    cat, seeds = ctx.cat_zero, {**seed_texts(ctx.genus), **_odd_seeds(ctx.genus)}
     for name, actions in reference.FIELD_ACTIONS[ctx.genus].items():
         for v, text in actions.items():
-            if v not in seeds.get(name, {}):
+            if v not in seeds.get(name, ()):
                 yield f"{name}({v})", cat.fields[name].on(v) - parse_coeff(cat, text)
 
 
 @_claim("fields.odd_ladder_agrees",
         "odd fields: iterated construction equals ladder completion")
 def _odd_ladder_agrees(ctx, mode, pit, rng):
-    g, cat = ctx.genus, ctx.cat
-    for s in range(3, 2 * g, 2):
-        direct = cat.fields[f"L{s}"]
-        seeds = {v: direct.on(v) for v in x1_coordinates(g)}
-        if build_by_ladder(cat, s, seeds) != direct:
-            yield f"L{s}", "ladder disagrees with direct construction"
+    """The displayed value of each odd field L_s on each x_{1,j} against its
+    ladder seed there: x_{2,s} on x2, L1(w_{s,j}) on the others."""
+    cat, shown = ctx.cat_zero, reference.FIELD_ACTIONS[ctx.genus]
+    for name, coords in _odd_seeds(ctx.genus).items():
+        for v in coords:
+            yield f"{name}({v})", cat.fields[name].on(v) - parse_coeff(cat, shown[name][v])
 
 
 @_claim("fields.even_ladder_agrees",
         "even fields: ladder completion matches explicit actions", genera=(1, 2))
 def _even_ladder_agrees(ctx, mode, pit, rng):
-    """Each zero-parameter even field, built from its seeds, against its
-    whole displayed action grid: a variable the grid omits must map to 0."""
+    """The value of each zero-parameter even field on every coordinate its
+    displayed grid omits, which must be 0; ``fields.displayed_actions``
+    decides the coordinates the grid lists."""
     cat = ctx.cat_zero
     for name in seed_texts(ctx.genus):
         grid = reference.FIELD_ACTIONS[ctx.genus][name]
-        action = {v: parse_coeff(cat, text) for v, text in grid.items()}
-        yield name, cat.fields[name] - Derivation(name, cat.ring, action)
+        for v, p in cat.fields[name].action.items():
+            if v not in grid:
+                yield f"{name}({v})", p
 
 
 @_claim("fields.aux_match", "auxiliary polynomials equal their displayed forms",
@@ -550,31 +552,18 @@ def _classical_table(ctx, mode, pit, rng):
             yield f"[{left},{right}] on {fname}", d.to_text()
 
 
-def _structure_jacobi(cat, expansions):
-    """(label, S_m) for every triple a < b < c and field m with nonzero
-    S_m = sum over cyclic (a, b, c) of La(c_bc^m) + sum_k c_bc^k c_ak^m.
-    As [La, Lb] = sum_k c_ab^k Lk, [La, [Lb, Lc]] + cyc = sum_m S_m Lm, so
-    no S_m proves the identity.  Each S_m is one ``linear_sum``."""
-    fields = cat.fields
-    for a, b, c in combinations(cat.names, 3):
-        sums = {m: ([], []) for m in cat.names}  # m -> (applied, products)
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for k, t in expansions[y, z].items():
-                sums[k][0].append((fields[x], t))
-                for m, u in expansions.get((x, k), {}).items():
-                    sums[m][1].append((t, u))
-        for m, (applied, products) in sums.items():
-            if (applied or products) and (s := linear_sum(cat.ring, applied, products)):
-                yield f"jacobi({a},{b},{c}) on {m}", s
-
-
 @_claim("fields.jacobi", "Jacobi identity over all field triples")
 def _jacobi(ctx, mode, pit, rng):
-    _, exp, problem = ctx.structure
-    if problem:
+    """The problem item of ``ctx.structure``: without one, every c_ab^k
+    expands its bracket exactly (a zero row residual or a unique solve), so
+    [La,[Lb,Lc]] + cyc = sum_m S_m Lm, S_m = sum_cyc (La(c_bc^m) + sum_k
+    c_bc^k c_ak^m).  The left side is 0 for any vector fields, and the Lm
+    are independent, so every S_m = 0: det Tcal = c * det(T o p) with
+    det J_minor != 0 (``fields.detTcal_factor``), so p is dominant and
+    det(T o p) = p*(det T) != 0 (``params.detT_eq_cR``, ``params.R_weight``);
+    at genus 2, nonzero at parameters 0 is nonzero symbolically."""
+    if problem := ctx.structure[2]:
         yield problem
-        return
-    yield from _structure_jacobi(ctx.cat, exp)
 
 
 def _registered(genus: int):

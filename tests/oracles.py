@@ -7,13 +7,16 @@ determinant routines and for R.  The package only writes the JSON form of
 a polynomial, so its reader lives here too, for the round-trip test.  The
 suite decides the genus-3 structure matrix M on the parameter-space
 structure functions; its rows as bracket identities, expanded field by
-field, are the independent check.
+field, are the independent check.  The suite rests the Jacobi identity on
+the structure-function ledger with det Tcal != 0; ``structure_jacobi``
+computes it on the structure functions, sum by sum.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hyperlie import Poly, PolyMatrix, RingMismatchError
-from hyperlie.derivation import BracketRelation
+from hyperlie.derivation import BracketRelation, linear_sum
 from hyperlie.exactpoly import det_bareiss
 from hyperlie.lambda_space import M_PAIRS, build_M
 
@@ -99,3 +102,21 @@ def m_relation_rows(model, fields) -> list[BracketRelation]:
     ordered = [fields[k] for k in sorted(fields)]
     return [BracketRelation(fields[i], fields[j], list(zip(M.rows[r], ordered)),
                             label=f"[L{i},L{j}]") for r, (i, j) in enumerate(M_PAIRS)]
+
+
+def structure_jacobi(cat, expansions):
+    """(label, S_m) for every triple a < b < c and field m with nonzero
+    S_m = sum over cyclic (a, b, c) of La(c_bc^m) + sum_k c_bc^k c_ak^m.
+    As [La, Lb] = sum_k c_ab^k Lk, [La, [Lb, Lc]] + cyc = sum_m S_m Lm, so
+    no S_m proves the identity.  Each S_m is one ``linear_sum``."""
+    fields = cat.fields
+    for a, b, c in combinations(cat.names, 3):
+        sums = {m: ([], []) for m in cat.names}  # m -> (applied, products)
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for k, t in expansions[y, z].items():
+                sums[k][0].append((fields[x], t))
+                for m, u in expansions.get((x, k), {}).items():
+                    sums[m][1].append((t, u))
+        for m, (applied, products) in sums.items():
+            if (applied or products) and (s := linear_sum(cat.ring, applied, products)):
+                yield f"jacobi({a},{b},{c}) on {m}", s

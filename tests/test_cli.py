@@ -248,9 +248,10 @@ def test_suite_eliminates_each_genus_once_and_pulls_back_no_matrix(monkeypatch, 
 
 
 def test_genus2_catalogs_share_one_base(monkeypatch):
-    # the zero member alone, as the matrices export builds it, ladders only
-    # its own even fields; both members share the elimination, ring, map,
-    # odd fields and aux by identity
+    # the zero member alone, as the matrices export builds it, ladders the
+    # base's odd field L3 once and then only its own even fields; both
+    # members share the elimination, ring, map, odd fields and aux by
+    # identity
     from hyperlie import genus_fields
 
     ladders, ladder = [], genus_fields.build_by_ladder
@@ -263,11 +264,11 @@ def test_genus2_catalogs_share_one_base(monkeypatch):
     genus_fields._catalog_cached.cache_clear()
     try:
         zero = genus_fields.catalog(2, "zero")
-        assert ladders == [(True, 2), (True, 4), (True, 6)]
+        assert ladders == [(False, 3), (True, 2), (True, 4), (True, 6)]
         symbolic = genus_fields.catalog(2)
     finally:
         genus_fields._catalog_cached.cache_clear()
-    assert ladders[3:] == [(False, 2), (False, 4), (False, 6)]
+    assert ladders[4:] == [(False, 2), (False, 4), (False, 6)]
     for attr in ("jm", "ring", "pmap", "aux"):
         assert getattr(zero, attr) is getattr(symbolic, attr), attr
     for name in ("L0", "L1", "L3"):

@@ -77,12 +77,17 @@ def test_odd_fields_commute_pairwise(catalogs):
                 assert odds[i].bracket(odds[j]).is_zero()
 
 
-def test_build_odd_rejects_out_of_range_index(catalogs):
-    from hyperlie.genus_fields import build_odd
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_catalog_rejects_unknown_params(genus):
+    # "Zero" is not "zero": no value but the two may build or cache a member
+    from hyperlie.genus_fields import _catalog_cached
 
-    cat = catalogs[2]
-    with pytest.raises(ValueError):
-        build_odd(2, 5, cat.ring, cat.jm.w_exprs, cat.fields["L1"])
+    before = _catalog_cached.cache_info().currsize
+    for params in ("Zero", "nonsense", None):
+        with pytest.raises(ValueError):
+            catalog(genus, params)
+    assert _catalog_cached.cache_info().currsize == before
+    assert (catalog(genus, "zero") is catalog(genus)) == (genus != 2)
 
 
 # -- auxiliary polynomials ----------------------------------------------------------

@@ -18,6 +18,7 @@ from hyperlie.classical import symbol_env
 from hyperlie.genus_fields import (_catalog_cached, parse_coeff, read_relations, seed_texts,
                                    structure_functions)
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
+from oracles import structure_jacobi
 
 
 def _table_row(genus, left, right):
@@ -232,12 +233,13 @@ def _perturbed_expansions(genus, pair, field, delta):
     (2, ("L1", "L2"), "L1", "x2", 7),  # displayed: x2, made 2*x2
 ], ids=["g3-L3_L4", "g2-L1_L2"])
 def test_structure_jacobi_fails_on_a_perturbed_expansion(genus, pair, field, delta, triples):
+    """The oracle's S_m see a perturbed coefficient in every triple that
+    holds its pair.  The suite never reads such a ledger: a coefficient
+    that does not expand its bracket is a failing row, and its pair is
+    solved (``test_perturbed_pair_bracket_fails_jacobi``)."""
     ctx = _perturbed_expansions(genus, pair, field, delta)
-    failing = {label.split(" on ")[0]
-               for label, _ in suite._structure_jacobi(ctx.cat, ctx.structure[1])}
+    failing = {label.split(" on ")[0] for label, _ in structure_jacobi(ctx.cat, ctx.structure[1])}
     assert len(failing) == triples
-    ok, witness = _decide(suite._jacobi, (), ctx, "exact", PitConfig(), None)
-    assert not ok and re.match(r"jacobi\(L\d+,L\d+,L\d+\) on L\d+: \S", witness), witness
 
 
 def _pushforward_failures(ctx):
@@ -280,16 +282,40 @@ def test_pushforward_fails_on_an_odd_pair_with_an_even_field_coefficient():
     assert _pushforward_failures(ctx) == [("[L1,L2] on L2", parse_coeff(ctx.cat, "x2"))]
 
 
-@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("genus", [1, 2, 3])
 def test_structure_jacobi_agrees_with_three_brackets(genus):
+    """Every S_m of the clean ledger vanishes, as the three-bracket Jacobi
+    identity does: what ``fields.jacobi`` derives from the ledger and
+    det Tcal != 0, computed."""
     ctx = SuiteContext(genus)
+    assert ctx.structure[2] is None
     structure = {label.split(" on ")[0]
-                 for label, _ in suite._structure_jacobi(ctx.cat, ctx.structure[1])}
+                 for label, _ in structure_jacobi(ctx.cat, ctx.structure[1])}
     three = {label for label, res in _three_bracket_jacobi(ctx, "exact", None, None)
              if not res.is_zero()}
     assert structure == three == set()
-    assert _decide(suite._jacobi, (), ctx, "exact", PitConfig(), None) == (
-        _decide(_three_bracket_jacobi, (), ctx, "exact", PitConfig(), None))
+
+
+@pytest.mark.parametrize("space", ["structure", "lam_structure"])
+@pytest.mark.parametrize("genus,table", [
+    (1, "displayed"), (2, "displayed"), (3, "displayed"), (1, "empty"), (2, "empty"),
+])
+def test_every_ledger_coefficient_expands_its_bracket(monkeypatch, genus, table, space):
+    """The premise of the entries that rest on the ledger: every pair's
+    coefficients, read off a row that holds or solved, expand its bracket
+    exactly.  With the table emptied every generator-space pair is solved."""
+    if table == "empty":
+        monkeypatch.setitem(reference.BRACKET_TABLE, genus, [])
+    ctx = SuiteContext(genus)
+    fields = (ctx.cat.fields if space == "structure"
+              else {f"L{k}": L for k, L in ctx.lam_fields.items()})
+    _, exp, problem = getattr(ctx, space)
+    assert problem is None
+    assert len(exp) == len(fields) * (len(fields) - 1)
+    for (a, b), coeffs in exp.items():
+        rel = derivation.BracketRelation(fields[a], fields[b],
+                                         [(c, fields[k]) for k, c in coeffs.items()])
+        assert rel.residual().is_zero(), (a, b)
 
 
 # non-seed displayed actions of the even fields: (genus, field, variable)
@@ -302,29 +328,83 @@ NON_SEEDS = [(1, "L2", v) for v in ("x3", "x4")] + [
 @pytest.mark.parametrize("genus,name,var", NON_SEEDS)
 def test_non_seed_display_is_checked_not_read(monkeypatch, genus, name, var, mode):
     """The catalog reads no non-seed displayed action of an even field, so
-    doubling one must fail both entries that compare the built field with
-    its display, with the entry's witness format."""
+    doubling one must fail ``fields.displayed_actions``, the one entry that
+    compares it with the built field, with that entry's witness format;
+    ``fields.even_ladder_agrees`` decides only the coordinates the grid
+    omits, and passes."""
     text = reference.FIELD_ACTIONS[genus][name][var]
     monkeypatch.setitem(reference.FIELD_ACTIONS[genus][name], var, f"2*({text})")
     ctx, rng = SuiteContext(genus), suite._entry_rng(1, "display")
     point = r" at \{.*\} -> -?\d" if mode == "pit" else r": \S"
-    for claim, label in ((suite._displayed_actions, rf"{name}\({var}\)"),
-                         (suite._even_ladder_agrees, rf"{name}\.{var}")):
-        ok, witness = _decide(claim, (), ctx, mode, PitConfig(seed=1), rng)
-        assert not ok and re.match(label + point, witness, re.S), witness
+    ok, witness = _decide(suite._displayed_actions, (), ctx, mode, PitConfig(seed=1), rng)
+    assert not ok and re.match(rf"{name}\({var}\)" + point, witness, re.S), witness
+    assert _decide(suite._even_ladder_agrees, (), ctx, mode, PitConfig(seed=1), rng) == (
+        True, None)
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 @pytest.mark.parametrize("genus,name,var,text", [
     (1, "L2", "x4", "2*x2*x4 + 4*x3^2"),  # displayed: 2*x2*x4 + 3*x3^2
     (2, "L4", "x3", "2*x3*y4 + 10*x2*y5"),  # displayed: x3*y4 + 5*x2*y5
+    (2, "L3", "y5", "2*({})"),  # an odd field off its seeds, doubled: x4*y4 - x2*y6
 ])
 def test_perturbed_non_seed_fails_only_its_entries(
         monkeypatch, genus, name, var, text, mode):
-    monkeypatch.setitem(reference.FIELD_ACTIONS[genus][name], var, text)
+    shown = reference.FIELD_ACTIONS[genus][name]
+    monkeypatch.setitem(shown, var, text.format(shown[var]))
     failures = [e.id for e in run_suite(genus, mode, PitConfig(seed=1)).failures()]
-    assert failures == [f"g{genus}.fields.displayed_actions",
-                        f"g{genus}.fields.even_ladder_agrees"]
+    assert failures == [f"g{genus}.fields.displayed_actions"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_omitted_grid_coordinate_fails_only_even_ladder_agrees(monkeypatch, mode):
+    """The genus-2 L4 grid without y6: no entry compares a display there,
+    and ``fields.even_ladder_agrees`` requires the built field to be 0 on
+    it, which it is not."""
+    monkeypatch.delitem(reference.FIELD_ACTIONS[2]["L4"], "y6")
+    failures = _mutant_failures(monkeypatch, 2, mode)
+    assert list(failures) == ["g2.fields.even_ladder_agrees"]
+    assert re.match(r"L4\(y6\)" + _RESIDUAL[mode], failures["g2.fields.even_ladder_agrees"])
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_perturbed_odd_seed_display_fails_only_odd_ladder_agrees(monkeypatch, mode):
+    """The genus-3 display of L3 on y4, a ladder seed L1(w6), plus x2*x3:
+    only ``fields.odd_ladder_agrees`` reads it."""
+    shown = reference.FIELD_ACTIONS[3]["L3"]
+    monkeypatch.setitem(shown, "y4", f"{shown['y4']} + x2*x3")
+    failures = _mutant_failures(monkeypatch, 3, mode)
+    assert list(failures) == ["g3.fields.odd_ladder_agrees"]
+    witness = failures["g3.fields.odd_ladder_agrees"]
+    if mode == "exact":
+        assert witness == "L3(y4): -x2*x3"
+    else:
+        assert re.match(r"L3\(y4\)" + _RESIDUAL[mode], witness), witness
+
+
+def test_clean_suite_ladders_each_odd_field_once_from_the_base(monkeypatch):
+    """A clean run of every genus ladders L3 and L5 once per genus, on the
+    parameter-free base, and each member's even fields; a second run on the
+    warm catalogs ladders nothing, so no claim builds a field."""
+    calls = []
+    ladder = genus_fields.build_by_ladder
+
+    def counting(cat, k, seeds):
+        calls.append((cat.genus, k, cat.param_values, cat.aux == {}))
+        return ladder(cat, k, seeds)
+
+    monkeypatch.setattr(genus_fields, "build_by_ladder", counting)
+    _catalog_cached.cache_clear()
+    try:
+        for mode in ("exact", "pit"):
+            assert run_suite("all", mode, PitConfig(seed=1)).passed
+            odd = [(g, k) for g, k, values, bare in calls if k % 2]
+            assert odd == [(2, 3), (3, 3), (3, 5)], mode
+            assert all(values == () and bare for _, k, values, bare in calls if k % 2)
+            # three odd fields, and the even fields: one at g1, three per g2 member, five at g3
+            assert len(calls) == 3 + 1 + 2 * 3 + 5, mode
+    finally:
+        _catalog_cached.cache_clear()
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -627,3 +707,17 @@ def test_bezout_singular_at_the_certificate_point_fails_R_weight(monkeypatch, ge
     rng = suite._entry_rng(1, f"g{genus}.params.R_weight")
     assert _decide(suite._r_weight, (), ctx, mode, PitConfig(seed=1), rng) == (
         False, "det B at l = 1: 0, so nothing shows R != 0")
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_asymmetric_T_fails_symmetry_under_both_ids(monkeypatch, mode):
+    """l6 on T(1,2) alone: ``params.T_symmetric`` and ``params.cross_actions``
+    are one claim, and both fail with its residual T(1,2) - T(2,1)."""
+    original = suite._BUILDS["T"]
+    monkeypatch.setitem(suite._BUILDS, "T", lambda ctx: _plus(original(ctx), [(0, 1)], "l6"))
+    failures = _mutant_failures(monkeypatch, 3, mode)
+    for entry_id in ("g3.params.T_symmetric", "g3.params.cross_actions"):
+        if mode == "exact":
+            assert failures[entry_id] == "T(1,2) - T(2,1): l6"
+        else:
+            assert re.match(r"T\(1,2\) - T\(2,1\) at \{.*\} -> -?\d", failures[entry_id])
