@@ -67,30 +67,28 @@ def symbol_env(cat: FieldCatalog, rows) -> dict:
 
 
 def compare_tables(cat: FieldCatalog, classical_rows, exp) -> dict:
-    """Check a classical table against the catalog's actual Lie algebra.
+    """The residual of every classical row against the catalog's Lie algebra.
 
     ``exp`` holds the structure functions {(a, b): {k: c_ab^k}} of
     ``genus_fields.structure`` for every pair: exact identities
     [La, Lb] = sum_k c_ab^k Lk of the family the catalog belongs to, which
     hold on its fields once read at its parameter values.  A classical row
     [La, Lb] = sum_k c'_k Lk, its symbols standing for their images, then
-    has the residual sum_k (c_k - c'_k) Lk: one ``combination`` of the
-    nonzero differences and no bracket.  Returns {(left, right): {var:
-    residual}} for rows that fail; empty means the algebra realises the
-    table exactly.
+    has the residual sum_k (c_k - c'_k) Lk: one ``combination`` and no
+    bracket.  Returns {(left, right): residual derivation} for every row;
+    the algebra realises the table exactly when every residual is zero.
 
     For genus 2 pass ``catalog(2, "zero")``: the classical table is the
     zero-parameter member of the family, and each c_k is read at the
     catalog's ``param_values``.
     """
     values = dict(cat.param_values)
-    mismatches = {}
+    residuals = {}
     for rel in read_relations(cat.fields, classical_rows, symbol_env(cat, classical_rows)):
         pair = (rel.left.name, rel.right.name)
         diff = {k: c.substitute(values) if values else c for k, c in exp[pair].items()}
         for c, Z in rel.expansion:
             diff[Z.name] = diff.get(Z.name, 0) - c
-        terms = [(c, cat.fields[k]) for k, c in diff.items() if c]
-        if terms and not (residual := combination(terms, cat.ring)).is_zero():
-            mismatches[pair] = dict(residual.action)
-    return mismatches
+        residuals[pair] = combination([(c, cat.fields[k]) for k, c in diff.items()],
+                                      cat.ring, rel.label)
+    return residuals

@@ -125,17 +125,6 @@ class Derivation:
             name, self.ring, self.action, weight=self.weight if weight is None else weight
         )
 
-    def homogeneity_defects(self) -> list[str]:
-        """Variables whose image is not homogeneous of weight(v) + weight."""
-        if self.weight is None:
-            return []
-        bad = []
-        for vname, p in self.action.items():
-            w = self.ring.weights[self.ring.index(vname)]
-            if not p.is_homogeneous_of(w + self.weight):
-                bad.append(vname)
-        return bad
-
     def __repr__(self):
         return f"Derivation({self.name})"
 
@@ -221,21 +210,12 @@ class BracketRelation:
                            linear=[(-c, Z) for c, Z in self.expansion])
 
 
-def verify_pushforward(d_up: Derivation, pmap: PolyMap, d_down) -> tuple[bool, dict]:
-    """Check that d_up projects onto d_down along the polynomial map.
-
-    For every component s of the map: d_up(p_s) must equal the pullback of
-    d_down(lambda_s).  Passing d_down=None asserts d_up annihilates every
-    component.  Checking on the target generators suffices because both sides
-    are derivations.
-    """
-    failures = {}
-    for vname, comp in pmap.components.items():
-        lhs = d_up.apply(comp)
-        rhs = pmap.source.zero if d_down is None else pmap.pullback(d_down.on(vname))
-        if lhs != rhs:
-            failures[vname] = lhs - rhs
-    return not failures, failures
+def verify_pushforward(d_up: Derivation, pmap: PolyMap, d_down) -> dict[str, Poly]:
+    """{s: d_up(p_s) - p*(d_down(lambda_s))} for every component s of the
+    map, d_down=None standing for the zero field: d_up projects onto d_down
+    exactly when every residual is zero, since both sides are derivations."""
+    return {s: d_up.apply(p) if d_down is None else d_up.apply(p) - pmap.pullback(d_down.on(s))
+            for s, p in pmap.components.items()}
 
 
 class LadderError(ValueError):

@@ -457,16 +457,12 @@ class Poly:
 
     # -- grading -----------------------------------------------------------
 
-    def weight_check(self) -> "int | None":
-        """Common weight of all terms; None if inhomogeneous; 0 for zero."""
-        weights = set(map(self.ring.key_weight, self.num))
-        if len(weights) > 1:
-            return None
-        return weights.pop() if weights else 0
-
-    def is_homogeneous_of(self, weight: int) -> bool:
-        """True when every term has the given weight (zero poly passes)."""
-        return all(self.ring.key_weight(m) == weight for m in self.num)
+    def off_weight(self, weight: int) -> "Poly":
+        """The terms whose weight is not ``weight``: zero exactly when the
+        polynomial is homogeneous of that weight."""
+        key_weight = self.ring.key_weight
+        return Poly._of(self.ring, {m: c for m, c in self.num.items()
+                                    if key_weight(m) != weight}, self.den)
 
     def degree_in(self, var) -> int:
         s = _WIDTH * self.ring.index(var)

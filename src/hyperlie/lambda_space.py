@@ -107,7 +107,7 @@ def schur_identity(T: PolyMatrix, B: PolyMatrix):
         T.ring, products=[(n, T.entry(i, j)), (n2, a[m - 1 - i][m - 1 - j]),
                           (b2[m - 1 - i], b[m - 1 - j])])
         for i in range(m) for j in range(m)}
-    corner = n.constant_value() if n.is_homogeneous_of(0) else 0
+    corner = 0 if n.off_weight(0) else n.constant_value()
     return residuals, Fraction(sign * 4 ** (m // 2), corner) if corner else None
 
 

@@ -297,22 +297,15 @@ def eliminate(rels: RelationSet) -> JacobiMap:
 
 
 def verify_relations_vanish(jm: JacobiMap) -> dict[str, Poly]:
-    """Substitute the solved expressions into every relation of ``jm.rels``.
-
-    Returns {label: residual} for relations that do not vanish; an empty
-    result certifies the elimination solved the whole system.
-    """
+    """{label: residual} for every relation of ``jm.rels``, the solved
+    expressions substituted into it: the elimination solved the whole
+    system exactly when every residual is zero."""
     rels, assignment = jm.rels, {}
     for s, p in jm.lambda_exprs.items():
         assignment[f"l{s}"] = cast(p, rels.ring)
     for (k, l), p in jm.w_exprs.items():
         assignment[w_name(jm.genus, k, l)] = cast(p, rels.ring)
-    bad = {}
-    for rel in rels.relations:
-        res = rel.poly.substitute(assignment)
-        if not res.is_zero():
-            bad[rel.label] = res
-    return bad
+    return {rel.label: rel.poly.substitute(assignment) for rel in rels.relations}
 
 
 def build_p(jm: JacobiMap) -> PolyMap:
@@ -323,6 +316,6 @@ def build_p(jm: JacobiMap) -> PolyMap:
 
 
 def jacobi_map(genus: int) -> JacobiMap:
-    """Generate the relations and eliminate them; whether the result solves
-    them, ``jm.rels``, is decided by ``verify_relations_vanish``."""
+    """Generate the relations and eliminate them; ``verify_relations_vanish``
+    gives the residual of each relation of ``jm.rels`` under the result."""
     return eliminate(generate_relations(genus))

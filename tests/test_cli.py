@@ -456,37 +456,46 @@ _USED_FROM_OUTSIDE = {
 }
 
 
+def _attributes(tree) -> list[str]:
+    """Every attribute name that ``tree`` reads or writes."""
+    return [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+
+
 def test_runtime_definitions_are_all_referenced():
     # every top-level function and class of the package, and every
-    # non-dunder method, is used by the package itself besides its own
-    # definition: a name only tests or the ``__init__`` exports mention is
-    # not counted; claims are reached through their ``_claim`` registration
+    # non-dunder method of every class, is used by the package itself
+    # besides its own definition: a name only tests or the ``__init__``
+    # exports mention is not counted; claims are reached through their
+    # ``_claim`` registration.  A method counts only as an attribute
+    # (``x.name``), so a bare name it shares with a builtin or an import,
+    # such as ``map`` or ``partial``, does not keep it
     package = Path(hyperlie.__file__).resolve().parent
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py"))}
-    counts = {}
+    counts, attribute_counts = {}, {}
     for path, tree in trees.items():
         if path.name != "__init__.py":
             for name in _references(tree):
                 counts[name] = counts.get(name, 0) + 1
+            for name in _attributes(tree):
+                attribute_counts[name] = attribute_counts.get(name, 0) + 1
     defined = set()
     for path in trees:
-        defs = []
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append(node)
-            if isinstance(node, ast.ClassDef):
-                defs += [m for m in node.body if isinstance(m, ast.FunctionDef)
-                         and not (m.name.startswith("__") and m.name.endswith("__"))]
-        defined.update(node.name for node in defs)
-        for node in defs:
+        defs = [(node, counts, _references) for node in trees[path].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(m, attribute_counts, _attributes)
+                 for cls in ast.walk(trees[path]) if isinstance(cls, ast.ClassDef)
+                 for m in cls.body if isinstance(m, ast.FunctionDef)
+                 and not (m.name.startswith("__") and m.name.endswith("__"))]
+        defined.update(node.name for node, _, _ in defs)
+        for node, uses, mentions in defs:
             if any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "_claim"
                    for d in node.decorator_list):
                 continue
             if node.name in _USED_FROM_OUTSIDE:
                 continue
-            inside = _references(node).count(node.name)
-            assert counts.get(node.name, 0) > inside, (
+            inside = mentions(node).count(node.name)
+            assert uses.get(node.name, 0) > inside, (
                 f"{path.name}:{node.lineno} defines {node.name}, used nowhere in the package"
             )
     assert set(_USED_FROM_OUTSIDE) <= defined

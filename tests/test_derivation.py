@@ -78,7 +78,7 @@ def test_weight_additivity(catalogs):
     for name in ("L1", "L2", "L5"):
         d = cat.fields[name]
         out = d.apply(p)
-        assert out.is_homogeneous_of(8 + d.weight)
+        assert out.off_weight(8 + d.weight).is_zero()
 
 
 # -- brackets -------------------------------------------------------------------
@@ -171,8 +171,8 @@ def test_pushforward_genus1_weight2_pair(g1fields, g1ring):
     L2_down = Derivation("L2", lring, {
         "l4": lring.parse("6*l6"), "l6": lring.parse("-4/3*l4^2")
     }, weight=2)
-    ok, failures = verify_pushforward(g1fields["L2"], pmap, L2_down)
-    assert ok, failures
+    residuals = verify_pushforward(g1fields["L2"], pmap, L2_down)
+    assert residuals == {"l4": g1ring.zero, "l6": g1ring.zero}
     # both sides on the weight-4 component equal 6 * (weight-6 component)
     expected = g1ring.parse("12*x2^3 + 3/2*x3^2 - 3*x2*x4")
     assert g1fields["L2"].apply(pmap.components["l4"]) == expected
@@ -180,8 +180,8 @@ def test_pushforward_genus1_weight2_pair(g1fields, g1ring):
 
 
 def test_pushforward_failures_are_the_polynomial_differences(g1fields, g1ring):
-    """The check decides on integer forms; a failing component's witness is
-    still the Poly difference of the two sides, and only failing ones show."""
+    """Every component's residual is the Poly difference of the two sides:
+    zero where they agree, the difference where they do not."""
     lring = Ring([("l4", 4), ("l6", 6)])
     pmap = PolyMap("p", g1ring, lring, {
         "l4": g1ring.parse("-3*x2^2 + 1/2*x4"),
@@ -191,30 +191,29 @@ def test_pushforward_failures_are_the_polynomial_differences(g1fields, g1ring):
         "l4": lring.parse("6*l6"), "l6": lring.parse("-5/3*l4^2")
     }, weight=2)
     up = g1fields["L2"]
-    ok, failures = verify_pushforward(up, pmap, wrong)
-    assert not ok
-    assert failures == {
-        "l6": up.apply(pmap.components["l6"]) - pmap.pullback(wrong.on("l6"))
+    residuals = verify_pushforward(up, pmap, wrong)
+    assert residuals == {
+        "l4": g1ring.zero,
+        "l6": up.apply(pmap.components["l6"]) - pmap.pullback(wrong.on("l6")),
     }
-    ok, failures = verify_pushforward(up, pmap, None)
-    assert not ok
-    assert failures == {v: up.apply(c) for v, c in pmap.components.items()}
+    assert not residuals["l6"].is_zero()
+    residuals = verify_pushforward(up, pmap, None)
+    assert residuals == {v: up.apply(c) for v, c in pmap.components.items()}
+    assert not any(r.is_zero() for r in residuals.values())
 
 
 def test_pushforward_all_genus3_pairs(catalogs, lam_fields):
     cat = catalogs[3]
     for k in (0, 2, 4, 6, 8, 10):
-        ok, failures = verify_pushforward(
-            cat.fields[f"L{k}"], cat.pmap, lam_fields[3][k]
-        )
-        assert ok, (k, failures)
+        residuals = verify_pushforward(cat.fields[f"L{k}"], cat.pmap, lam_fields[3][k])
+        assert residuals == dict.fromkeys(cat.pmap.components, cat.ring.zero), k
 
 
 def test_odd_fields_annihilate_map(catalogs):
     cat = catalogs[3]
     for name in ("L1", "L3", "L5"):
-        ok, failures = verify_pushforward(cat.fields[name], cat.pmap, None)
-        assert ok, (name, failures)
+        residuals = verify_pushforward(cat.fields[name], cat.pmap, None)
+        assert residuals == dict.fromkeys(cat.pmap.components, cat.ring.zero), name
 
 
 # -- ladder completion -------------------------------------------------------------

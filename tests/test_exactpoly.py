@@ -83,13 +83,13 @@ def test_sum_of_homogeneous_is_homogeneous(xring3):
         w = rng.choice([4, 6, 8])
         p = homogeneous_poly(xring3, rng, w)
         q = homogeneous_poly(xring3, rng, w)
-        assert (p + q).is_homogeneous_of(w)
+        assert (p + q).off_weight(w).is_zero()
 
 
 def test_mul_monomials_and_identity(xring3):
     x2, x3 = xring3.var("x2"), xring3.var("x3")
     prod = x2 * x3
-    assert prod.weight_check() == 5
+    assert prod and prod.off_weight(5).is_zero()
     p = xring3.parse("2*x2^3 + 1/4*x3^2")
     assert xring3.one * p == p
     # a term of the genus-1 weight-6 map component
@@ -117,10 +117,10 @@ def test_weight_multiplicativity():
         q = homogeneous_poly(ring, rng, wq)
         if p.is_zero() or q.is_zero():
             continue
-        assert (p * q).is_homogeneous_of(wp + wq)
+        assert (p * q).off_weight(wp + wq).is_zero()
         v = rng.choice(ring.vars)
         d = p.partial(v.name)
-        assert d.is_homogeneous_of(wp - v.weight)
+        assert d.off_weight(wp - v.weight).is_zero()
 
 
 def test_ring_mismatch_raises(lring, xring3):
@@ -191,11 +191,15 @@ def test_substitute_composition():
 # -- grading ------------------------------------------------------------------
 
 
-def test_weight_check_values(xring3):
-    assert xring3.parse("l4*x2").weight_check() == 6
+def test_off_weight_values(xring3):
+    p = xring3.parse("l4*x2")
+    assert p.off_weight(6).is_zero() and p.off_weight(5) == p
     lam14 = xring3.parse("2*x2*z6^2 + 1/4*z7^2 - 1/2*z6*z8")
-    assert lam14.weight_check() == 14
-    assert xring3.parse("x2 + l4").weight_check() is None
+    assert lam14.off_weight(14).is_zero()
+    # an inhomogeneous sum is off every weight, by exactly its other terms
+    assert xring3.parse("x2 + 1/3*l4").off_weight(2) == xring3.parse("1/3*l4")
+    assert xring3.parse("x2 + 1/3*l4").off_weight(4) == xring3.var("x2")
+    assert xring3.zero.off_weight(0).is_zero()
 
 
 # -- determinants -------------------------------------------------------------

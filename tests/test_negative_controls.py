@@ -17,6 +17,7 @@ from hyperlie import (Derivation, PolyMatrix, Ring, derivation, genus_fields, pa
 from hyperlie.classical import symbol_env
 from hyperlie.genus_fields import (_catalog_cached, parse_coeff, read_relations, seed_texts,
                                    structure_functions)
+from hyperlie.param_map import Relation, RelationSet
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
 from oracles import structure_jacobi
 
@@ -46,10 +47,12 @@ CONTROLS = {
         {"exact": r"detT - c\*R: \S", "pit": r"detT - c\*R at \{.*\} -> -?\d"},
     ),
     "problem": (
-        "g1.fields.classical_table",
-        # displayed: P2
-        lambda mp: mp.setitem(reference.CLASSICAL_TABLE[1][0][2], "L1", "2*P2"),
-        {"exact": r"\[L1,L2\] on \w+: \S", "pit": r"\[L1,L2\] on \w+: \S"},
+        "g2.fields.normalization",
+        # the [L1,L6] row made a second [L1,L4] row: nothing pins beta, gamma1, gamma2
+        lambda mp: mp.setattr(reference, "G2_NORMALIZATION",
+                              [*reference.G2_NORMALIZATION[:3], reference.G2_NORMALIZATION[2]]),
+        {mode: r"normalization: normalization solution is not unique$"
+         for mode in ("exact", "pit")},
     ),
 }
 
@@ -518,17 +521,19 @@ def test_wrong_elimination_fails_relations_vanish(monkeypatch):
     assert re.match(r"\S+: \S", witness), witness
 
 
+@pytest.mark.parametrize("mode", ["exact", "pit"])
 @pytest.mark.parametrize("genus,pair,field,text", [
     (1, ("L1", "L2"), "L1", "2*P2"),  # displayed: P2
     (3, ("L1", "L4"), "L3", "2*P2"),  # displayed: P2
     (2, ("L1", "L4"), "L3", "2*P2"),  # displayed: P2
 ])
 def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
-        monkeypatch, genus, pair, field, text):
+        monkeypatch, genus, pair, field, text, mode):
     """A classical row is decided from the structure functions with no
     bracket, on the zero-parameter genus-2 catalog too (its coefficients
-    read at the parameters' value 0); a corrupted row still gives the
-    witness of its own bracket relation."""
+    read at the parameters' value 0); a corrupted row is a derivation
+    residual, whose witness is the first component of its own bracket
+    relation's residual, in both modes."""
     calls = []
     bracket_sum = derivation.bracket_sum
 
@@ -539,7 +544,8 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
     ctx = SuiteContext(genus)
     ctx.structure  # the displayed rows' brackets, made before counting
     monkeypatch.setattr(derivation, "bracket_sum", counting)
-    assert _decide(suite._classical_table, (), ctx, "exact", None, None) == (True, None)
+    pit, rng = PitConfig(seed=1), suite._entry_rng(1, f"g{genus}.fields.classical_table")
+    assert _decide(suite._classical_table, (), ctx, mode, pit, rng) == (True, None)
     assert calls == []
 
     row = next(r for r in reference.CLASSICAL_TABLE[genus] if r[:2] == pair)
@@ -547,9 +553,13 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
     rows = reference.CLASSICAL_TABLE[genus]
     (rel,) = read_relations(ctx.cat_zero.fields, [row], symbol_env(ctx.cat_zero, rows))
     v, diff = min(rel.residual().action.items())
-    want = f"[{pair[0]},{pair[1]}] on {v}: {diff.to_text()}"
+    label = f"[{pair[0]},{pair[1]}].{v}"
     calls.clear()
-    assert _decide(suite._classical_table, (), ctx, "exact", None, None) == (False, want)
+    ok, witness = _decide(suite._classical_table, (), ctx, mode, pit, rng)
+    if mode == "exact":
+        assert (ok, witness) == (False, f"{label}: {diff.to_text()}")
+    else:
+        assert not ok and re.match(re.escape(label) + _RESIDUAL[mode], witness), witness
     assert calls == []
 
 
@@ -669,21 +679,26 @@ def test_perturbed_constant_fails_detT_eq_cR_exactly(monkeypatch, genus, constan
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
-@pytest.mark.parametrize("genus,cell,text,witness", [
-    (1, (0, 1), "l4", "B(1,2): not homogeneous of weight 6"),
-    (2, (1, 3), "l4", "B(2,4): not homogeneous of weight 8"),
-    (3, (0, 0), "l6^2*l10", "B(1,1): not homogeneous of weight 24"),
-])
-def test_wrong_weight_bezout_entry_fails_R_weight(monkeypatch, genus, cell, text, witness,
+@pytest.mark.parametrize("genus,cell,text,label", [
+    (1, (0, 1), "l4", "B(1,2) off weight 6"),
+    (2, (1, 3), "l4", "B(2,4) off weight 8"),
+    (3, (0, 0), "l6^2*l10", "B(1,1) off weight 24"),
+], ids=["g1", "g2", "g3"])
+def test_wrong_weight_bezout_entry_fails_R_weight(monkeypatch, genus, cell, text, label,
                                                  mode):
     """``params.R_weight`` reads R's weight off the Bezout entries, so one
-    term of the wrong weight in one entry fails it, in both modes."""
+    term of the wrong weight in one entry fails it, in both modes, with
+    that term as the residual."""
     original = suite._BUILDS["bezout"]
     monkeypatch.setitem(suite._BUILDS, "bezout",
                         lambda ctx: _plus(original(ctx), [cell], text))
     rng = suite._entry_rng(1, f"g{genus}.params.R_weight")
-    assert _decide(suite._r_weight, (), SuiteContext(genus), mode, PitConfig(seed=1),
-                   rng) == (False, witness)
+    ok, witness = _decide(suite._r_weight, (), SuiteContext(genus), mode, PitConfig(seed=1),
+                          rng)
+    if mode == "exact":
+        assert (ok, witness) == (False, f"{label}: {text}")
+    else:
+        assert not ok and re.match(re.escape(label) + _RESIDUAL[mode], witness), witness
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
@@ -721,3 +736,84 @@ def test_asymmetric_T_fails_symmetry_under_both_ids(monkeypatch, mode):
             assert failures[entry_id] == "T(1,2) - T(2,1): l6"
         else:
             assert re.match(r"T\(1,2\) - T\(2,1\) at \{.*\} -> -?\d", failures[entry_id])
+
+
+def _jm_changed(change):
+    """A perturbation making the suite's ``ctx.jm`` ``change`` of the
+    eliminated map, which only the ``map.*`` entries read."""
+    def perturb(mp):
+        original = suite._BUILDS["jm"]
+        mp.setitem(suite._BUILDS, "jm", lambda ctx: change(original(ctx)))
+    return perturb
+
+
+def _relations_replaced(jm, relations):
+    return jm._replace(rels=RelationSet(jm.rels.genus, jm.rels.ring, relations))
+
+
+def _sq1_times_one_plus_x2(jm):
+    """sq1 made (1 + x2) * sq1: it still vanishes on the map, but has terms
+    off the weight 4 of l4, the symbol it is solved for."""
+    sq1, *rest = jm.rels.relations
+    poly = sq1.poly + jm.rels.ring.var("x2") * sq1.poly
+    return _relations_replaced(jm, [Relation(sq1.label, poly, sq1.target), *rest])
+
+
+def _curve_plus_l4(mp):
+    original = suite.build_f
+    mp.setattr(suite, "build_f", lambda model: original(model) + model.fring.var("l4"))
+
+
+def _T11_plus_l6(mp):
+    original = suite._BUILDS["T"]
+    mp.setitem(suite._BUILDS, "T", lambda ctx: _plus(original(ctx), [(0, 0)], "l6"))
+
+
+# entry: (genus, perturbation, exact witness, every failing entry or None
+# where the perturbed object feeds more entries than the one named)
+WEIGHT_AND_COUNT_CONTROLS = {
+    # f plus l4, of weight 4 against 4g + 2 = 6
+    "params.curve_poly": (1, _curve_plus_l4, "f off weight 6: l4", ["params.curve_poly"]),
+    # T(1,1) plus l6, of weight 6 against 4; T feeds every parameter-space entry
+    "params.T_weights": (2, _T11_plus_l6, "T(1,1) off weight 4: l6", None),
+    # the last relation dropped after the elimination
+    "map.relation_count": (
+        2, _jm_changed(lambda jm: _relations_replaced(jm, jm.rels.relations[:-1])),
+        "relations - g(g+3)/2 -> -1", ["map.relation_count"]),
+    "map.relations_homogeneous": (
+        2, _jm_changed(_sq1_times_one_plus_x2),
+        "sq1 off weight 4 of l4: -2*x2*l4 + x2*x4 - 4*x2*y4 - 6*x2^3",
+        ["map.relations_homogeneous"]),
+    # the eliminated w6 plus x2, of weight 2 against 6; it breaks lin3 and
+    # the displayed w6 too
+    "map.components_homogeneous": (
+        2, _jm_changed(lambda jm: jm._replace(
+            w_exprs={**jm.w_exprs, (3, 3): jm.w_exprs[3, 3] + jm.ring.var("x2")})),
+        "w6 off weight 6: x2",
+        ["map.components_homogeneous", "map.components_match", "map.relations_vanish"]),
+    # the displayed seed L2(x2) = 2/3*x4 - 2*x2^2 plus x2, of weight 2 against 4;
+    # the field it builds feeds every generator-space entry that reads L2
+    "fields.homogeneous": (
+        1, lambda mp: mp.setitem(reference.FIELD_ACTIONS[1]["L2"], "x2", "2/3*x4 - 2*x2^2 + x2"),
+        "L2(x2) off weight 4: x2", None),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("entry", list(WEIGHT_AND_COUNT_CONTROLS))
+def test_weight_and_count_entries_fail_with_their_residual(monkeypatch, entry, mode):
+    """A weight is decided as the terms off it, and a count as a number, so
+    a perturbed weight fails its entry with the off-weight terms (at a
+    point in pit mode) and a perturbed count with the difference."""
+    genus, perturb, witness, failing = WEIGHT_AND_COUNT_CONTROLS[entry]
+    perturb(monkeypatch)
+    failures = _mutant_failures(monkeypatch, genus, mode)
+    entry_id = f"g{genus}.{entry}"
+    if failing is not None:
+        assert sorted(failures) == sorted(f"g{genus}.{e}" for e in failing)
+    if mode == "exact" or " -> " in witness:
+        assert failures[entry_id] == witness
+    else:
+        label = witness.split(": ")[0]
+        assert re.match(re.escape(label) + _RESIDUAL[mode], failures[entry_id], re.S), (
+            failures[entry_id])
