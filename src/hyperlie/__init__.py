@@ -14,13 +14,10 @@ and mechanically verifies every identity among them.
 """
 
 from .exactpoly import (
-    GradedVar,
     Poly,
-    PolyMap,
     PolyMatrix,
     Ring,
     RingMismatchError,
-    cast,
     det_minor_expansion,
 )
 from .derivation import BracketRelation, Derivation, ladder_complete
@@ -30,13 +27,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketRelation",
     "Derivation",
-    "GradedVar",
     "Poly",
-    "PolyMap",
     "PolyMatrix",
     "Ring",
     "RingMismatchError",
-    "cast",
     "det_minor_expansion",
     "ladder_complete",
     "__version__",

@@ -37,8 +37,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .exactpoly import (
-    Poly, PolyMap, Ring, RingMismatchError, _WIDTH, _int_form, _leibniz, _mul_into,
-    _unscaled,
+    Poly, Ring, RingMismatchError, _WIDTH, _int_form, _leibniz, _mul_into, _unscaled,
 )
 
 
@@ -52,15 +51,14 @@ class Derivation:
         self.ring = ring
         self.weight = weight
         clean = {}
-        for key, p in action.items():
-            vname = key if isinstance(key, str) else key.name
-            ring.index(vname)
+        for v, p in action.items():
+            ring.index(v)
             if not isinstance(p, Poly):
                 p = ring.const(p)
             if p.ring != ring:
-                raise RingMismatchError(f"action on {vname} from another ring")
+                raise RingMismatchError(f"action on {v} from another ring")
             if not p.is_zero():
-                clean[vname] = p
+                clean[v] = p
         self.action = clean
         self._scaled = None
 
@@ -79,11 +77,10 @@ class Derivation:
         """Leibniz-rule application: sum of action[v] * dp/dv."""
         return linear_sum(self.ring, applied=[(self, p)])
 
-    def on(self, var) -> Poly:
+    def on(self, v: str) -> Poly:
         """Action on a single variable (zero when absent)."""
-        vname = var if isinstance(var, str) else var.name
-        self.ring.index(vname)
-        return self.action.get(vname, self.ring.zero)
+        self.ring.index(v)
+        return self.action.get(v, self.ring.zero)
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """Commutator [self, other] as a derivation."""
@@ -210,12 +207,13 @@ class BracketRelation:
                            linear=[(-c, Z) for c, Z in self.expansion])
 
 
-def verify_pushforward(d_up: Derivation, pmap: PolyMap, d_down) -> dict[str, Poly]:
-    """{s: d_up(p_s) - p*(d_down(lambda_s))} for every component s of the
-    map, d_down=None standing for the zero field: d_up projects onto d_down
-    exactly when every residual is zero, since both sides are derivations."""
-    return {s: d_up.apply(p) if d_down is None else d_up.apply(p) - pmap.pullback(d_down.on(s))
-            for s, p in pmap.components.items()}
+def verify_pushforward(d_up: Derivation, p: Mapping, d_down) -> dict[str, Poly]:
+    """{s: d_up(p_s) - p*(d_down(s))} for every component s of the map p =
+    {s: p_s}, d_down=None standing for the zero field: d_up projects onto
+    d_down exactly when every residual is zero, both sides derivations."""
+    return {s: d_up.apply(p_s) if d_down is None else
+            d_up.apply(p_s) - d_down.on(s).substitute(p, target=d_up.ring)
+            for s, p_s in p.items()}
 
 
 class LadderError(ValueError):

@@ -19,7 +19,8 @@ construction; operations never mutate their arguments.
 Text reaches a ``Poly`` through ``Ring.parse`` alone: it walks Python's
 ``ast`` of the text under a small grammar, and names may read as values
 from an environment, so displayed data written in auxiliary symbols parse
-straight into the ring they are checked in.
+straight into the ring they are checked in.  ``Poly.substitute`` is the one
+map between rings: it pulls back along a map's components and re-keys.
 
 Also provided: polynomial matrices with a division-free minor-expansion
 determinant, which the runtime uses, and a fraction-free Bareiss determinant
@@ -35,7 +36,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # Each variable owns one _WIDTH-bit field of a monomial key.  A stored
 # exponent stays below 2^(_WIDTH - 1), so the top bit of every field is a
@@ -58,50 +59,37 @@ def _rational(n: int, d: int = 1) -> "int | Fraction":
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-class GradedVar(NamedTuple):
-    """A named variable with a non-negative integer weight."""
-
-    name: str
-    weight: int
-
-
 class Ring:
-    """An ordered collection of graded variables; the context for all polys."""
+    """An ordered collection of variables, each a name with a non-negative
+    integer weight; the context for all polys."""
 
-    __slots__ = ("vars", "names", "weights", "_index", "_guard")
+    __slots__ = ("names", "weights", "_index", "_guard")
 
-    def __init__(self, variables: Iterable):
-        vs = []
-        for v in variables:
-            if isinstance(v, GradedVar):
-                vs.append(v)
-            else:
-                name, weight = v
-                vs.append(GradedVar(str(name), int(weight)))
-        names = tuple(v.name for v in vs)
+    def __init__(self, variables: Iterable[tuple[str, int]]):
+        pairs = list(variables)
+        names = tuple(name for name, _ in pairs)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in ring")
-        for v in vs:
-            if v.weight < 0:
-                raise ValueError(f"negative weight for {v.name}")
-        self.vars = tuple(vs)
+        for name, weight in pairs:
+            if weight < 0:
+                raise ValueError(f"negative weight for {name}")
         self.names = names
-        self.weights = tuple(v.weight for v in vs)
+        self.weights = tuple(weight for _, weight in pairs)
         self._index = {n: i for i, n in enumerate(names)}
         # the top bit of every field: set in a key iff an exponent is too big
-        self._guard = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(vs)))
+        self._guard = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(names)))
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.vars == other.vars
+        return (isinstance(other, Ring) and self.names == other.names
+                and self.weights == other.weights)
 
     def __hash__(self):
-        return hash(self.vars)
+        return hash((self.names, self.weights))
 
     def __repr__(self):
-        return f"Ring({', '.join(f'{v.name}:{v.weight}' for v in self.vars)})"
+        return f"Ring({', '.join(f'{n}:{w}' for n, w in zip(self.names, self.weights))})"
 
-    def index(self, var) -> int:
-        name = var.name if isinstance(var, GradedVar) else var
+    def index(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
@@ -113,7 +101,7 @@ class Ring:
         exponent of 2^31 or more ``OverflowError``: it would spill into the
         next variable's field."""
         exps = tuple(exps)
-        if len(exps) != len(self.vars) or any(e < 0 for e in exps):
+        if len(exps) != len(self.names) or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps}")
         if any(e >> (_WIDTH - 1) for e in exps):
             raise OverflowError(f"exponent of {exps} reaches 2^{_WIDTH - 1}")
@@ -122,7 +110,7 @@ class Ring:
     def unpack(self, key: int) -> tuple:
         """The exponent tuple of a key; the inverse of ``pack``."""
         return tuple([(key >> s) & _FIELD
-                      for s in range(0, _WIDTH * len(self.vars), _WIDTH)])
+                      for s in range(0, _WIDTH * len(self.names), _WIDTH)])
 
     def var(self, name: str) -> "Poly":
         return Poly._of(self, {1 << (_WIDTH * self.index(name)): 1})
@@ -368,7 +356,8 @@ class Poly:
 
         Unassigned variables pass through unchanged, looked up by name in the
         target ring (the ring of the assigned values, or this ring if the
-        assignment is purely numeric).
+        assignment is purely numeric), where a used one it lacks raises
+        ``KeyError``: ``substitute({}, target=ring)`` re-keys into ``ring``.
 
         One integer pass over monomial keys: this polynomial is num / d
         and each image y_i is its own num_i / d_i.  With E_i the largest
@@ -549,19 +538,6 @@ class Poly:
             }
             terms.append({"c": str(c), "m": mono})
         return {"terms": terms}
-
-
-def cast(p: Poly, target: Ring) -> Poly:
-    """Re-express a polynomial in another ring containing its variables."""
-    if p.ring == target:
-        return p
-    moves = []  # (source shift, target shift) of every variable p uses
-    for name in sorted(p.variables_used(), key=p.ring.index):
-        if name not in target._index:
-            raise KeyError(f"variable {name!r} absent from target ring")
-        moves.append((_WIDTH * p.ring.index(name), _WIDTH * target.index(name)))
-    out = {sum(((m >> s) & _FIELD) << t for s, t in moves): c for m, c in p.num.items()}
-    return Poly._of(target, out, p.den)
 
 
 # -- exact division ----------------------------------------------------------
@@ -860,35 +836,3 @@ def solve_unique(rows: Iterable[Mapping], ncols: int) -> "list[Fraction] | str":
     if len(pivots) < ncols:
         return "not unique"
     return [pivots[c].get(ncols, Fraction(0)) for c in range(ncols)]
-
-
-# -- named polynomial maps ----------------------------------------------------
-
-
-class PolyMap:
-    """A named polynomial map: ordered components {target variable: Poly}.
-
-    ``pullback`` is ``Poly.substitute`` of the components; nothing is kept
-    between pullbacks.
-    """
-
-    __slots__ = ("name", "source", "target", "components")
-
-    def __init__(self, name: str, source: Ring, target: Ring, components: Mapping):
-        self.name = name
-        self.source = source
-        self.target = target
-        comps = {}
-        for key, p in components.items():
-            vname = key.name if isinstance(key, GradedVar) else key
-            target.index(vname)
-            if p.ring != source:
-                raise RingMismatchError(f"component {vname} not in source ring")
-            comps[vname] = p
-        self.components = comps
-
-    def pullback(self, p: Poly) -> Poly:
-        """Compose: substitute this map's components into a target-ring poly."""
-        if p.ring != self.target:
-            raise RingMismatchError("pullback argument not in target ring")
-        return p.substitute(self.components, target=self.source)

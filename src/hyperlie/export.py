@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exactpoly import Poly, PolyMatrix
 from .genus_fields import build_Tcal, catalog, table_relations
-from .lambda_space import CurveModel, M_PAIRS, build_M, build_T, discriminant_R
+from .lambda_space import CurveModel, M_PAIRS, build_f, build_M, build_T, discriminant_R
 from .param_map import jacobi_map, w_name
 
 _GREEK = {"alpha": r"\alpha", "beta": r"\beta", "gamma1": r"\gamma_{1}",
@@ -96,11 +96,11 @@ def export(what: str, genus: int, fmt: str) -> str:
 
 def _export_map(genus: int, fmt: str) -> str:
     jm = jacobi_map(genus)
-    comps = [(f"l{s}", jm.lambda_exprs[s]) for s in sorted(jm.lambda_exprs)]
     if fmt == "json":
         doc = {
             "genus": genus,
-            "map": [{"var": v, "poly": p.to_json_obj()} for v, p in comps],
+            "map": [{"var": v, "poly": p.to_json_obj()}
+                    for v, p in jm.lambda_exprs.items()],
             "w": [
                 {"var": w_name(genus, k, l), "poly": jm.w_exprs[(k, l)].to_json_obj()}
                 for (k, l) in sorted(jm.w_exprs)
@@ -108,7 +108,7 @@ def _export_map(genus: int, fmt: str) -> str:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     lines = [r"\begin{align*}"]
-    for v, p in comps:
+    for v, p in jm.lambda_exprs.items():
         lines.append(rf"{latex_var(v)} &= {latex_poly(p)}, \\")
     lines.append(r"\end{align*}")
     return "\n".join(lines) + "\n"
@@ -124,9 +124,9 @@ def _export_fields(genus: int, fmt: str) -> str:
                     "name": n,
                     "weight": cat.fields[n].weight,
                     "action": [
-                        {"var": v.name, "poly": cat.fields[n].on(v.name).to_json_obj()}
-                        for v in cat.ring.vars
-                        if v.name in cat.fields[n].action
+                        {"var": v, "poly": cat.fields[n].on(v).to_json_obj()}
+                        for v in cat.ring.names
+                        if v in cat.fields[n].action
                     ],
                 }
                 for n in cat.names
@@ -137,14 +137,14 @@ def _export_fields(genus: int, fmt: str) -> str:
     for n in cat.names:
         d = cat.fields[n]
         parts = []
-        for v in cat.ring.vars:
-            if v.name not in d.action:
+        for v in cat.ring.names:
+            if v not in d.action:
                 continue
-            coeff = d.on(v.name)
+            coeff = d.on(v)
             body = latex_poly(coeff)
             if len(coeff.num) > 1 or body.startswith("-"):
                 body = rf"\left({body}\right)"
-            parts.append(rf"{body}\,\partial_{{{latex_var(v.name)}}}")
+            parts.append(rf"{body}\,\partial_{{{latex_var(v)}}}")
         lines.append(rf"{_field_latex_name(n)} &= " + " + ".join(parts) + r", \\")
     lines.append(r"\end{align*}")
     return "\n".join(lines) + "\n"
@@ -187,7 +187,7 @@ def _export_brackets(genus: int, fmt: str) -> str:
 def _export_matrices(genus: int, fmt: str) -> str:
     model = CurveModel(genus)
     T = build_T(model)
-    R = discriminant_R(model)
+    R = discriminant_R(build_f(model), model.ring)
     Tcal = build_Tcal(catalog(genus, params="zero"))
     blocks = {"T": T, "Tcal": Tcal}
     if genus == 3:

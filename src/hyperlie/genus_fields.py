@@ -30,9 +30,8 @@ from typing import NamedTuple, Sequence
 
 from . import reference
 from .derivation import BracketRelation, Derivation, combination, ladder_complete
-from .exactpoly import (Poly, PolyMap, PolyMatrix, Ring, det_minor_expansion, parity,
-                        solve_unique)
-from .param_map import PARAM_NAMES, JacobiMap, RelVars, build_p, jacobi_map, x_name
+from .exactpoly import Poly, PolyMatrix, Ring, det_minor_expansion, parity, solve_unique
+from .param_map import PARAM_NAMES, JacobiMap, RelVars, jacobi_map, x_name
 
 
 def field_names(genus: int) -> list[str]:
@@ -83,8 +82,7 @@ class FieldCatalog(NamedTuple):
     genus: int
     ring: Ring
     fields: dict[str, Derivation]
-    jm: JacobiMap
-    pmap: PolyMap
+    jm: JacobiMap  # jm.lambda_exprs is the map p
     aux: dict[str, Poly]
     param_values: tuple = ()  # (name, value) pairs the parameters read as
 
@@ -101,7 +99,7 @@ class FieldCatalog(NamedTuple):
 
 def coeff_env(cat: FieldCatalog) -> dict:
     """What displayed coefficients' l-, aux- and parameter names stand for."""
-    env = {f"l{s}": p for s, p in cat.jm.lambda_exprs.items()}
+    env = dict(cat.jm.lambda_exprs)
     env.update(cat.aux)
     env.update(cat.param_values)
     return env
@@ -192,7 +190,7 @@ def _catalog_cached(genus: int, params: str | None) -> FieldCatalog:
         jm = jacobi_map(genus)
         ring, L1 = jm.ring, build_depth1(genus, jm.ring)
         base = FieldCatalog(genus, ring, {"L0": build_euler(genus, ring), "L1": L1},
-                            jm, build_p(jm), {})
+                            jm, {})
         for s in range(3, 2 * genus, 2):
             seeds = {x_name(genus, 1, j): L1.apply(jm.w_exprs[min(s, j), max(s, j)])
                      for j in range(3, 2 * genus, 2)}
@@ -311,7 +309,7 @@ def structure(fields: dict[str, Derivation], rels) -> tuple[dict, dict, tuple | 
 
 def _coordinates(cat: FieldCatalog) -> list[str]:
     """The generator coordinates in ring order: the columns of Tcal."""
-    return [v.name for v in cat.ring.vars if v.name not in PARAM_NAMES]
+    return [v for v in cat.ring.names if v not in PARAM_NAMES]
 
 
 def build_Tcal(cat: FieldCatalog) -> PolyMatrix:
@@ -330,7 +328,7 @@ def build_Tcal(cat: FieldCatalog) -> PolyMatrix:
 
 def pullback_T(cat: FieldCatalog, T: PolyMatrix) -> PolyMatrix:
     """The parameter-space matrix T with the map substituted entry-wise."""
-    return T.map(cat.pmap.pullback)
+    return T.map(lambda q: q.substitute(cat.jm.lambda_exprs, target=cat.ring))
 
 
 def block_sign(cat: FieldCatalog) -> int:
@@ -363,7 +361,7 @@ def det_factor_residuals(cat: FieldCatalog, factor) -> tuple[Poly, Poly]:
     g, ring = cat.genus, cat.ring
     A = PolyMatrix(ring, [[L.on(c) for c in cols[:g]] for L in cat.odd_fields()])
     minor = det_minor_expansion(PolyMatrix(ring, [
-        [comp.partial(c) for c in cols[g:]] for comp in cat.pmap.components.values()]))
+        [comp.partial(c) for c in cols[g:]] for comp in cat.jm.lambda_exprs.values()]))
     return det_minor_expansion(A) - minor * (block_sign(cat) * factor), minor
 
 

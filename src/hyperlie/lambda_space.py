@@ -8,7 +8,8 @@ matrix), the fields L0, L2, ..., L{4g-2}, which are T's rows, and (genus 3)
 the displayed structure matrix M of their brackets.  M is read as data:
 the suite compares each row with the structure functions that
 ``genus_fields.structure`` decides on this space, so no bracket is
-expanded against M here.
+expanded against M here.  The Bezout matrix and R read the coefficients
+of the one f that ``build_f`` writes, re-keyed into the parameter ring.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ class CurveModel:
         # X has weight 2, making f homogeneous of weight 4g+2.
         self.fring = Ring([("X", 2)] + [(f"l{s}", s) for s in self.indices])
 
-    def lam(self, s: int, ring: Ring | None = None) -> Poly:
+    def lam(self, s: int) -> Poly:
         """l_s as a polynomial; zero whenever s is outside the model's range."""
-        ring = ring or self.ring
         if s in self.indices:
-            return ring.var(f"l{s}")
-        return ring.zero
+            return self.ring.var(f"l{s}")
+        return self.ring.zero
 
 
 def build_f(model: CurveModel) -> Poly:
@@ -53,7 +53,7 @@ def build_f(model: CurveModel) -> Poly:
     f = X ** (2 * g + 1)
     for k, s in enumerate(model.indices):
         # l4 multiplies X^{2g-1}, l6 multiplies X^{2g-2}, ...
-        f = f + model.lam(s, ring) * X ** (2 * g - 1 - k)
+        f = f + ring.var(f"l{s}") * X ** (2 * g - 1 - k)
     return f
 
 
@@ -80,17 +80,16 @@ def bezout_matrix(ring: Ring, a: list[Poly]) -> PolyMatrix:
     return PolyMatrix(ring, rows)
 
 
-def bezout_f(model: CurveModel) -> PolyMatrix:
-    """The (2g+1)-square Bezout matrix of f and df/dX, whose determinant is R.
+def bezout_f(f: Poly, ring: Ring) -> PolyMatrix:
+    """The Bezout matrix of the curve polynomial f and df/dX, whose
+    determinant is R, (2g+1)-square for f of degree 2g+1.
 
-    Its entries live in the parameter ring: the coefficient of X^i in f is
-    l_{4g+2-2i}, so no X column is carried along.
+    Its entries live in the parameter ring ``ring``: f's coefficients in X
+    are re-keyed into it, so no X column is carried along.
     """
-    n = 2 * model.genus + 1
-    lead = 4 * model.genus + 2
-    return bezout_matrix(
-        model.ring, [model.lam(lead - 2 * i) for i in range(n)] + [model.ring.one]
-    )
+    cx = f.coeffs_in("X")
+    return bezout_matrix(ring, [cx[i].substitute({}, target=ring) if i in cx else ring.zero
+                                for i in range(max(cx) + 1)])
 
 
 def schur_identity(T: PolyMatrix, B: PolyMatrix):
@@ -111,15 +110,16 @@ def schur_identity(T: PolyMatrix, B: PolyMatrix):
     return residuals, Fraction(sign * 4 ** (m // 2), corner) if corner else None
 
 
-def discriminant_R(model: CurveModel) -> Poly:
-    """Resultant of f and df/dX, eliminating X; cut out by the singular locus.
+def discriminant_R(f: Poly, ring: Ring) -> Poly:
+    """Resultant of f and df/dX in the parameter ring ``ring``, eliminating
+    X; cut out by the singular locus.
 
     The determinant of the (2g+1)-square Bezout matrix by minor expansion
     (Gentleman & Johnson, ACM TOMS 2(3), 1976).  Against the (4g+1)-square
     Sylvester matrix, genus 3 takes 9 ms instead of 0.16 s and genus 4
     0.4 s instead of 21 s (2-CPU host, Python 3.11).
     """
-    return det_minor_expansion(bezout_f(model))
+    return det_minor_expansion(bezout_f(f, ring))
 
 
 def t_entry(model: CurveModel, k: int, m: int) -> Poly:

@@ -5,8 +5,10 @@ Generator space for genus g has coordinates x_{i,j} (i in 1..3, j odd in
 1..2g-1) of weight i+j.  The relation system also involves the symbols
 w_{k,l} (k,l odd in 3..2g-1, symmetric) and the parameters l_s; the
 elimination solves each relation for its designated symbol, in the end
-expressing every w and every l as a polynomial in x alone.  The l-components
-assemble into the map from C^{3g} to C^{2g}.
+expressing every w and every l as a polynomial in x alone.  The map p from
+C^{3g} to C^{2g} is its l-components, ``JacobiMap.lambda_exprs`` {"l4": p_4,
+...}: that is a ``Poly.substitute`` assignment, so the pullback of a
+parameter-space q is ``q.substitute(jm.lambda_exprs, target=jm.ring)``.
 
 Any indexed symbol outside its legal range denotes the zero polynomial.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactpoly import Poly, PolyMap, Ring, cast
+from .exactpoly import Poly, Ring
 
 # Display names for the three coordinate triples used through genus 3.
 _X_ALIAS = {
@@ -65,11 +67,11 @@ def w_var_list(genus: int) -> list[tuple[str, int]]:
     return out
 
 
-def xring(genus: int, params: bool = False) -> Ring:
-    """The coordinate ring of generator space (optionally with the four
-    weight-0 structure parameters used by the genus-2 field family)."""
+def xring(genus: int) -> Ring:
+    """The coordinate ring of generator space, at genus 2 with the four
+    weight-0 structure parameters of its field family."""
     vs = x_var_list(genus)
-    if params:
+    if genus == 2:
         vs = vs + [(p, 0) for p in PARAM_NAMES]
     return Ring(vs)
 
@@ -232,7 +234,7 @@ class JacobiMap(NamedTuple):
 
     genus: int
     ring: Ring  # pure x-ring the expressions live in
-    lambda_exprs: dict[int, Poly]  # index s -> poly of weight s
+    lambda_exprs: dict[str, Poly]  # the map p: "l{s}" -> poly of weight s
     w_exprs: dict[tuple[int, int], Poly]  # (k,l) -> poly of weight k+l
     rels: RelationSet  # the relation system it solved
 
@@ -285,37 +287,26 @@ def eliminate(rels: RelationSet) -> JacobiMap:
     for name in raw:
         resolve(name)
 
-    xr = xring(genus, params=(genus == 2))
-    lambda_exprs = {}
-    w_exprs = {}
-    for s in range(4, 4 * genus + 3, 2):
-        lambda_exprs[s] = cast(resolved[f"l{s}"], xr)
-    for k in range(3, 2 * genus, 2):
-        for l in range(k, 2 * genus, 2):
-            w_exprs[(k, l)] = cast(resolved[w_name(genus, k, l)], xr)
+    xr = xring(genus)
+    lambda_exprs = {f"l{s}": resolved[f"l{s}"].substitute({}, target=xr)
+                    for s in range(4, 4 * genus + 3, 2)}
+    w_exprs = {(k, l): resolved[w_name(genus, k, l)].substitute({}, target=xr)
+               for k in range(3, 2 * genus, 2) for l in range(k, 2 * genus, 2)}
     return JacobiMap(genus, xr, lambda_exprs, w_exprs, rels)
 
 
-def verify_relations_vanish(jm: JacobiMap) -> dict[str, Poly]:
+def relation_residuals(jm: JacobiMap) -> dict[str, Poly]:
     """{label: residual} for every relation of ``jm.rels``, the solved
     expressions substituted into it: the elimination solved the whole
     system exactly when every residual is zero."""
-    rels, assignment = jm.rels, {}
-    for s, p in jm.lambda_exprs.items():
-        assignment[f"l{s}"] = cast(p, rels.ring)
+    assignment = dict(jm.lambda_exprs)
     for (k, l), p in jm.w_exprs.items():
-        assignment[w_name(jm.genus, k, l)] = cast(p, rels.ring)
-    return {rel.label: rel.poly.substitute(assignment) for rel in rels.relations}
-
-
-def build_p(jm: JacobiMap) -> PolyMap:
-    """The polynomial map from generator space to parameter space."""
-    target = Ring([(f"l{s}", s) for s in sorted(jm.lambda_exprs)])
-    comps = {f"l{s}": jm.lambda_exprs[s] for s in sorted(jm.lambda_exprs)}
-    return PolyMap(f"p_g{jm.genus}", jm.ring, target, comps)
+        assignment[w_name(jm.genus, k, l)] = p
+    return {rel.label: rel.poly.substitute(assignment, target=jm.ring)
+            for rel in jm.rels.relations}
 
 
 def jacobi_map(genus: int) -> JacobiMap:
-    """Generate the relations and eliminate them; ``verify_relations_vanish``
+    """Generate the relations and eliminate them; ``relation_residuals``
     gives the residual of each relation of ``jm.rels`` under the result."""
     return eliminate(generate_relations(genus))

@@ -82,7 +82,7 @@ from .lambda_space import (
     discriminant_R,
     schur_identity,
 )
-from .param_map import verify_relations_vanish, w_name
+from .param_map import relation_residuals, w_name
 from .report import ReportEntry, VerificationReport
 
 _RESIDUAL_CAP = 1500
@@ -137,7 +137,7 @@ def _points(ring, pit: PitConfig, rng):
     """``pit.sample_count`` random points of [-B, B]^n, B the coordinate bound."""
     bound = pit.coordinate_bound
     for _ in range(pit.sample_count):
-        yield {v.name: rng.randint(-bound, bound) for v in ring.vars}
+        yield {v: rng.randint(-bound, bound) for v in ring.names}
 
 
 # -- numeric linear algebra for pit mode ---------------------------------------
@@ -183,7 +183,9 @@ def _lam_structure(ctx):
 
 _BUILDS = {
     "model": lambda ctx: CurveModel(ctx.genus),
-    "R": lambda ctx: discriminant_R(ctx.model),
+    # the one f that params.curve_poly decides and the Bezout matrix and R read
+    "f": lambda ctx: build_f(ctx.model),
+    "R": lambda ctx: discriminant_R(ctx.f, ctx.model.ring),
     "T": lambda ctx: build_T(ctx.model),
     "lam_fields": lambda ctx: all_L(ctx.T),
     "M": lambda ctx: build_M(ctx.model),
@@ -192,7 +194,7 @@ _BUILDS = {
     # the catalog the displayed tables describe: zero parameters for g = 2,
     # for g = 1 and 3 the same object as cat
     "cat_zero": lambda ctx: catalog(ctx.genus, params="zero"),
-    "bezout": lambda ctx: bezout_f(ctx.model),
+    "bezout": lambda ctx: bezout_f(ctx.f, ctx.model.ring),
     "structure": lambda ctx: structure(
         ctx.cat.fields, table_relations(ctx.cat) + euler_relations(ctx.cat.fields)),
     "lam_structure": _lam_structure,
@@ -243,8 +245,7 @@ def _decide(claim, key, ctx, mode, pit, rng):
 
 @_claim("params.curve_poly", "curve polynomial shape")
 def _curve_poly(ctx, mode, pit, rng):
-    g = ctx.genus
-    f = build_f(ctx.model)
+    g, f = ctx.genus, ctx.f
     cx = f.coeffs_in("X")
     deg = max(cx)
     yield "deg f - (2g+1)", deg - (2 * g + 1)
@@ -394,7 +395,7 @@ def _relations_homogeneous(ctx, mode, pit, rng):
 def _components_match(ctx, mode, pit, rng):
     g, ring = ctx.genus, ctx.jm.ring
     for s, text in reference.MAP[g].items():
-        yield s, ctx.jm.lambda_exprs[int(s[1:])] - ring.parse(text)
+        yield s, ctx.jm.lambda_exprs[s] - ring.parse(text)
     for kl, text in reference.W_EXPRS.get(g, {}).items():
         yield w_name(g, *kl), ctx.jm.w_exprs[kl] - ring.parse(text)
 
@@ -402,14 +403,14 @@ def _components_match(ctx, mode, pit, rng):
 @_claim("map.components_homogeneous", "map components homogeneous of their weights")
 def _components_homogeneous(ctx, mode, pit, rng):
     for s, p in ctx.jm.lambda_exprs.items():
-        yield f"l{s} off weight {s}", p.off_weight(s)
+        yield f"{s} off weight {s[1:]}", p.off_weight(int(s[1:]))
     for (k, l), p in ctx.jm.w_exprs.items():
         yield f"{w_name(ctx.genus, k, l)} off weight {k + l}", p.off_weight(k + l)
 
 
 @_claim("map.relations_vanish", "all relations vanish after substitution")
 def _relations_vanish(ctx, mode, pit, rng):
-    yield from sorted(verify_relations_vanish(ctx.jm).items())
+    yield from sorted(relation_residuals(ctx.jm).items())
 
 
 @_claim("fields.homogeneous", "fields homogeneous of their weights")
@@ -490,7 +491,8 @@ def _aux_match(ctx, mode, pit, rng):
 def _projectable(ctx, mode, pit, rng, name):
     k = int(name[1:])
     down = None if k % 2 else ctx.lam_fields[k]
-    for v, diff in verify_pushforward(ctx.cat.fields[name], ctx.cat.pmap, down).items():
+    cat = ctx.cat
+    for v, diff in verify_pushforward(cat.fields[name], cat.jm.lambda_exprs, down).items():
         yield f"{name} on {v}", diff
 
 
@@ -517,7 +519,9 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
         down = lexp.get((a, b), {})
         for k in (f"L{i}" for i in ctx.lam_fields):
             lhs = exp[a, b].get(k, cat.ring.zero)
-            yield f"[{a},{b}] on {k}", lhs - cat.pmap.pullback(down[k]) if k in down else lhs
+            if k in down:
+                lhs = lhs - down[k].substitute(cat.jm.lambda_exprs, target=cat.ring)
+            yield f"[{a},{b}] on {k}", lhs
 
 
 @_claim("fields.detTcal_factor", "det of the action matrix = {tcal_c} * det T o p")

@@ -25,7 +25,7 @@ def poly_from_json_obj(ring, obj) -> Poly:
     """The polynomial of ring whose ``Poly.to_json_obj`` form is obj."""
     out = {}
     for t in obj["terms"]:
-        exps = [0] * len(ring.vars)
+        exps = [0] * len(ring.names)
         for name, e in t["m"].items():
             exps[ring.index(name)] = int(e)
         out[tuple(exps)] = Fraction(t["c"])

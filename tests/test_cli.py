@@ -207,9 +207,9 @@ def test_suite_expands_R_at_genus_1_only(monkeypatch, mode):
     # params.R_value expands R.
     genera, expand = [], suite.discriminant_R
 
-    def counted(model):
-        genera.append(model.genus)
-        return expand(model)
+    def counted(f, ring):
+        genera.append(len(ring.names) // 2)
+        return expand(f, ring)
 
     monkeypatch.setattr(suite, "discriminant_R", counted)
     for g in (1, 2, 3):
@@ -247,6 +247,29 @@ def test_suite_eliminates_each_genus_once_and_pulls_back_no_matrix(monkeypatch, 
     assert not {"rels", "Tcal", "Tp", "m_rels"} & set(suite._BUILDS)
 
 
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_suite_builds_each_ring_once(monkeypatch, mode):
+    # A variable tuple is one Ring: a clean run of every genus builds each
+    # genus's parameter ring, f's ring, relation ring and generator-space
+    # ring once, and the map's components need no ring of their own.
+    from hyperlie import Ring, genus_fields
+
+    built, init = [], Ring.__init__
+
+    def counted(ring, variables):
+        init(ring, variables)
+        built.append(tuple(zip(ring.names, ring.weights)))
+
+    monkeypatch.setattr(Ring, "__init__", counted)
+    genus_fields._catalog_cached.cache_clear()
+    try:
+        report = run_suite("all", mode)
+    finally:
+        genus_fields._catalog_cached.cache_clear()
+    assert report.passed, [(e.id, e.residual) for e in report.failures()]
+    assert len(built) == len(set(built)) == 12, built
+
+
 def test_genus2_catalogs_share_one_base(monkeypatch):
     # the zero member alone, as the matrices export builds it, ladders the
     # base's odd field L3 once and then only its own even fields; both
@@ -269,7 +292,7 @@ def test_genus2_catalogs_share_one_base(monkeypatch):
     finally:
         genus_fields._catalog_cached.cache_clear()
     assert ladders[4:] == [(False, 2), (False, 4), (False, 6)]
-    for attr in ("jm", "ring", "pmap", "aux"):
+    for attr in ("jm", "ring", "aux"):
         assert getattr(zero, attr) is getattr(symbolic, attr), attr
     for name in ("L0", "L1", "L3"):
         assert zero.fields[name] is symbolic.fields[name], name
@@ -449,7 +472,7 @@ def _references(tree) -> list[str]:
 # Runtime definitions that no package module references, with the reason
 # each one stays.
 _USED_FROM_OUTSIDE = {
-    "det_bareiss": "the benchmark's tracer wraps it by name; ROADMAP item 3",
+    "det_bareiss": "the benchmark's tracer wraps it by name; ROADMAP item 4",
     "pullback_T": "the benchmark's tracer wraps it by name, and criterion 7 uses it "
                   "as its T o p oracle",
     "schema_text": "the benchmark's gate validates reports against it",

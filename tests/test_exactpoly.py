@@ -8,11 +8,9 @@ import pytest
 
 from hyperlie import (
     Poly,
-    PolyMap,
     PolyMatrix,
     Ring,
     RingMismatchError,
-    cast,
     det_minor_expansion,
 )
 
@@ -37,7 +35,7 @@ def xring3():
 def random_poly(ring, rng, max_terms=4, max_exp=2, bound=5):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        exps = tuple(rng.randint(0, max_exp) for _ in ring.vars)
+        exps = tuple(rng.randint(0, max_exp) for _ in ring.names)
         terms[exps] = Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
     return Poly(ring, terms)
 
@@ -45,7 +43,7 @@ def random_poly(ring, rng, max_terms=4, max_exp=2, bound=5):
 def homogeneous_poly(ring, rng, weight, tries=200):
     terms = {}
     for _ in range(tries):
-        exps = [0] * len(ring.vars)
+        exps = [0] * len(ring.names)
         w = 0
         for _ in range(4 * weight):  # a greedy walk can dead-end; just restart
             fits = [i for i, vw in enumerate(ring.weights) if 0 < vw <= weight - w]
@@ -118,9 +116,9 @@ def test_weight_multiplicativity():
         if p.is_zero() or q.is_zero():
             continue
         assert (p * q).off_weight(wp + wq).is_zero()
-        v = rng.choice(ring.vars)
-        d = p.partial(v.name)
-        assert d.off_weight(wp - v.weight).is_zero()
+        i = rng.randrange(len(ring.names))
+        d = p.partial(ring.names[i])
+        assert d.off_weight(wp - ring.weights[i]).is_zero()
 
 
 def test_ring_mismatch_raises(lring, xring3):
@@ -171,7 +169,7 @@ def test_substitute_identity_and_full_evaluation(xring3):
     rng = random.Random(3)
     p = random_poly(xring3, rng)
     assert p.substitute({}) == p
-    point = {v.name: Fraction(rng.randint(-3, 3)) for v in xring3.vars}
+    point = {v: Fraction(rng.randint(-3, 3)) for v in xring3.names}
     subst = p.substitute(point)
     assert subst.constant_value() == p.evaluate(point)
 
@@ -344,7 +342,7 @@ def _oracle_tools():
         st.integers(-6, 6).filter(bool),
         st.integers(1, 4),
     )
-    mono = st.tuples(*[st.integers(0, 3)] * len(ORACLE_RING.vars))
+    mono = st.tuples(*[st.integers(0, 3)] * len(ORACLE_RING.names))
 
     def polys(max_terms=5, nonzero=False):
         terms = st.dictionaries(mono, coeff, min_size=int(nonzero), max_size=max_terms)
@@ -439,7 +437,7 @@ def test_substitute_matches_poly_arithmetic_and_sympy():
     st = hyp.strategies
     cross_coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     cross_polys = st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * len(CROSS_RING.vars)), cross_coeff, max_size=4,
+        st.tuples(*[st.integers(0, 3)] * len(CROSS_RING.names)), cross_coeff, max_size=4,
     ).map(lambda t: Poly(CROSS_RING, t))
     numbers = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
@@ -503,16 +501,36 @@ def test_substitute_high_exponents_do_not_carry():
         (40000, 40000): Fraction(1, 2), (0, 80000): Fraction(3, 4)}
 
 
-def test_pullback_equals_substitute_for_growing_arguments():
+def test_pullback_by_substitute_for_growing_arguments():
+    # a map is its components; substituting them is the pullback
     source = Ring([("x", 1), ("y", 1)])
     target = Ring([("s", 2), ("t", 3)])
-    pm = PolyMap("p", source, target, {"s": source.parse("x*y - 1/2*x^2"),
-                                       "t": source.parse("y^3")})
+    p = {"s": source.parse("x*y - 1/2*x^2"), "t": source.parse("y^3")}
     small, large = target.parse("s + t^2"), target.parse("s^2*t^30000 + 2/3*t")
     for q in (small, large, small, target.parse("s^3")):
         # a layout sized for the previous argument must not serve this one
-        assert pm.pullback(q) == q.substitute(pm.components, target=source)
-    assert pm.pullback(large).terms[(2, 90002)] == 1
+        got = q.substitute(p, target=source)
+        assert got.ring == source
+        assert got == _reference_substitute(q, p, source)
+    assert large.substitute(p, target=source).terms[(2, 90002)] == 1
+
+
+def test_substitute_rekeys_between_rings():
+    # with no assignment, substitute re-expresses a polynomial in another
+    # ring holding its variables, in any order and among others
+    rng = random.Random(7)
+    wide = Ring([("z", 5), ("c", 0), ("b", 2), ("u", 3), ("a", 1)])
+    for _ in range(50):
+        p = random_poly(ORACLE_RING, rng, max_exp=3)
+        there = p.substitute({}, target=wide)
+        assert there.ring == wide
+        assert there.terms == {(0, m[1], m[2], 0, m[0]): c for m, c in p.terms.items()}
+        assert there.substitute({}, target=ORACLE_RING) == p
+    assert ORACLE_RING.zero.substitute({}, target=wide) == wide.zero
+    # a used variable the target lacks is an error; an unused one is not
+    with pytest.raises(KeyError, match="'u'"):
+        wide.parse("u*a + b").substitute({}, target=ORACLE_RING)
+    assert wide.parse("a + b").substitute({}, target=ORACLE_RING) == ORACLE_RING.parse("a + b")
 
 
 # -- resultants ---------------------------------------------------------------
@@ -522,7 +540,7 @@ def test_resultant_discriminant_genus1():
     ring = Ring([("X", 2), ("l4", 4), ("l6", 6)])
     f = ring.parse("X^3 + l4*X + l6")
     r = resultant(f, f.partial("X"), "X")
-    assert cast(r, Ring([("l4", 4), ("l6", 6)])) == Ring(
+    assert r.substitute({}, target=Ring([("l4", 4), ("l6", 6)])) == Ring(
         [("l4", 4), ("l6", 6)]
     ).parse("4*l4^3 + 27*l6^2")
 
@@ -642,7 +660,7 @@ def test_pack_and_unpack_round_trip(xring3):
     rng = random.Random(5)
     top = 2**31 - 1
     for _ in range(200):
-        exps = tuple(rng.choice((0, 1, rng.randrange(top), top)) for _ in xring3.vars)
+        exps = tuple(rng.choice((0, 1, rng.randrange(top), top)) for _ in xring3.names)
         key = xring3.pack(exps)
         assert xring3.unpack(key) == exps
         assert Poly(xring3, {exps: 1}).num == {key: 1}
@@ -700,12 +718,13 @@ def test_kernels_build_no_fraction(catalogs, monkeypatch):
 
     cat = catalogs[2]
     L3, L4 = cat.fields["L3"], cat.fields["L4"]
-    comp = cat.pmap.components["l6"]
-    image = cat.pmap.target.parse("1/3*l4^2 - 2/5*l8")
+    p_map = cat.jm.lambda_exprs
+    comp = p_map["l6"]
+    image = Ring([(s, int(s[1:])) for s in p_map]).parse("1/3*l4^2 - 2/5*l8")
     p, q = cat.ring.parse("1/2*x2 + 2/3*x3"), cat.ring.parse("3/4*x2^2 - 1/5")
     # every result below has non-integral coefficients
     assert all(r.den != 1 for r in (L3.bracket(L4).on("x2"), L4.apply(comp),
-                                    cat.pmap.pullback(image), p * q, p + q,
+                                    image.substitute(p_map, target=cat.ring), p * q, p + q,
                                     linear_sum(cat.ring, [(L4, comp)], [(p, q)])))
     built = []
     new = Fraction.__new__
@@ -717,7 +736,7 @@ def test_kernels_build_no_fraction(catalogs, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted)
     L3.bracket(L4)
     L4.apply(comp)
-    cat.pmap.pullback(image)
+    image.substitute(p_map, target=cat.ring)
     p * q
     p + q
     linear_sum(cat.ring, [(L4, comp), (L3, p)], [(p, q)])

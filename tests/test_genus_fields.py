@@ -35,7 +35,7 @@ def test_euler_coefficients(catalogs):
 
 def test_euler_on_map_component(catalogs):
     cat = catalogs[1]
-    l4 = cat.jm.lambda_exprs[4]
+    l4 = cat.jm.lambda_exprs["l4"]
     assert cat.fields["L0"].apply(l4) == 4 * l4
 
 
@@ -231,8 +231,8 @@ def test_projectability_all_fields(catalogs, lam_fields, g):
     for name in cat.names:
         k = int(name[1:])
         down = None if k % 2 else lam_fields[g][k]
-        residuals = verify_pushforward(cat.fields[name], cat.pmap, down)
-        assert residuals == dict.fromkeys(cat.pmap.components, cat.ring.zero), (
+        residuals = verify_pushforward(cat.fields[name], cat.jm.lambda_exprs, down)
+        assert residuals == dict.fromkeys(cat.jm.lambda_exprs, cat.ring.zero), (
             g, name, {v: p.to_text() for v, p in residuals.items()})
 
 
@@ -247,8 +247,8 @@ def test_pushforward_homomorphism_genus3(catalogs, lam_fields):
         i, j = int(a[1:]), int(b[1:])
         up = cat.fields[a].bracket(cat.fields[b])
         down = None if i % 2 or j % 2 else lam_fields[3][i].bracket(lam_fields[3][j])
-        residuals = verify_pushforward(up, cat.pmap, down)
-        assert residuals == dict.fromkeys(cat.pmap.components, cat.ring.zero), (a, b)
+        residuals = verify_pushforward(up, cat.jm.lambda_exprs, down)
+        assert residuals == dict.fromkeys(cat.jm.lambda_exprs, cat.ring.zero), (a, b)
 
 
 # -- action-matrix determinant ---------------------------------------------------------
@@ -318,7 +318,7 @@ def test_odd_row_perturbed_outside_K_fails_projectability(monkeypatch, g, mode):
     # L1 on the last coordinate, outside K: A is unchanged, so the factor
     # entry, which rests on projectability for the block form, passes and
     # fields.projectability.L1 fails
-    last = [v.name for v in catalog(g).ring.vars if v.name not in PARAM_NAMES][-1]
+    last = [v for v in catalog(g).ring.names if v not in PARAM_NAMES][-1]
     ctx = _context_with_L1_doubled_on(monkeypatch, g, last)
     assert _entry(g, "fields.detTcal_factor", mode, ctx) == (True, None)
     ok, witness = _entry(g, "fields.projectability.L1", mode, ctx)
@@ -330,7 +330,8 @@ def test_pullback_det_equals_det_pullback(catalogs_zero, models, detTs):
     for g in (1, 2):
         cat = catalogs_zero[g]
         T = build_T(models[g])
-        assert det_minor_expansion(pullback_T(cat, T)) == cat.pmap.pullback(detTs[g])
+        assert det_minor_expansion(pullback_T(cat, T)) == detTs[g].substitute(
+            cat.jm.lambda_exprs, target=cat.ring)
 
 
 # -- normalization ----------------------------------------------------------------------
@@ -439,7 +440,7 @@ def test_classical_row_read_in_symbol_env(catalogs):
     rows = [("L3", "L2", {"L1": "P1_3 - l4", "L5": "-3"})]
     (rel,) = read_relations(cat.fields, rows, symbol_env(cat, rows))
     coeffs = {Z.name: c for c, Z in rel.expansion}
-    assert coeffs["L1"] == cat.ring.var("y4") - cat.jm.lambda_exprs[4]
+    assert coeffs["L1"] == cat.ring.var("y4") - cat.jm.lambda_exprs["l4"]
     assert coeffs["L5"] == cat.ring.const(-3)
 
 

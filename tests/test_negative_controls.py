@@ -269,7 +269,8 @@ def test_pushforward_fails_on_a_perturbed_parameter_space_coefficient():
     for pair, sign in ((("L4", "L6"), 1), (("L6", "L4"), -1)):
         lexp[pair]["L2"] = lexp[pair].get("L2", ctx.model.ring.zero) + sign * l4
     ctx._memo["lam_structure"] = residuals, lexp, None
-    assert _pushforward_failures(ctx) == [("[L4,L6] on L2", -ctx.cat.pmap.pullback(l4))]
+    assert _pushforward_failures(ctx) == [
+        ("[L4,L6] on L2", -l4.substitute(ctx.cat.jm.lambda_exprs, target=ctx.cat.ring))]
     for mode, pattern in (("exact", r"\[L4,L6\] on L2: \S"),
                           ("pit", r"\[L4,L6\] on L2 at \{.*\} -> -?\d")):
         rng = suite._entry_rng(1, "g3.fields.pushforward_homomorphism")
@@ -772,8 +773,11 @@ def _T11_plus_l6(mp):
 # entry: (genus, perturbation, exact witness, every failing entry or None
 # where the perturbed object feeds more entries than the one named)
 WEIGHT_AND_COUNT_CONTROLS = {
-    # f plus l4, of weight 4 against 4g + 2 = 6
-    "params.curve_poly": (1, _curve_plus_l4, "f off weight 6: l4", ["params.curve_poly"]),
+    # f plus l4, of weight 4 against 4g + 2 = 6; the Bezout matrix and R
+    # are built from that f, so the entries that read them fail too
+    "params.curve_poly": (1, _curve_plus_l4, "f off weight 6: l4",
+                          ["params.curve_poly", "params.R_weight", "params.detT_eq_cR",
+                           "params.R_value"]),
     # T(1,1) plus l6, of weight 6 against 4; T feeds every parameter-space entry
     "params.T_weights": (2, _T11_plus_l6, "T(1,1) off weight 4: l6", None),
     # the last relation dropped after the elimination
@@ -817,3 +821,25 @@ def test_weight_and_count_entries_fail_with_their_residual(monkeypatch, entry, m
         label = witness.split(": ")[0]
         assert re.match(re.escape(label) + _RESIDUAL[mode], failures[entry_id], re.S), (
             failures[entry_id])
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_curve_polynomial_feeds_the_bezout_matrix_and_R(monkeypatch, genus, mode):
+    """f plus l4*X^(2g), the coefficient f must not have: the Bezout matrix
+    and R read every coefficient of the f that ``params.curve_poly``
+    decides, so exactly the entries built on f fail."""
+    original = suite.build_f
+
+    def perturbed(model):
+        f = original(model)
+        return f + f.ring.parse(f"l4*X^{2 * genus}")
+
+    monkeypatch.setattr(suite, "build_f", perturbed)
+    failures = _mutant_failures(monkeypatch, genus, mode)
+    failing = ["params.curve_poly", "params.R_weight", "params.detT_eq_cR"]
+    if genus == 1:
+        failing.append("params.R_value")
+    assert sorted(failures) == sorted(f"g{genus}.{e}" for e in failing)
+    witness = failures[f"g{genus}.params.curve_poly"]
+    assert re.match(r"f on X\^\(2g\)" + _RESIDUAL[mode], witness), witness

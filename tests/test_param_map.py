@@ -5,12 +5,12 @@ import random
 import pytest
 
 from hyperlie import reference
+from hyperlie.lambda_space import CurveModel
 from hyperlie.param_map import (
-    build_p,
     eliminate,
     generate_relations,
     jacobi_map,
-    verify_relations_vanish,
+    relation_residuals,
 )
 
 
@@ -40,7 +40,7 @@ def test_elimination_matches_displayed_map(g):
     jm = jacobi_map(g)
     ring = jm.ring
     for name, text in reference.MAP[g].items():
-        assert jm.lambda_exprs[int(name[1:])] == ring.parse(text), name
+        assert jm.lambda_exprs[name] == ring.parse(text), name
     for kl, text in reference.W_EXPRS.get(g, {}).items():
         assert jm.w_exprs[kl] == ring.parse(text), kl
 
@@ -56,7 +56,7 @@ def test_w10_display():
 def test_components_homogeneous(g):
     jm = jacobi_map(g)
     for s, p in jm.lambda_exprs.items():
-        assert p.off_weight(s).is_zero(), s
+        assert p.off_weight(int(s[1:])).is_zero(), s
     for (k, l), p in jm.w_exprs.items():
         assert p.off_weight(k + l).is_zero(), (k, l)
 
@@ -66,15 +66,15 @@ def test_relations_vanish_after_substitution(g):
     rels = generate_relations(g)
     jm = eliminate(rels)
     assert jm.rels is rels
-    assert verify_relations_vanish(jm) == {r.label: 0 for r in rels.relations}
+    assert relation_residuals(jm) == {r.label: 0 for r in rels.relations}
 
 
 def test_perturbed_map_breaks_a_relation():
     rels = generate_relations(1)
     jm = eliminate(rels)
-    jm.lambda_exprs[6] = jm.lambda_exprs[6] + 1
+    jm.lambda_exprs["l6"] = jm.lambda_exprs["l6"] + 1
     # sq2 reads -4*l6, and sq1 does not read l6
-    assert verify_relations_vanish(jm) == {"sq1": 0, "sq2": -4}
+    assert relation_residuals(jm) == {"sq1": 0, "sq2": -4}
 
 
 def test_elimination_order_independent():
@@ -96,27 +96,32 @@ def test_eliminate_rejects_nonlinear_target():
         eliminate(rels)
 
 
-def test_build_p_components_ordered():
+def test_map_components_keyed_by_name_in_weight_order():
     jm = jacobi_map(2)
-    p = build_p(jm)
-    assert list(p.components) == ["l4", "l6", "l8", "l10"]
+    assert list(jm.lambda_exprs) == ["l4", "l6", "l8", "l10"]
     for s, comp in jm.lambda_exprs.items():
-        assert p.components[f"l{s}"] == comp
+        assert comp.ring == jm.ring and comp.off_weight(int(s[1:])).is_zero(), s
 
 
 def test_pullback_is_ring_homomorphism():
     jm = jacobi_map(2)
-    p = build_p(jm)
-    a = p.target.parse("l4*l6")
-    b = p.target.parse("l8 + 2*l4^2")
-    assert p.pullback(a * b) == p.pullback(a) * p.pullback(b)
-    assert p.pullback(a + b) == p.pullback(a) + p.pullback(b)
+    lring = CurveModel(2).ring
+
+    def pullback(q):
+        return q.substitute(jm.lambda_exprs, target=jm.ring)
+
+    a = lring.parse("l4*l6")
+    b = lring.parse("l8 + 2*l4^2")
+    assert pullback(a * b) == pullback(a) * pullback(b)
+    assert pullback(a + b) == pullback(a) + pullback(b)
+    assert pullback(lring.var("l8")) == jm.lambda_exprs["l8"]
+    assert pullback(lring.one) == jm.ring.one
 
 
 def test_genus4_elimination_consistent():
     # beyond the displayed genera: the triangular solve still closes
     rels = generate_relations(4)
     jm = eliminate(rels)
-    assert verify_relations_vanish(jm) == {r.label: 0 for r in rels.relations}
+    assert relation_residuals(jm) == {r.label: 0 for r in rels.relations}
     assert len(jm.lambda_exprs) == 8
     assert len(jm.w_exprs) == 6
