@@ -6,17 +6,17 @@ On generator space those symbols become polynomials: depth-1 entries are the
 coordinates themselves, the depth-2 symbols with leading index 0 are the
 w-expressions, and deeper symbols resolve recursively by applying the odd
 fields.  Translated entry-wise, a classical table must land exactly on the
-structure functions of the computed Lie algebra, which ``compare_tables``
-reads and does not recompute: it brackets no fields.
+structure functions of the computed Lie algebra: ``compare_tables`` compares
+each row's coefficients with the ledger of ``genus_fields.structure``, and
+it applies no field and brackets none.
 """
 
 from __future__ import annotations
 
 import re
 
-from .derivation import combination
 from .exactpoly import Poly
-from .genus_fields import FieldCatalog, coeff_env, read_relations
+from .genus_fields import FieldCatalog, coeff_env, coefficient_residuals, read_relations
 from .param_map import x_name
 
 _P_TOKEN = re.compile(r"^P(\d)(?:_(\d+))?$")
@@ -67,28 +67,19 @@ def symbol_env(cat: FieldCatalog, rows) -> dict:
 
 
 def compare_tables(cat: FieldCatalog, classical_rows, exp) -> dict:
-    """The residual of every classical row against the catalog's Lie algebra.
-
-    ``exp`` holds the structure functions {(a, b): {k: c_ab^k}} of
-    ``genus_fields.structure`` for every pair: exact identities
-    [La, Lb] = sum_k c_ab^k Lk of the family the catalog belongs to, which
-    hold on its fields once read at its parameter values.  A classical row
-    [La, Lb] = sum_k c'_k Lk, its symbols standing for their images, then
-    has the residual sum_k (c_k - c'_k) Lk: one ``combination`` and no
-    bracket.  Returns {(left, right): residual derivation} for every row;
-    the algebra realises the table exactly when every residual is zero.
+    """{(left, right): {k: residual}}: the ``coefficient_residuals`` of every
+    classical row, its symbols standing for their images, against the
+    ledger ``exp`` of ``genus_fields.structure``, whose c_ab^k expand
+    [La, Lb] on the family the catalog belongs to and are read at its
+    parameter values.  The algebra realises the table exactly when every
+    residual is zero.
 
     For genus 2 pass ``catalog(2, "zero")``: the classical table is the
-    zero-parameter member of the family, and each c_k is read at the
-    catalog's ``param_values``.
+    zero-parameter member of the family.
     """
     values = dict(cat.param_values)
-    residuals = {}
-    for rel in read_relations(cat.fields, classical_rows, symbol_env(cat, classical_rows)):
-        pair = (rel.left.name, rel.right.name)
-        diff = {k: c.substitute(values) if values else c for k, c in exp[pair].items()}
-        for c, Z in rel.expansion:
-            diff[Z.name] = diff.get(Z.name, 0) - c
-        residuals[pair] = combination([(c, cat.fields[k]) for k, c in diff.items()],
-                                      cat.ring, rel.label)
-    return residuals
+    return {(rel.left.name, rel.right.name):
+            {k: r.substitute(values) if values else r
+             for k, r in coefficient_residuals(rel, exp).items()}
+            for rel in read_relations(cat.fields, classical_rows,
+                                      symbol_env(cat, classical_rows))}

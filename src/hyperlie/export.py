@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .exactpoly import Poly, PolyMatrix
 from .genus_fields import build_Tcal, catalog, table_relations
-from .lambda_space import CurveModel, M_PAIRS, build_f, build_M, build_T, discriminant_R
+from .lambda_space import (CurveModel, M_PAIRS, bezout_f, build_f, build_M, build_T,
+                           discriminant_R)
 from .param_map import jacobi_map, w_name
 
 _GREEK = {"alpha": r"\alpha", "beta": r"\beta", "gamma1": r"\gamma_{1}",
@@ -187,7 +188,7 @@ def _export_brackets(genus: int, fmt: str) -> str:
 def _export_matrices(genus: int, fmt: str) -> str:
     model = CurveModel(genus)
     T = build_T(model)
-    R = discriminant_R(build_f(model), model.ring)
+    R = discriminant_R(bezout_f(build_f(model), model.ring))
     Tcal = build_Tcal(catalog(genus, params="zero"))
     blocks = {"T": T, "Tcal": Tcal}
     if genus == 3:

@@ -15,10 +15,14 @@ is a suite entry (``map.relations_vanish``, ``fields.table``,
 ``fields.aux_match``), so a wrong datum fails a named entry with its
 residual.
 
+Fields are keyed by name on both spaces, a weight read off ``.weight``.
+``structure`` takes every bracket the suite takes (the ledger); its other
+readers compare coefficients with it (``coefficient_residuals``).
+
 The genus-2 catalog carries four weight-0 parameters; brackets and
-projectability hold identically in them, and a linear solve pins the
-normalised member of the family, which the same construction builds with
-every parameter read as 0.
+projectability hold identically in them, and a linear solve on the
+ledger's coefficients pins the normalised member of the family, which the
+same construction builds with every parameter read as 0.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple, Sequence
 from . import reference
 from .derivation import BracketRelation, Derivation, combination, ladder_complete
 from .exactpoly import Poly, PolyMatrix, Ring, det_minor_expansion, parity, solve_unique
-from .param_map import PARAM_NAMES, JacobiMap, RelVars, jacobi_map, x_name
+from .param_map import PARAM_NAMES, JacobiMap, RelVars, jacobi_map, w_name, x_name
 
 
 def field_names(genus: int) -> list[str]:
@@ -133,16 +137,12 @@ def read_relations(
 
 
 def build_aux(genus: int, ring: Ring, w_exprs, fields) -> dict[str, Poly]:
-    """Auxiliary polynomials: w6, w8, w10 from the elimination, every other
-    symbol from the first of its defining field applications in
-    ``reference.AUX_DEFS``.  Whether the other definitions agree is decided
-    by the suite, not here."""
-    if genus == 1:
-        return {}
-    aux = {"w6": w_exprs[(3, 3)]}
-    if genus == 3:
-        aux.update(w8=w_exprs[(3, 5)], w10=w_exprs[(5, 5)])
-    for name, fname, argname in reference.AUX_DEFS[genus]:
+    """Auxiliary polynomials: every w of the elimination by ``w_name``,
+    every other symbol from the first of its defining field applications
+    in ``reference.AUX_DEFS``.  Whether the other definitions agree is
+    decided by the suite, not here."""
+    aux = {w_name(genus, *kl): p for kl, p in w_exprs.items()}
+    for name, fname, argname in reference.AUX_DEFS.get(genus, ()):
         if name not in aux:
             arg = aux[argname] if argname in aux else ring.var(argname)
             aux[name] = fields[fname].apply(arg)
@@ -208,7 +208,7 @@ def _catalog_cached(genus: int, params: str | None) -> FieldCatalog:
         d = fields[name]
         for coeff_text, fname in extras:
             d = d + fields[fname].scale(parse_coeff(cat, coeff_text))
-        fields[name] = d.rename(name, weight=int(name[1:]))
+        fields[name] = d.rename(name, weight=fields[name].weight)
     return cat
 
 
@@ -235,11 +235,10 @@ def catalog(genus: int, params: str = "symbolic") -> FieldCatalog:
 
 def euler_relations(fields: dict[str, Derivation]) -> list[BracketRelation]:
     """[L0, Lk] = k Lk for every Lk of the name -> field mapping ``fields``
-    but L0, in weight order, on either space."""
+    but L0, k its weight, in weight order, on either space."""
     L0 = fields["L0"]
-    return [BracketRelation(L0, fields[f"L{k}"], [(L0.ring.const(k), fields[f"L{k}"])],
-                            label=f"[L0,L{k}]")
-            for k in sorted(int(name[1:]) for name in fields if name != "L0")]
+    return [BracketRelation(L0, fields[n], [(L0.ring.const(fields[n].weight), fields[n])])
+            for n in sorted(fields, key=lambda n: fields[n].weight) if n != "L0"]
 
 
 def table_relations(cat: FieldCatalog) -> list[BracketRelation]:
@@ -262,12 +261,12 @@ def structure_functions(fields: dict[str, Derivation], a: str, b: str) -> dict[s
     of weight wt(a) + wt(b) - wt(k), weight-0 parameters up to their total
     degree in the bracket, and each monomial of each variable's image is
     one equation."""
-    ring, names = fields[a].ring, sorted(fields, key=lambda n: int(n[1:]))
+    ring, names = fields[a].ring, sorted(fields, key=lambda n: fields[n].weight)
     bracket = fields[a].bracket(fields[b])
     degree = max((sum(e for e, w in zip(ring.unpack(m), ring.weights) if not w)
                   for p in bracket.action.values() for m in p.num), default=0)
-    unknowns = [(k, e) for k in names for e in
-                _exponents(ring.weights, int(a[1:]) + int(b[1:]) - int(k[1:]), degree)]
+    unknowns = [(k, e) for k in names for e in _exponents(
+        ring.weights, fields[a].weight + fields[b].weight - fields[k].weight, degree)]
     rows: dict[tuple, dict] = {}  # the bracket is the right side, column len(unknowns)
     columns = [(fields[k], ring.pack(e)) for k, e in unknowns] + [(bracket, 0)]
     for col, (L, m) in enumerate(columns):
@@ -293,7 +292,7 @@ def structure(fields: dict[str, Derivation], rels) -> tuple[dict, dict, tuple | 
     exp = {(rel.left.name, rel.right.name): {Z.name: c for c, Z in rel.expansion}
            for rel in rels if residuals[rel.label].is_zero()}
     problem = None
-    for a, b in combinations(sorted(fields, key=lambda n: int(n[1:])), 2):
+    for a, b in combinations(sorted(fields, key=lambda n: fields[n].weight), 2):
         if (a, b) not in exp and (b, a) not in exp:
             solved = structure_functions(fields, a, b)
             if isinstance(solved, str):
@@ -302,6 +301,16 @@ def structure(fields: dict[str, Derivation], rels) -> tuple[dict, dict, tuple | 
             exp[a, b] = solved
     exp.update({(b, a): {k: -c for k, c in cs.items()} for (a, b), cs in list(exp.items())})
     return residuals, exp, problem
+
+
+def coefficient_residuals(rel: BracketRelation, exp: dict) -> dict[str, Poly]:
+    """{k: c_ab^k - c'_k} of a displayed row [La, Lb] = sum_k c'_k Lk against
+    the ledger ``exp`` of ``structure``, applying no field: as the Lk are
+    independent, the row holds exactly when every residual is zero."""
+    out = dict(exp[rel.left.name, rel.right.name])
+    for c, Z in rel.expansion:
+        out[Z.name] = out.get(Z.name, rel.left.ring.zero) - c
+    return out
 
 
 # -- action matrix and determinant factor ---------------------------------------
@@ -336,8 +345,8 @@ def block_sign(cat: FieldCatalog) -> int:
     order with odd fields first and of the column order with K moved last."""
     g = cat.genus
     names = cat.names
-    odd = [i for i, n in enumerate(names) if int(n[1:]) % 2]
-    even = [i for i, n in enumerate(names) if not int(n[1:]) % 2]
+    odd = [i for i, n in enumerate(names) if cat.fields[n].weight % 2]
+    even = [i for i, n in enumerate(names) if not cat.fields[n].weight % 2]
     return parity(odd + even) * parity(list(range(g, 3 * g)) + list(range(g)))
 
 
@@ -368,26 +377,27 @@ def det_factor_residuals(cat: FieldCatalog, factor) -> tuple[Poly, Poly]:
 # -- genus-2 normalization -------------------------------------------------------
 
 
-def solve_genus2_normalization(cat: FieldCatalog) -> dict[str, Fraction] | str:
+def solve_genus2_normalization(cat: FieldCatalog, exp: dict) -> dict[str, Fraction] | str:
     """Find the parameter values forcing the depth-1 commutators into the
     prescribed lower-triangular form, or say why no unique values do.
 
-    Every residual component r is linear in the parameters p, so
-    r = r|_{p=0} + sum_p p * dr/dp, and each monomial m of the other
-    variables gives one equation sum_p (dr/dp)[m] * p = -r|_{p=0}[m]."""
+    Every ``coefficient_residuals`` r of a row against the ledger ``exp``
+    is linear in the parameters p, so r = r|_{p=0} + sum_p p * dr/dp, and
+    each monomial m of the other variables gives one equation
+    sum_p (dr/dp)[m] * p = -r|_{p=0}[m]."""
     if cat.genus != 2:
         raise ValueError("normalization is a genus-2 computation")
     rows: dict[tuple, dict] = {}
     rels = read_relations(cat.fields, reference.G2_NORMALIZATION, coeff_env(cat))
     for r, rel in enumerate(rels):
-        for v, poly in rel.residual().action.items():
+        for k, poly in coefficient_residuals(rel, exp).items():
             parts = [poly.partial(p) for p in PARAM_NAMES]
             if any(q.variables_used() & set(PARAM_NAMES) for q in parts):
                 return "normalization residual is nonlinear in the parameters"
             const = poly.substitute(dict.fromkeys(PARAM_NAMES, 0))
             for i, q in enumerate([*parts, -const]):
                 for m, c in q.terms.items():
-                    rows.setdefault((r, v, m), {})[i] = c
+                    rows.setdefault((r, k, m), {})[i] = c
     solution = solve_unique(rows.values(), len(PARAM_NAMES))
     if isinstance(solution, str):
         return {"no solution": "inconsistent normalization conditions",

@@ -8,8 +8,9 @@ matrix), the fields L0, L2, ..., L{4g-2}, which are T's rows, and (genus 3)
 the displayed structure matrix M of their brackets.  M is read as data:
 the suite compares each row with the structure functions that
 ``genus_fields.structure`` decides on this space, so no bracket is
-expanded against M here.  The Bezout matrix and R read the coefficients
-of the one f that ``build_f`` writes, re-keyed into the parameter ring.
+expanded against M here.  The Bezout matrix reads the coefficients of the
+one f that ``build_f`` writes, re-keyed into the parameter ring; R is its
+determinant.
 """
 
 from __future__ import annotations
@@ -110,16 +111,16 @@ def schur_identity(T: PolyMatrix, B: PolyMatrix):
     return residuals, Fraction(sign * 4 ** (m // 2), corner) if corner else None
 
 
-def discriminant_R(f: Poly, ring: Ring) -> Poly:
-    """Resultant of f and df/dX in the parameter ring ``ring``, eliminating
-    X; cut out by the singular locus.
+def discriminant_R(B: PolyMatrix) -> Poly:
+    """Resultant of f and df/dX in the parameter ring, eliminating X; cut
+    out by the singular locus.
 
-    The determinant of the (2g+1)-square Bezout matrix by minor expansion
-    (Gentleman & Johnson, ACM TOMS 2(3), 1976).  Against the (4g+1)-square
-    Sylvester matrix, genus 3 takes 9 ms instead of 0.16 s and genus 4
-    0.4 s instead of 21 s (2-CPU host, Python 3.11).
+    The determinant of the (2g+1)-square Bezout matrix B = ``bezout_f(f,
+    ring)`` by minor expansion (Gentleman & Johnson, ACM TOMS 2(3), 1976).
+    Against the (4g+1)-square Sylvester matrix, genus 3 takes 9 ms instead
+    of 0.16 s and genus 4 0.4 s instead of 21 s (2-CPU host, Python 3.11).
     """
-    return det_minor_expansion(bezout_f(f, ring))
+    return det_minor_expansion(B)
 
 
 def t_entry(model: CurveModel, k: int, m: int) -> Poly:
@@ -140,11 +141,11 @@ def build_T(model: CurveModel) -> PolyMatrix:
     return PolyMatrix(model.ring, [[t_entry(model, k, m) for m in r] for k in r])
 
 
-def all_L(T: PolyMatrix) -> dict[int, Derivation]:
-    """The parameter-space fields {k: L_k}, k = 0, 2, ..., 4g-2: row k/2 of
-    T is L_k, acting by L_k(l_{2s}) = T_{k+2, 2s-2} on T's ring variables."""
-    return {2 * i: Derivation(f"L{2 * i}", T.ring, dict(zip(T.ring.names, row)),
-                              weight=2 * i) for i, row in enumerate(T.rows)}
+def all_L(T: PolyMatrix) -> dict[str, Derivation]:
+    """The parameter-space fields {"Lk": L_k}, k = 0, 2, ..., 4g-2, in weight
+    order: row k/2 of T is L_k, acting by L_k(l_{2s}) = T_{k+2, 2s-2}."""
+    return {f"L{2 * i}": Derivation(f"L{2 * i}", T.ring, dict(zip(T.ring.names, row)),
+                                    weight=2 * i) for i, row in enumerate(T.rows)}
 
 
 # -- genus-3 commutator structure matrix -------------------------------------

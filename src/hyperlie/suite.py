@@ -36,11 +36,15 @@ The structure functions c_ab^k of [L_a, L_b] = sum_k c_ab^k L_k
 (Buchstaber & Leykin, Funct. Anal. Appl. 36, 2002) are decided once per
 space by ``genus_fields.structure``, from the table and Euler rows
 (``ctx.structure``) and from the Euler rows and the table's even part
-(``ctx.lam_structure``).  Every bracket entry reads them, so a wrong
-displayed row fails only the entries that check it: its ``fields.table``
-row and, for a pair of even fields, ``params.tangency``.  Four entries
-rest on others rather than recompute them: ``fields.pushforward_homomorphism``
-and ``fields.detTcal_factor`` on ``fields.projectability.*``,
+(``ctx.lam_structure``), the ledger, which takes every bracket of a run.
+Its row residuals decide ``fields.table.*``, the Euler rows and
+``params.tangency``; ``fields.classical_table`` and ``fields.normalization``
+compare displayed coefficients with it (``coefficient_residuals``); the
+other bracket entries read its coefficients.  So a wrong displayed row
+fails only the entries that check it: its ``fields.table`` row and, for a
+pair of even fields, ``params.tangency``.  Four entries rest on others
+rather than recompute them: ``fields.pushforward_homomorphism`` and
+``fields.detTcal_factor`` on ``fields.projectability.*``,
 ``params.structure.*`` on ``ctx.lam_structure`` with det T != 0, and
 ``fields.jacobi`` on ``ctx.structure`` with det Tcal != 0.
 ``params.cross_actions`` is ``params.T_symmetric`` under a second id.
@@ -174,7 +178,7 @@ def _lam_structure(ctx):
     """``structure`` on parameter space: the Euler rows and the even-field
     part of every displayed row with a and b even, whose coefficients are
     written in l-symbols, read by ``read_relations``."""
-    fields = {f"L{k}": L for k, L in ctx.lam_fields.items()}
+    fields = ctx.lam_fields
     even = [(a, b, {f: text for f, text in coeffs.items() if f in fields})
             for a, b, coeffs in reference.BRACKET_TABLE[ctx.genus]
             if a in fields and b in fields]
@@ -183,9 +187,9 @@ def _lam_structure(ctx):
 
 _BUILDS = {
     "model": lambda ctx: CurveModel(ctx.genus),
-    # the one f that params.curve_poly decides and the Bezout matrix and R read
+    # the one f that params.curve_poly decides and the Bezout matrix reads
     "f": lambda ctx: build_f(ctx.model),
-    "R": lambda ctx: discriminant_R(ctx.f, ctx.model.ring),
+    "R": lambda ctx: discriminant_R(ctx.bezout),
     "T": lambda ctx: build_T(ctx.model),
     "lam_fields": lambda ctx: all_L(ctx.T),
     "M": lambda ctx: build_M(ctx.model),
@@ -302,14 +306,14 @@ def _t_display(ctx, mode, pit, rng):
 def _euler_eigen(ctx, mode, pit, rng):
     for s in ctx.model.indices:
         lam = ctx.model.lam(s)
-        yield f"L0(l{s})", ctx.lam_fields[0].apply(lam) - s * lam
+        yield f"L0(l{s})", ctx.lam_fields["L0"].apply(lam) - s * lam
 
 
 @_claim("params.euler_brackets", "[L0, Lk] = k Lk on parameter space")
 def _euler_brackets(ctx, mode, pit, rng):
     residuals = ctx.lam_structure[0]
-    for k in sorted(ctx.lam_fields)[1:]:
-        yield f"[L0,L{k}]", residuals[f"[L0,L{k}]"]
+    for name in list(ctx.lam_fields)[1:]:
+        yield f"[L0,{name}]", residuals[f"[L0,{name}]"]
 
 
 _claim("params.cross_actions", "L_{{2a}}(l_{{2b+4}}) = L_{{2b}}(l_{{2a+4}})")(_t_symmetric)
@@ -338,13 +342,10 @@ def _dett_eq_cr(ctx, mode, pit, rng):
 def _saito_multipliers(ctx) -> list[Poly]:
     """div L_k + sum_i c_ki^i, div L_k = sum_s d(L_k(l_s))/dl_s, for every
     field in weight order, c_ki^i read from ``ctx.lam_structure``."""
-    ring, exp = ctx.model.ring, ctx.lam_structure[1]
-    out = []
-    for k, L in sorted(ctx.lam_fields.items()):
-        div = sum((L.on(v).partial(v) for v in ring.names), ring.zero)
-        out.append(sum((exp[f"L{k}", f"L{i}"].get(f"L{i}", ring.zero)
-                        for i in ctx.lam_fields if i != k), div))
-    return out
+    ring, exp, fields = ctx.model.ring, ctx.lam_structure[1], ctx.lam_fields
+    return [sum((exp[k, i].get(i, ring.zero) for i in fields if i != k),
+                sum((L.on(v).partial(v) for v in ring.names), ring.zero))
+            for k, L in fields.items()]
 
 
 @_claim("params.tangency", "fields rescale det T by the stated multipliers")
@@ -358,8 +359,8 @@ def _tangency(ctx, mode, pit, rng):
         yield problem
         return
     mults = reference.TANGENCY_MULTIPLIERS[ctx.genus]
-    for k, derived, text in zip(sorted(ctx.lam_fields), _saito_multipliers(ctx), mults):
-        yield f"div L{k} + tr c_{k} - m", derived - ctx.model.ring.parse(text)
+    for L, derived, text in zip(ctx.lam_fields.values(), _saito_multipliers(ctx), mults):
+        yield f"div {L.name} + tr c_{L.weight} - m", derived - ctx.model.ring.parse(text)
 
 
 @_claim("params.structure.{0}_{1}", "[{0},{1}] expands in the structure matrix",
@@ -373,9 +374,8 @@ def _structure_row(ctx, mode, pit, rng, left, right):
         yield problem
         return
     row = ctx.M.rows[M_PAIRS.index((int(left[1:]), int(right[1:])))]
-    for k, m in zip(sorted(ctx.lam_fields), row):
-        yield (f"[{left},{right}] on L{k}",
-               m - exp[left, right].get(f"L{k}", ctx.model.ring.zero))
+    for k, m in zip(ctx.lam_fields, row):
+        yield f"[{left},{right}] on {k}", m - exp[left, right].get(k, ctx.model.ring.zero)
 
 
 @_claim("map.relation_count", "relation count g(g+3)/2")
@@ -474,12 +474,9 @@ def _even_ladder_agrees(ctx, mode, pit, rng):
 @_claim("fields.aux_match", "auxiliary polynomials equal their displayed forms",
         genera=(2, 3))
 def _aux_match(ctx, mode, pit, rng):
-    """w6, w8, w10 from the elimination, then each defining field
-    application of ``reference.AUX_DEFS``, against its displayed form."""
+    """Each defining field application of ``reference.AUX_DEFS`` against its
+    displayed form; the w's are ``map.components_match``'s."""
     cat, shown = ctx.cat, reference.AUX[ctx.genus]
-    for name in ("w6", "w8", "w10"):
-        if name in shown:
-            yield name, cat.aux[name] - parse_coeff(cat, shown[name])
     for name, fname, arg in reference.AUX_DEFS[ctx.genus]:
         yield (f"{fname}({arg}) - {name}",
                cat.fields[fname].apply(parse_coeff(cat, arg)) - parse_coeff(cat, shown[name]))
@@ -489,9 +486,7 @@ def _aux_match(ctx, mode, pit, rng):
         "{0} projects onto its parameter-space counterpart",
         members=lambda g: [(name,) for name in field_names(g)])
 def _projectable(ctx, mode, pit, rng, name):
-    k = int(name[1:])
-    down = None if k % 2 else ctx.lam_fields[k]
-    cat = ctx.cat
+    cat, down = ctx.cat, ctx.lam_fields.get(name)
     for v, diff in verify_pushforward(cat.fields[name], cat.jm.lambda_exprs, down).items():
         yield f"{name} on {v}", diff
 
@@ -517,7 +512,7 @@ def _pushforward_homomorphism(ctx, mode, pit, rng):
     cat, exp, lexp = ctx.cat, ctx.structure[1], ctx.lam_structure[1]
     for a, b in combinations(cat.names, 2):
         down = lexp.get((a, b), {})
-        for k in (f"L{i}" for i in ctx.lam_fields):
+        for k in ctx.lam_fields:
             lhs = exp[a, b].get(k, cat.ring.zero)
             if k in down:
                 lhs = lhs - down[k].substitute(cat.jm.lambda_exprs, target=cat.ring)
@@ -538,7 +533,11 @@ def _dettcal_factor(ctx, mode, pit, rng):
 @_claim("fields.normalization",
         "triangular depth-1 normalization forces zero parameters", genera=(2,))
 def _normalization(ctx, mode, pit, rng):
-    solved = solve_genus2_normalization(ctx.cat)
+    _, exp, problem = ctx.structure
+    if problem:
+        yield problem
+        return
+    solved = solve_genus2_normalization(ctx.cat, exp)
     yield from [("normalization", solved)] if isinstance(solved, str) else solved.items()
 
 
@@ -550,8 +549,9 @@ def _classical_table(ctx, mode, pit, rng):
         yield problem
         return
     rows = compare_tables(ctx.cat_zero, reference.CLASSICAL_TABLE[ctx.genus], exp)
-    for (left, right), residual in sorted(rows.items()):
-        yield f"[{left},{right}]", residual
+    for (left, right), residuals in sorted(rows.items()):
+        for k, r in residuals.items():
+            yield f"[{left},{right}] on {k}", r
 
 
 @_claim("fields.jacobi", "Jacobi identity over all field triples")

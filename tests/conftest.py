@@ -1,7 +1,7 @@
 import pytest
 
 from hyperlie.genus_fields import catalog
-from hyperlie.lambda_space import CurveModel, all_L, build_f, build_T, discriminant_R
+from hyperlie.lambda_space import CurveModel, all_L, bezout_f, build_f, build_T, discriminant_R
 from hyperlie.exactpoly import det_minor_expansion
 
 
@@ -27,7 +27,8 @@ def lam_fields(models):
 
 @pytest.fixture(scope="session")
 def discriminants(models):
-    return {g: discriminant_R(build_f(models[g]), models[g].ring) for g in (1, 2, 3)}
+    return {g: discriminant_R(bezout_f(build_f(models[g]), models[g].ring))
+            for g in (1, 2, 3)}
 
 
 @pytest.fixture(scope="session")

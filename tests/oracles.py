@@ -99,9 +99,9 @@ def resultant(f, h, var):
 def m_relation_rows(model, fields) -> list[BracketRelation]:
     """The ten claimed identities [L_{2i}, L_{2j}] = M-row . (L0..L10)."""
     M = build_M(model)
-    ordered = [fields[k] for k in sorted(fields)]
-    return [BracketRelation(fields[i], fields[j], list(zip(M.rows[r], ordered)),
-                            label=f"[L{i},L{j}]") for r, (i, j) in enumerate(M_PAIRS)]
+    return [BracketRelation(fields[f"L{i}"], fields[f"L{j}"],
+                            list(zip(M.rows[r], fields.values())))
+            for r, (i, j) in enumerate(M_PAIRS)]
 
 
 def structure_jacobi(cat, expansions):

@@ -204,17 +204,61 @@ def test_suite_computes_each_entry_of_T_once_per_genus(monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_suite_expands_R_at_genus_1_only(monkeypatch, mode):
     # params.R_weight reads the Bezout matrix, so only genus 1's
-    # params.R_value expands R.
-    genera, expand = [], suite.discriminant_R
+    # params.R_value expands R, as the determinant of ctx.bezout: each
+    # genus builds its Bezout matrix once.
+    from hyperlie import lambda_space
 
-    def counted(f, ring):
-        genera.append(len(ring.names) // 2)
-        return expand(f, ring)
+    genera, bezouts = [], []
+    expand, bezout_f = suite.discriminant_R, lambda_space.bezout_f
+
+    def counted(B):
+        genera.append(B.nrows // 2)
+        return expand(B)
+
+    def counted_bezout(f, ring):
+        bezouts.append(len(ring.names) // 2)
+        return bezout_f(f, ring)
 
     monkeypatch.setattr(suite, "discriminant_R", counted)
+    for module in (lambda_space, suite):
+        monkeypatch.setattr(module, "bezout_f", counted_bezout)
     for g in (1, 2, 3):
         assert run_suite(g, mode, PitConfig(seed=1)).passed
     assert genera == [1]
+    assert bezouts == [1, 2, 3]
+
+
+def test_clean_suite_takes_every_bracket_inside_structure(monkeypatch):
+    # Every reader of the ledger compares coefficients, the classical table
+    # and the genus-2 normalization among them, so a clean run of every
+    # genus, in either mode, takes each bracket inside genus_fields.structure.
+    from hyperlie import derivation, genus_fields
+
+    depth, inside, outside = [0], [], []
+    bracket_sum, structure = derivation.bracket_sum, genus_fields.structure
+
+    def counting(terms, *args, **kwargs):
+        if terms:
+            (inside if depth[0] else outside).append([(X.name, Y.name) for _, X, Y in terms])
+        return bracket_sum(terms, *args, **kwargs)
+
+    def tracked(fields, rels):
+        depth[0] += 1
+        try:
+            return structure(fields, rels)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(derivation, "bracket_sum", counting)
+    for module in (genus_fields, suite):
+        monkeypatch.setattr(module, "structure", tracked)
+    counts = []
+    for mode in ("exact", "pit"):
+        inside.clear()
+        assert run_suite("all", mode, PitConfig(seed=1)).passed
+        counts.append(len(inside))
+    assert outside == []
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])

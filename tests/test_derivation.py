@@ -204,10 +204,10 @@ def test_pushforward_failures_are_the_polynomial_differences(g1fields, g1ring):
 
 def test_pushforward_all_genus3_pairs(catalogs, lam_fields):
     cat = catalogs[3]
-    for k in (0, 2, 4, 6, 8, 10):
-        residuals = verify_pushforward(cat.fields[f"L{k}"], cat.jm.lambda_exprs,
-                                       lam_fields[3][k])
-        assert residuals == dict.fromkeys(cat.jm.lambda_exprs, cat.ring.zero), k
+    for name in ("L0", "L2", "L4", "L6", "L8", "L10"):
+        residuals = verify_pushforward(cat.fields[name], cat.jm.lambda_exprs,
+                                       lam_fields[3][name])
+        assert residuals == dict.fromkeys(cat.jm.lambda_exprs, cat.ring.zero), name
 
 
 def test_odd_fields_annihilate_map(catalogs):

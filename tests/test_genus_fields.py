@@ -229,8 +229,7 @@ def test_genus2_parametric_row(catalogs):
 def test_projectability_all_fields(catalogs, lam_fields, g):
     cat = catalogs[g]
     for name in cat.names:
-        k = int(name[1:])
-        down = None if k % 2 else lam_fields[g][k]
+        down = lam_fields[g].get(name)  # None for an odd field
         residuals = verify_pushforward(cat.fields[name], cat.jm.lambda_exprs, down)
         assert residuals == dict.fromkeys(cat.jm.lambda_exprs, cat.ring.zero), (
             g, name, {v: p.to_text() for v, p in residuals.items()})
@@ -243,10 +242,10 @@ def test_pushforward_homomorphism_genus3(catalogs, lam_fields):
     cat = catalogs[3]
     pairs = list(combinations(cat.names, 2))
     assert len(pairs) == 36
+    lam = lam_fields[3]
     for a, b in pairs:
-        i, j = int(a[1:]), int(b[1:])
         up = cat.fields[a].bracket(cat.fields[b])
-        down = None if i % 2 or j % 2 else lam_fields[3][i].bracket(lam_fields[3][j])
+        down = lam[a].bracket(lam[b]) if a in lam and b in lam else None
         residuals = verify_pushforward(up, cat.jm.lambda_exprs, down)
         assert residuals == dict.fromkeys(cat.jm.lambda_exprs, cat.ring.zero), (a, b)
 
@@ -337,8 +336,13 @@ def test_pullback_det_equals_det_pullback(catalogs_zero, models, detTs):
 # -- normalization ----------------------------------------------------------------------
 
 
+def _normalization(cat):
+    """``solve_genus2_normalization`` on the symbolic catalog's ledger."""
+    return solve_genus2_normalization(cat, SuiteContext(2).structure[1])
+
+
 def test_normalization_solution_is_zero(catalogs):
-    sol = solve_genus2_normalization(catalogs[2])
+    sol = _normalization(catalogs[2])
     assert sol == {"alpha": 0, "beta": 0, "gamma1": 0, "gamma2": 0}
 
 
@@ -354,7 +358,7 @@ _NORMALIZATION = reference.G2_NORMALIZATION
 def test_normalization_solves_any_row_order_and_right_side(monkeypatch, catalogs,
                                                             rows, want):
     monkeypatch.setattr(reference, "G2_NORMALIZATION", rows)
-    assert solve_genus2_normalization(catalogs[2]) == want
+    assert _normalization(catalogs[2]) == want
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -363,13 +367,13 @@ def test_normalization_solves_any_row_order_and_right_side(monkeypatch, catalogs
     # a second [L1,L4] row forcing alpha = 1 against the displayed alpha = 0
     ([*_NORMALIZATION, ("L1", "L4", {"L1": "y4 + x4", "L3": "x2"})],
      "inconsistent normalization conditions"),
-    # the symbolic L4 adds alpha*x3*L1, so a coefficient alpha makes alpha^2 terms
-    ([*_NORMALIZATION, ("L1", "L4", {"L1": "y4", "L3": "x2", "L4": "alpha"})],
+    # a coefficient alpha^2 makes the coefficient residual on L4 nonlinear
+    ([*_NORMALIZATION, ("L1", "L4", {"L1": "y4", "L3": "x2", "L4": "alpha^2"})],
      "normalization residual is nonlinear in the parameters"),
 ])
 def test_normalization_failure_paths(monkeypatch, catalogs, rows, message):
     monkeypatch.setattr(reference, "G2_NORMALIZATION", rows)
-    assert solve_genus2_normalization(catalogs[2]) == message
+    assert _normalization(catalogs[2]) == message
 
 
 def test_normalized_bracket_row(catalogs_zero):
@@ -384,7 +388,7 @@ def test_normalization_negative_control(catalogs):
     # forcing alpha = 1 contradicts the classical table
     forced = _specialized(catalogs[2], {"alpha": 1})
     residuals = compare_tables(forced, reference.CLASSICAL_TABLE[2], SuiteContext(2).structure[1])
-    assert any(not d.is_zero() for d in residuals.values())
+    assert any(not r.is_zero() for row in residuals.values() for r in row.values())
 
 
 def test_every_displayed_table_is_read_through_read_relations(monkeypatch):
@@ -432,7 +436,7 @@ def test_classical_tables_translate_onto_computed(catalogs, catalogs_zero, g):
     cat = catalogs_zero[2] if g == 2 else catalogs[g]
     residuals = compare_tables(cat, reference.CLASSICAL_TABLE[g], SuiteContext(g).structure[1])
     assert len(residuals) == len(reference.CLASSICAL_TABLE[g])
-    assert all(d.is_zero() for d in residuals.values()), g
+    assert all(r.is_zero() for row in residuals.values() for r in row.values()), g
 
 
 def test_classical_row_read_in_symbol_env(catalogs):

@@ -35,7 +35,7 @@ def detT_R_constant(det_T, R):
 
 def tangency_multipliers(fields, det_T):
     """Exact multipliers m_k with L_k(det T) = m_k * det T, in field order."""
-    return [divexact(fields[k].apply(det_T), det_T) for k in sorted(fields)]
+    return [divexact(L.apply(det_T), det_T) for L in fields.values()]
 
 
 def test_build_f_genus1(models):
@@ -172,25 +172,26 @@ def test_all_L_acts_by_T_entries(g):
     # L_k(l_{2s}) = T_{k+2,2s-2}, entry by entry against t_entry
     model = CurveModel(g)
     fields = all_L(build_T(model))
-    assert sorted(fields) == list(range(0, 4 * g - 1, 2))
-    for k, L in fields.items():
-        assert (L.name, L.weight, L.ring) == (f"L{k}", k, model.ring)
+    assert list(fields) == [f"L{k}" for k in range(0, 4 * g - 1, 2)]
+    for name, L in fields.items():
+        k = int(name[1:])
+        assert (L.name, L.weight, L.ring) == (name, k, model.ring)
         for s in range(2, 2 * g + 2):
             assert L.on(f"l{2 * s}") == t_entry(model, (k + 2) // 2, s - 1), (g, k, s)
 
 
 def test_euler_field_eigenvalues(models, lam_fields):
     for g, m in models.items():
-        L0 = lam_fields[g][0]
+        L0 = lam_fields[g]["L0"]
         for s in m.indices:
             assert L0.apply(m.lam(s)) == s * m.lam(s)
 
 
 def test_euler_brackets(lam_fields):
     for g, fields in lam_fields.items():
-        L0 = fields[0]
-        for k, L in fields.items():
-            assert L0.bracket(L) == L.scale(k)
+        L0 = fields["L0"]
+        for L in fields.values():
+            assert L0.bracket(L) == L.scale(L.weight)
 
 
 def test_detT_is_constant_multiple_of_R(models, lam_fields, discriminants, detTs):
@@ -245,11 +246,11 @@ def test_cross_action_symmetry(models, lam_fields):
     # the T-matrix symmetry
     for g, fields in lam_fields.items():
         m = models[g]
-        for a in fields:
-            for b in fields:
-                sa, sb = a + 4, b + 4
+        for A in fields.values():
+            for B in fields.values():
+                sa, sb = A.weight + 4, B.weight + 4
                 if sa in m.indices and sb in m.indices:
-                    assert fields[a].apply(m.lam(sb)) == fields[b].apply(m.lam(sa))
+                    assert A.apply(m.lam(sb)) == B.apply(m.lam(sa))
 
 
 # -- genus-3 structure matrix ----------------------------------------------------

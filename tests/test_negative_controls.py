@@ -15,7 +15,7 @@ import pytest
 from hyperlie import (Derivation, PolyMatrix, Ring, derivation, genus_fields, param_map,
                       reference, suite)
 from hyperlie.classical import symbol_env
-from hyperlie.genus_fields import (_catalog_cached, parse_coeff, read_relations, seed_texts,
+from hyperlie.genus_fields import (_catalog_cached, parse_coeff, seed_texts,
                                    structure_functions)
 from hyperlie.param_map import Relation, RelationSet
 from hyperlie.suite import PitConfig, SuiteContext, _decide, run_suite
@@ -184,13 +184,12 @@ def test_solved_parameter_space_structure_functions_equal_the_displayed(genus):
     """On parameter space too the weight ansatz has a unique solution on
     every pair (1, 6 and 15 pairs), the displayed coefficients."""
     ctx = SuiteContext(genus)
-    fields = {f"L{k}": L for k, L in ctx.lam_fields.items()}
+    fields = ctx.lam_fields
     _, exp, problem = ctx.lam_structure
     assert problem is None
-    pairs = list(combinations(sorted(ctx.lam_fields), 2))
+    pairs = list(combinations(fields, 2))
     assert len(pairs) == [1, 6, 15][genus - 1]
-    for i, j in pairs:
-        a, b = f"L{i}", f"L{j}"
+    for a, b in pairs:
         want = {k: c for k, c in exp[a, b].items() if c}
         assert structure_functions(fields, a, b) == want, (a, b)
 
@@ -311,8 +310,7 @@ def test_every_ledger_coefficient_expands_its_bracket(monkeypatch, genus, table,
     if table == "empty":
         monkeypatch.setitem(reference.BRACKET_TABLE, genus, [])
     ctx = SuiteContext(genus)
-    fields = (ctx.cat.fields if space == "structure"
-              else {f"L{k}": L for k, L in ctx.lam_fields.items()})
+    fields = ctx.cat.fields if space == "structure" else ctx.lam_fields
     _, exp, problem = getattr(ctx, space)
     assert problem is None
     assert len(exp) == len(fields) * (len(fields) - 1)
@@ -523,6 +521,22 @@ def test_wrong_elimination_fails_relations_vanish(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_displayed_w_is_decided_once(monkeypatch, mode):
+    """Each w of the elimination is displayed once, in ``reference.W_EXPRS``:
+    the genus-3 w6 plus x2*y4, of its own weight, fails
+    ``map.components_match`` alone, with the residual on w6."""
+    shown = reference.W_EXPRS[3]
+    monkeypatch.setitem(shown, (3, 3), f"{shown[3, 3]} + x2*y4")
+    failures = _mutant_failures(monkeypatch, 3, mode)
+    assert list(failures) == ["g3.map.components_match"]
+    witness = failures["g3.map.components_match"]
+    if mode == "exact":
+        assert witness == "w6: -x2*y4"
+    else:
+        assert re.match(r"w6" + _RESIDUAL[mode], witness), witness
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
 @pytest.mark.parametrize("genus,pair,field,text", [
     (1, ("L1", "L2"), "L1", "2*P2"),  # displayed: P2
     (3, ("L1", "L4"), "L3", "2*P2"),  # displayed: P2
@@ -532,9 +546,9 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
         monkeypatch, genus, pair, field, text, mode):
     """A classical row is decided from the structure functions with no
     bracket, on the zero-parameter genus-2 catalog too (its coefficients
-    read at the parameters' value 0); a corrupted row is a derivation
-    residual, whose witness is the first component of its own bracket
-    relation's residual, in both modes."""
+    read at the parameters' value 0); a corrupted coefficient is a
+    coefficient residual, the displayed text minus the corrupted one, whose
+    witness is labelled ``[La,Lb] on Lk``, in both modes."""
     calls = []
     bracket_sum = derivation.bracket_sum
 
@@ -549,12 +563,12 @@ def test_classical_row_decided_from_the_table_keeps_the_direct_witness(
     assert _decide(suite._classical_table, (), ctx, mode, pit, rng) == (True, None)
     assert calls == []
 
-    row = next(r for r in reference.CLASSICAL_TABLE[genus] if r[:2] == pair)
-    monkeypatch.setitem(row[2], field, text)
     rows = reference.CLASSICAL_TABLE[genus]
-    (rel,) = read_relations(ctx.cat_zero.fields, [row], symbol_env(ctx.cat_zero, rows))
-    v, diff = min(rel.residual().action.items())
-    label = f"[{pair[0]},{pair[1]}].{v}"
+    row = next(r for r in rows if r[:2] == pair)
+    env, shown = symbol_env(ctx.cat_zero, rows), row[2][field]
+    diff = ctx.cat_zero.ring.parse(shown, env) - ctx.cat_zero.ring.parse(text, env)
+    monkeypatch.setitem(row[2], field, text)
+    label = f"[{pair[0]},{pair[1]}] on {field}"
     calls.clear()
     ok, witness = _decide(suite._classical_table, (), ctx, mode, pit, rng)
     if mode == "exact":
